@@ -9,9 +9,12 @@ matrices.
 """
 
 from .bounds import (
+    PROPOSITION_LABELS,
+    PROPOSITIONS,
     BoundReport,
     MuPairReports,
-    PROPOSITION_LABELS,
+    Proposition,
+    check_arguments,
     check_bound,
     coincidence_sum_check,
     mu_f_bar,

@@ -1,9 +1,12 @@
 """Entropic uncertainty bounds and their margin reports.
 
 Each bound function returns the right-hand-side value of one
-uncertainty relation; :func:`check_bound` pairs it with the directly
-computed entropy quantity and wraps the comparison in a
-:class:`BoundReport`.  The implemented relations are labeled
+uncertainty relation, for one purity or an array of them;
+:func:`check_bound` pairs it with the directly computed entropy quantity
+and wraps the comparison in a :class:`BoundReport`.  Every labelled check
+is one :class:`Proposition` entry in :data:`PROPOSITIONS`, whose evaluator
+works on a single state and on a stack of states alike.  The implemented
+relations are labeled
 
 * ``P1-mub-tsallis``  -- averaged Tsallis entropy over a MUB set,
   order in (0, 2], state-dependent via tr(rho^2), with a detector
@@ -36,11 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .entropy import (
     SymOrderPair,
+    _entropy_fn,
+    _result,
     alpha_log,
     as_probabilities,
     binary_tsallis,
@@ -65,22 +71,6 @@ from .states import DensityMatrix, generator, purity
 DEFAULT_TOLERANCE = 1e-10
 ZERO_PROB_THRESHOLD = 1e-14
 
-PROPOSITION_LABELS = (
-    "P1-mub-tsallis",
-    "P2-mub-renyi",
-    "P3-mub-minent",
-    "P4-mub-sym",
-    "P5-sic-ic",
-    "P6-sic-tsallis",
-    "P7-sic-renyi",
-    "P8-sic-minent",
-    "P9-mu-pair",
-    "LWBM-sum",
-    "APXA-max",
-    "APXB-riesz",
-    "ENT-G",
-)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -102,36 +92,41 @@ class BoundReport:
     sense: str = ">="
 
 
-def make_report(label, lhs, rhs, tolerance=DEFAULT_TOLERANCE, sense=">=") -> BoundReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    margin = lhs - rhs
-    if sense == ">=":
-        passed = margin >= -tolerance
-    elif sense == "<=":
-        passed = margin <= tolerance
-    elif sense == "==":
-        passed = abs(margin) <= tolerance
-    else:
+_PASSES = {
+    ">=": lambda margin, tolerance: margin >= -tolerance,
+    "<=": lambda margin, tolerance: margin <= tolerance,
+    "==": lambda margin, tolerance: abs(margin) <= tolerance,
+}
+
+
+def _reports(label, lhs, rhs, tolerance, sense) -> list[BoundReport]:
+    """One report per entry of lhs; rhs is an array like lhs or one value for all."""
+    passes = _PASSES.get(sense)
+    if passes is None:
         raise DomainError(f"unknown report sense {sense!r}")
-    return BoundReport(
-        label=label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        tolerance=tolerance,
-        saturated=abs(margin) <= tolerance,
-        passed=passed,
-        sense=sense,
-    )
+    lhs = np.asarray(lhs, dtype=float).ravel().tolist()
+    rhs = np.asarray(rhs, dtype=float)
+    rhs = rhs.ravel().tolist() if rhs.size == len(lhs) else [float(rhs)] * len(lhs)
+    reports = []
+    for left, right in zip(lhs, rhs):
+        margin = left - right
+        saturated = abs(margin) <= tolerance
+        passed = passes(margin, tolerance)
+        reports.append(BoundReport(label, left, right, margin, tolerance, saturated, passed, sense))
+    return reports
 
 
-def _check_purity(d: int, value) -> float:
-    value = float(value)
+def make_report(label, lhs, rhs, tolerance=DEFAULT_TOLERANCE, sense=">=") -> BoundReport:
+    (report,) = _reports(label, float(lhs), float(rhs), tolerance, sense)
+    return report
+
+
+def _check_purity(d: int, value):
+    value = np.asarray(value, dtype=float)
     lo = 1.0 / d
-    if not lo - 1e-9 <= value <= 1.0 + 1e-9:
+    if not (value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
         raise DomainError(f"purity {value!r} outside [{lo}, 1] for dimension {d}")
-    return min(max(value, lo), 1.0)
+    return np.minimum(np.maximum(value, lo), 1.0)
 
 
 def _check_counts(d, m) -> tuple[int, int]:
@@ -146,19 +141,27 @@ def _check_counts(d, m) -> tuple[int, int]:
 
 def _tsallis_order(alpha) -> float:
     alpha = float(alpha)
-    if np.isnan(alpha) or not 0.0 < alpha <= 2.0:
+    if not 0.0 < alpha <= 2.0:
         raise DomainError(f"Tsallis-type bound needs order in (0, 2], got {alpha}")
     return alpha
 
 
 def _renyi_order(alpha) -> float:
     alpha = float(alpha)
-    if np.isnan(alpha) or alpha < 2.0:
+    if not alpha >= 2.0:
         raise DomainError(f"Renyi-type bound needs order in [2, inf], got {alpha}")
     return alpha
 
 
-def mub_tsallis_bound(d, m, alpha, state_purity, state_independent=False) -> float:
+def _with_inefficiency(base, alpha, eta):
+    """eta^alpha times a clean Tsallis bound plus h_alpha(eta)."""
+    eta = float(eta)
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
+    return eta ** float(alpha) * base + binary_tsallis(eta, alpha)
+
+
+def mub_tsallis_bound(d, m, alpha, state_purity, state_independent=False):
     """Lower bound on the MUB-averaged Tsallis entropy, order in (0, 2]."""
     d, m = _check_counts(d, m)
     alpha = _tsallis_order(alpha)
@@ -166,35 +169,30 @@ def mub_tsallis_bound(d, m, alpha, state_purity, state_independent=False) -> flo
     return alpha_log(m * d / (p2 * d + m - 1.0), alpha)
 
 
-def mub_tsallis_bound_inefficiency(d, m, alpha, state_purity, eta, state_independent=False) -> float:
+def mub_tsallis_bound_inefficiency(d, m, alpha, state_purity, eta, state_independent=False):
     """Inefficiency-model variant: eta^alpha times the clean bound plus h_alpha(eta)."""
     base = mub_tsallis_bound(d, m, alpha, state_purity, state_independent)
-    eta = float(eta)
-    if np.isnan(eta) or not 0.0 <= eta <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    return eta ** float(alpha) * base + binary_tsallis(eta, alpha)
+    return _with_inefficiency(base, alpha, eta)
 
 
-def mub_renyi_bound(d, m, alpha, state_purity, state_independent=False) -> float:
+def mub_renyi_bound(d, m, alpha, state_purity, state_independent=False):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
     d, m = _check_counts(d, m)
     alpha = _renyi_order(alpha)
     p2 = 1.0 if state_independent else _check_purity(d, state_purity)
     factor = 0.5 if np.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
-    return factor * math.log(m * d / (p2 * d + m - 1.0))
+    return _result(factor * np.log(m * d / (p2 * d + m - 1.0)))
 
 
-def mub_minentropy_bound(d, m, state_purity, state_independent=False) -> float:
+def mub_minentropy_bound(d, m, state_purity, state_independent=False):
     """Lower bound on the MUB-averaged min-entropy (improves the alpha=inf Renyi form)."""
     d, m = _check_counts(d, m)
     if state_independent:
         rm = math.sqrt(m)
         return math.log(rm * d / (d + rm - 1.0))
     p2 = _check_purity(d, state_purity)
-    radicand = max(p2 * d - 1.0, 0.0)
-    return math.log(d) - math.log(
-        1.0 + math.sqrt((d - 1.0) * radicand) / math.sqrt(m)
-    )
+    radicand = np.maximum(p2 * d - 1.0, 0.0)
+    return _result(math.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * radicand) / math.sqrt(m)))
 
 
 def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
@@ -210,7 +208,7 @@ def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
     raise DomainError(f"unknown entropy kind {kind!r}")
 
 
-def sic_tsallis_bound(d, alpha, state_purity, state_independent=False) -> float:
+def sic_tsallis_bound(d, alpha, state_purity, state_independent=False):
     """Lower bound on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
     d = int(d)
     alpha = _tsallis_order(alpha)
@@ -218,38 +216,32 @@ def sic_tsallis_bound(d, alpha, state_purity, state_independent=False) -> float:
     return alpha_log(d * (d + 1.0) / (p2 + 1.0), alpha)
 
 
-def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta, state_independent=False) -> float:
+def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta, state_independent=False):
     """Inefficiency-model variant of the single-SIC Tsallis bound."""
     base = sic_tsallis_bound(d, alpha, state_purity, state_independent)
-    eta = float(eta)
-    if np.isnan(eta) or not 0.0 <= eta <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    return eta ** float(alpha) * base + binary_tsallis(eta, alpha)
+    return _with_inefficiency(base, alpha, eta)
 
 
-def sic_renyi_bound(d, alpha, state_purity, state_independent=False) -> float:
+def sic_renyi_bound(d, alpha, state_purity, state_independent=False):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
     d = int(d)
     alpha = _renyi_order(alpha)
     p2 = 1.0 if state_independent else _check_purity(d, state_purity)
     factor = 0.5 if np.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
-    return factor * math.log(d * (d + 1.0) / (p2 + 1.0))
+    return _result(factor * np.log(d * (d + 1.0) / (p2 + 1.0)))
 
 
-def sic_minentropy_bound(d, state_purity) -> float:
+def sic_minentropy_bound(d, state_purity):
     """Lower bound on the min-entropy of a single SIC-POVM."""
     d = int(d)
     p2 = _check_purity(d, state_purity)
-    radicand = max(p2 * d - 1.0, 0.0)
-    return 2.0 * math.log(d) - math.log(1.0 + math.sqrt((d - 1.0) * radicand))
+    radicand = np.maximum(p2 * d - 1.0, 0.0)
+    return _result(2.0 * math.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * radicand)))
 
 
 def coincidence_sum_check(mubs: MubSet, rho: DensityMatrix, tolerance=1e-12) -> BoundReport:
     """Check sum_m C(B_m|rho) <= tr(rho^2) + (M-1)/d over a MUB set."""
-    dists = [probabilities(b, rho) for b in mubs]
-    lhs = sum(index_of_coincidence(p) for p in dists)
-    rhs = purity(rho) + (mubs.count - 1.0) / mubs.dim
-    return make_report("LWBM-sum", lhs, rhs, tolerance, sense="<=")
+    return check_bound(mubs, rho, "LWBM-sum", tolerance=tolerance)
 
 
 def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANCE) -> BoundReport:
@@ -258,7 +250,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
     Requires max p <= 1/d (every SIC probability obeys it); violation
     raises :class:`PreconditionError`.
     """
-    p = as_probabilities(p)
+    p = as_probabilities(p).ravel()
     d = int(d)
     pmax = float(p.max())
     if pmax > 1.0 / d + 1e-12:
@@ -298,9 +290,13 @@ def _rank_one_kets(meas) -> np.ndarray:
 
 
 def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
-    """Hermitian square root of the state, eigenvalues clipped at zero."""
-    eigs, vecs = np.linalg.eigh(rho.mat)
-    return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    """Hermitian square root of each state, eigenvalues clipped at zero.
+
+    Reuses the eigendecomposition kept by the state's validation, if any.
+    """
+    eigs, vecs = rho.eigh if rho.eigh is not None else np.linalg.eigh(rho.mat)
+    scaled = vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., None, :]
+    return scaled @ vecs.conj().swapaxes(-1, -2)
 
 
 def _overlap_transform(kets_m, kets_n, rho: DensityMatrix, threshold=ZERO_PROB_THRESHOLD):
@@ -311,39 +307,40 @@ def _overlap_transform(kets_m, kets_n, rho: DensityMatrix, threshold=ZERO_PROB_T
     of R-images, so the Cauchy-Schwarz structure survives rounding even
     for probabilities many orders below one.  Rows and columns whose
     probability falls below ``threshold`` are zeroed, matching the
-    exclusion of unobservable outcomes.
+    exclusion of unobservable outcomes.  A stack of states gives a stack
+    of matrices.
     """
-    root = _sqrt_factor(rho)
-    zm = kets_m @ root.T  # row i is R m_i
-    zn = kets_n @ root.T
-    qm = np.einsum("ik,ik->i", zm.conj(), zm).real
-    qn = np.einsum("jk,jk->j", zn.conj(), zn).real
+    root_t = _sqrt_factor(rho).swapaxes(-1, -2)
+    zm = np.matmul(kets_m, root_t)  # row i is R m_i
+    zn = np.matmul(kets_n, root_t)
+    qm = (zm.real * zm.real + zm.imag * zm.imag).sum(axis=-1)
+    qn = (zn.real * zn.real + zn.imag * zn.imag).sum(axis=-1)
     overlap = kets_m.conj() @ kets_n.T  # [i, j] = <m_i|n_j>
-    cross = zn.conj() @ zm.T  # [j, i] = <n_j|rho|m_i>
+    cross = np.matmul(zm, zn.conj().swapaxes(-1, -2))  # [i, j] = <n_j|rho|m_i>
     keep_m = qm > threshold
     keep_n = qn > threshold
-    denom = np.sqrt(np.outer(np.where(keep_m, qm, 1.0), np.where(keep_n, qn, 1.0)))
-    t = overlap * cross.T / denom
-    t[~keep_m, :] = 0.0
-    t[:, ~keep_n] = 0.0
-    return t
+    qm_safe = np.where(keep_m, qm, 1.0)
+    qn_safe = np.where(keep_n, qn, 1.0)
+    denom = np.sqrt(qm_safe[..., :, None] * qn_safe[..., None, :])
+    keep = keep_m[..., :, None] & keep_n[..., None, :]
+    return np.where(keep, overlap * cross / denom, 0.0)
 
 
-def mu_g_factor(meas_m, meas_n, rho: DensityMatrix, threshold=ZERO_PROB_THRESHOLD) -> float:
+def mu_g_factor(meas_m, meas_n, rho: DensityMatrix, threshold=ZERO_PROB_THRESHOLD):
     """State-dependent overlap factor g driving the Maassen-Uffink pair bounds.
 
     The maximum of |<m_i|n_j><n_j|rho|m_i>| over the geometric mean of
     the outcome probabilities, taken over pairs where both probabilities
     exceed ``threshold``.  Always <= 1 by Cauchy-Schwarz; for two
     SIC-POVMs the subnormalized kets carry the 1/d prefactor
-    automatically.
+    automatically.  An array for a stack of states.
     """
     kets_m = _rank_one_kets(meas_m)
     kets_n = _rank_one_kets(meas_n)
     if kets_m.shape[1] != rho.dim or kets_n.shape[1] != rho.dim:
         raise DomainError("measurement and state dimensions differ")
     t = _overlap_transform(kets_m, kets_n, rho, threshold)
-    return float(np.max(np.abs(t)))
+    return _result(np.abs(t).max(axis=(-2, -1)))
 
 
 def mu_f_bar(meas_m, meas_n) -> float:
@@ -365,6 +362,14 @@ class MuPairReports:
     f_bar: float
 
 
+_PAIR_LABELS = {
+    "tsallis": "P9-mu-pair-tsallis",
+    "renyi": "P9-mu-pair-renyi",
+    "tsallis_state_independent": "P9-mu-pair-tsallis-si",
+    "renyi_state_independent": "P9-mu-pair-renyi-si",
+}
+
+
 def _resolve_order_pair(alpha=None, beta=None, s=None):
     if s is not None:
         pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
@@ -375,9 +380,27 @@ def _resolve_order_pair(alpha=None, beta=None, s=None):
     if beta is None:
         return alpha, conjugate_order(alpha)
     beta = float(beta)
-    if abs(1.0 / alpha + 1.0 / beta - 2.0) > 1e-12:
+    if not abs(1.0 / alpha + 1.0 / beta - 2.0) <= 1e-12:
         raise DomainError(f"orders must satisfy 1/alpha + 1/beta = 2, got {alpha}, {beta}")
     return alpha, beta
+
+
+def _mu_pair_sides(meas_m, meas_n, rho: DensityMatrix, alpha: float, beta: float):
+    """(lhs, rhs) of the four pair bounds, keyed like :class:`MuPairReports`; g; f-bar."""
+    mu = max(alpha, beta)
+    g = mu_g_factor(meas_m, meas_n, rho)
+    fbar = mu_f_bar(meas_m, meas_n)
+    pm = probabilities(_as_measurement(meas_m), rho)
+    pn = probabilities(_as_measurement(meas_n), rho)
+    lhs_t = tsallis(pm, alpha) + tsallis(pn, beta)
+    lhs_r = renyi(pm, alpha) + renyi(pn, beta)
+    sides = {
+        "tsallis": (lhs_t, alpha_log(np.power(g, -2.0), mu)),
+        "renyi": (lhs_r, -2.0 * np.log(g)),
+        "tsallis_state_independent": (lhs_t, alpha_log(fbar**-2, mu)),
+        "renyi_state_independent": (lhs_r, -2.0 * math.log(fbar)),
+    }
+    return sides, g, fbar
 
 
 def mu_pair_bounds(
@@ -389,38 +412,59 @@ def mu_pair_bounds(
     s=None,
     tolerance=DEFAULT_TOLERANCE,
 ) -> MuPairReports:
-    """Check the Tsallis and Renyi pair bounds for two rank-one POVMs.
+    """Check the Tsallis and Renyi pair bounds for two rank-one POVMs on one state.
 
     H_a(M|rho) + H_b(N|rho) >= ln_mu(g^-2) and R_a + R_b >= -2 ln g with
     mu = max(alpha, beta); the state-independent variants replace g by
     the overlap cap f-bar.
     """
     alpha, beta = _resolve_order_pair(alpha, beta, s)
-    mu = max(alpha, beta)
-    g = mu_g_factor(meas_m, meas_n, rho)
-    fbar = mu_f_bar(meas_m, meas_n)
-    pm = probabilities(_as_measurement(meas_m), rho)
-    pn = probabilities(_as_measurement(meas_n), rho)
-    lhs_t = tsallis(pm, alpha) + tsallis(pn, beta)
-    lhs_r = renyi(pm, alpha) + renyi(pn, beta)
-    return MuPairReports(
-        tsallis=make_report("P9-mu-pair-tsallis", lhs_t, alpha_log(g**-2, mu), tolerance),
-        renyi=make_report("P9-mu-pair-renyi", lhs_r, -2.0 * math.log(g), tolerance),
-        tsallis_state_independent=make_report(
-            "P9-mu-pair-tsallis-si", lhs_t, alpha_log(fbar**-2, mu), tolerance
-        ),
-        renyi_state_independent=make_report(
-            "P9-mu-pair-renyi-si", lhs_r, -2.0 * math.log(fbar), tolerance
-        ),
-        g=g,
-        f_bar=fbar,
-    )
+    sides, g, fbar = _mu_pair_sides(meas_m, meas_n, rho, alpha, beta)
+    reports = {
+        key: make_report(_PAIR_LABELS[key], lhs, rhs, tolerance)
+        for key, (lhs, rhs) in sides.items()
+    }
+    return MuPairReports(**reports, g=g, f_bar=fbar)
 
 
 def _as_measurement(meas):
     if isinstance(meas, (SicPovm, OrthonormalBasis, Povm)):
         return meas
     raise DomainError(f"unsupported measurement type {type(meas).__name__}")
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of complex vectors along the last axis."""
+    return np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=-1))
+
+
+def _riesz_sides(t: np.ndarray, u, trials: int, seed):
+    """Worst ||t v||_2 and its ||v||_2 over the input vectors v of each state.
+
+    ``u`` holds given inputs: one vector (n,), several (T, n), or several
+    per state (N, T, n); ``trials`` random complex vectors drawn from
+    ``seed`` are applied to every state as well.
+    """
+    n = t.shape[-1]
+    inputs = []
+    if u is not None:
+        u = np.asarray(u, dtype=complex)
+        if u.shape[-1] != n:
+            raise DomainError(f"input vector has length {u.shape[-1]}, expected {n}")
+        inputs.append(u.reshape(1, n) if u.ndim == 1 else u)
+    if trials > 0:
+        z = generator(seed).standard_normal((int(trials), 2, n))
+        inputs.append(z[:, 0] + 1j * z[:, 1])
+    if len(inputs) == 2:
+        batch = np.broadcast_shapes(t.shape[:-2], *(v.shape[:-2] for v in inputs))
+        inputs = [np.concatenate([np.broadcast_to(v, batch + v.shape[-2:]) for v in inputs], -2)]
+    if not inputs or inputs[0].shape[-2] == 0:
+        raise DomainError("need an input vector or trials >= 1")
+    nu = _norms(inputs[0])
+    nv = _norms(np.matmul(inputs[0], t.swapaxes(-1, -2)))
+    nu = nu if nu.shape == nv.shape else np.broadcast_to(nu, nv.shape)
+    worst = np.arange(nv.shape[-1]) == (nv - nu).argmax(axis=-1)[..., None]
+    return nv[worst], nu[worst]
 
 
 def riesz_precondition_check(
@@ -431,44 +475,191 @@ def riesz_precondition_check(
     trials: int = 0,
     seed=0,
     tolerance: float = 1e-12,
-) -> BoundReport:
+):
     """Verify the overlap transformation is a 2-norm contraction.
 
-    Applies t to the given input vector (if any) and to ``trials``
+    Applies t to the given input vectors (if any) and to ``trials``
     random complex vectors, and reports the worst case of
-    ||t u||_2 <= ||u||_2.
+    ||t u||_2 <= ||u||_2: one report, or a list of them for a stack of
+    states.
     """
-    kets_m = _rank_one_kets(meas_m)
-    kets_n = _rank_one_kets(meas_n)
-    t = _overlap_transform(kets_m, kets_n, rho)
-    n = t.shape[1]
-    inputs = []
-    if u is not None:
-        u = np.asarray(u, dtype=complex).ravel()
-        if u.size != n:
-            raise DomainError(f"input vector has length {u.size}, expected {n}")
-        inputs.append(u)
-    rng = generator(seed)
-    for _ in range(int(trials)):
-        inputs.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    if not inputs:
-        raise DomainError("need an input vector or trials >= 1")
-    worst_lhs, worst_rhs, worst_margin = 0.0, 0.0, -np.inf
-    for vec in inputs:
-        nu = float(np.linalg.norm(vec))
-        nv = float(np.linalg.norm(t @ vec))
-        if nv - nu > worst_margin:
-            worst_lhs, worst_rhs, worst_margin = nv, nu, nv - nu
-    return make_report("APXB-riesz", worst_lhs, worst_rhs, tolerance, sense="<=")
+    return check_bound(
+        (meas_m, meas_n), rho, "APXB-riesz", u=u, trials=trials, seed=seed, tolerance=tolerance
+    )
 
 
 def _sym_param_from_alpha(alpha) -> float:
     alpha = float(alpha)
-    if np.isinf(alpha) or alpha < 1.0:
+    if not 1.0 <= alpha < math.inf:
         raise DomainError(
             f"symmetrized orders need 1 <= alpha < inf (alpha is max of the pair), got {alpha}"
         )
     return 1.0 - 1.0 / alpha
+
+
+class CheckArguments(NamedTuple):
+    """The validated arguments of one labelled check (see :func:`check_arguments`)."""
+
+    alpha: float | None = None
+    pair: SymOrderPair | None = None
+    kind: str = "tsallis"
+    eta: float | None = None
+    u: object = None
+    trials: int = 16
+    seed: object = 0
+
+
+class Proposition(NamedTuple):
+    """One labelled check: what it measures, which orders it takes, its two sides.
+
+    ``measurement`` is what :func:`check_bound` expects as ``meas``:
+    "mubs" (a :class:`MubSet`), "sic" (a :class:`SicPovm`), "any" (any
+    single measurement; campaigns use the SIC), "pair" (two rank-one
+    measurements) or "product" (a :class:`SicPovm`, with states on
+    H (x) H).  ``order`` names the order range the check takes its order
+    from ("tsallis": (0, 2], "renyi": [2, inf], "symmetrized": s = 1 - 1/alpha
+    with 1 <= alpha < inf) and is None for the order-free checks.
+    ``evaluate(meas, rho, args)`` returns the lhs and rhs arrays over the
+    states of ``rho``.
+    """
+
+    measurement: str
+    sense: str
+    order: str | None
+    efficiency: bool
+    evaluate: Callable
+
+
+def _statistics(meas, rho, eta=None):
+    """Outcome probabilities, with the no-click outcome appended when eta is given."""
+    p = probabilities(meas, rho)
+    return p if eta is None else distort(p, eta)
+
+
+def _p1(mubs, rho, a):
+    rhs = mub_tsallis_bound(mubs.dim, mubs.count, a.alpha, purity(rho))
+    if a.eta is not None:
+        rhs = _with_inefficiency(rhs, a.alpha, a.eta)
+    return tsallis(_statistics(mubs, rho, a.eta), a.alpha).mean(axis=-1), rhs
+
+
+def _p2(mubs, rho, a):
+    lhs = renyi(_statistics(mubs, rho), a.alpha).mean(axis=-1)
+    return lhs, mub_renyi_bound(mubs.dim, mubs.count, a.alpha, purity(rho))
+
+
+def _p3(mubs, rho, a):
+    lhs = renyi(_statistics(mubs, rho), np.inf).mean(axis=-1)
+    return lhs, mub_minentropy_bound(mubs.dim, mubs.count, purity(rho))
+
+
+def _p4(mubs, rho, a):
+    lhs = symmetrized(_statistics(mubs, rho), a.pair, a.kind).mean(axis=-1)
+    return lhs, mub_symmetrized_bound(mubs.dim, a.pair, a.kind)
+
+
+def _p5(sic, rho, a):
+    lhs = index_of_coincidence(_statistics(sic, rho))
+    return lhs, (purity(rho) + 1.0) / (sic.dim * (sic.dim + 1.0))
+
+
+def _p6(sic, rho, a):
+    rhs = sic_tsallis_bound(sic.dim, a.alpha, purity(rho))
+    if a.eta is not None:
+        rhs = _with_inefficiency(rhs, a.alpha, a.eta)
+    return tsallis(_statistics(sic, rho, a.eta), a.alpha), rhs
+
+
+def _p7(sic, rho, a):
+    return renyi(_statistics(sic, rho), a.alpha), sic_renyi_bound(sic.dim, a.alpha, purity(rho))
+
+
+def _p8(sic, rho, a):
+    return renyi(_statistics(sic, rho), np.inf), sic_minentropy_bound(sic.dim, purity(rho))
+
+
+def _p9(pair, rho, a):
+    sides, _g, _fbar = _mu_pair_sides(*pair, rho, a.pair.alpha, a.pair.beta)
+    return sides[a.kind]
+
+
+def _lwbm(mubs, rho, a):
+    lhs = index_of_coincidence(_statistics(mubs, rho)).sum(axis=-1)
+    return lhs, purity(rho) + (mubs.count - 1.0) / mubs.dim
+
+
+def _apxa(meas, rho, a):
+    p = _statistics(meas, rho)
+    return p.p.max(axis=-1), max_prob_bound(len(p), index_of_coincidence(p))
+
+
+def _apxb(pair, rho, a):
+    t = _overlap_transform(_rank_one_kets(pair[0]), _rank_one_kets(pair[1]), rho)
+    return _riesz_sides(t, a.u, a.trials, a.seed)
+
+
+def _ent_g(sic, rho, a):
+    # local import: the entanglement module builds on this one
+    from .entanglement import correlation_G, product_sic_povm
+
+    return correlation_G(product_sic_povm(sic), rho), 2.0 / (sic.dim * (sic.dim + 1.0))
+
+
+PROPOSITIONS = {
+    "P1-mub-tsallis": Proposition("mubs", ">=", "tsallis", True, _p1),
+    "P2-mub-renyi": Proposition("mubs", ">=", "renyi", False, _p2),
+    "P3-mub-minent": Proposition("mubs", ">=", None, False, _p3),
+    "P4-mub-sym": Proposition("mubs", ">=", "symmetrized", False, _p4),
+    "P5-sic-ic": Proposition("sic", "==", None, False, _p5),
+    "P6-sic-tsallis": Proposition("sic", ">=", "tsallis", True, _p6),
+    "P7-sic-renyi": Proposition("sic", ">=", "renyi", False, _p7),
+    "P8-sic-minent": Proposition("sic", ">=", None, False, _p8),
+    "P9-mu-pair": Proposition("pair", ">=", "symmetrized", False, _p9),
+    "LWBM-sum": Proposition("mubs", "<=", None, False, _lwbm),
+    "APXA-max": Proposition("any", "<=", None, False, _apxa),
+    "APXB-riesz": Proposition("pair", "<=", None, False, _apxb),
+    "ENT-G": Proposition("product", "<=", None, False, _ent_g),
+}
+PROPOSITION_LABELS = tuple(PROPOSITIONS)
+
+_MEASUREMENT_TYPES = {
+    "mubs": MubSet,
+    "sic": SicPovm,
+    "product": SicPovm,
+    "any": (SicPovm, OrthonormalBasis, Povm),
+    "pair": (tuple, list),
+}
+
+
+def check_arguments(
+    which: str, *, alpha=None, s=None, kind: str = "tsallis", eta=None
+) -> CheckArguments:
+    """Validate a labelled check's order arguments without a state.
+
+    Raises :class:`DomainError` for an unknown label, an order outside the
+    label's range, an unknown entropy kind, or an efficiency given to a
+    label without the inefficiency model (its range is checked where it
+    is used).  Order-free labels ignore ``alpha``.
+    """
+    prop = PROPOSITIONS.get(which)
+    if prop is None:
+        raise DomainError(f"unknown proposition label {which!r}")
+    if eta is not None and not prop.efficiency:
+        raise DomainError(f"inefficiency model applies to P1/P6 only, not {which}")
+    if prop.order is None:
+        return CheckArguments()
+    if prop.order == "symmetrized":
+        _entropy_fn(kind)
+        if s is None:
+            if alpha is None:
+                raise DomainError(f"{which} needs s or an order alpha")
+            s = _sym_param_from_alpha(alpha)
+        pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
+        return CheckArguments(pair=pair, kind=kind)
+    if alpha is None:
+        raise DomainError(f"{which} needs an order alpha")
+    alpha = _tsallis_order(alpha) if prop.order == "tsallis" else _renyi_order(alpha)
+    return CheckArguments(alpha=alpha, eta=eta)
 
 
 def check_bound(
@@ -482,127 +673,29 @@ def check_bound(
     eta=None,
     trials: int = 16,
     seed=0,
+    u=None,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> BoundReport:
-    """Evaluate one labeled bound check on a state.
+):
+    """Evaluate one labeled bound check on a state, or on each state of a stack.
 
     ``meas`` is the measurement object the label expects: a
     :class:`MubSet` for P1-P4 and LWBM-sum, a :class:`SicPovm` for
-    P5-P8, APXA-max and ENT-G (ENT-G takes the bipartite state on
-    H (x) H), and a pair of rank-one measurements for P9 and
-    APXB-riesz.  ``eta`` switches P1/P6 to the detector-inefficiency
-    variant.
+    P5-P8 and ENT-G (ENT-G takes the bipartite state on H (x) H), any
+    single measurement for APXA-max, and a pair of rank-one measurements
+    for P9 and APXB-riesz.  ``eta`` switches P1/P6 to the
+    detector-inefficiency variant.  APXB-riesz applies the input vectors
+    ``u`` (see :func:`riesz_precondition_check`) and ``trials`` random
+    ones drawn from ``seed``.  Returns one :class:`BoundReport` for a
+    single state and a list of them, in stack order, for a stack.
     """
-    if which not in PROPOSITION_LABELS:
-        raise DomainError(f"unknown proposition label {which!r}")
-    if eta is not None and which not in ("P1-mub-tsallis", "P6-sic-tsallis"):
-        raise DomainError(f"inefficiency model applies to P1/P6 only, not {which}")
-
-    if which == "P1-mub-tsallis":
-        mubs = _expect(meas, MubSet, which)
-        p2 = purity(rho)
-        # bound first: it owns the order-range diagnostics
-        if eta is None:
-            rhs = mub_tsallis_bound(mubs.dim, mubs.count, alpha, p2)
-            lhs = float(np.mean([tsallis(probabilities(b, rho), alpha) for b in mubs]))
-        else:
-            rhs = mub_tsallis_bound_inefficiency(mubs.dim, mubs.count, alpha, p2, eta)
-            lhs = float(
-                np.mean([tsallis(distort(probabilities(b, rho), eta), alpha) for b in mubs])
-            )
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P2-mub-renyi":
-        mubs = _expect(meas, MubSet, which)
-        lhs = float(np.mean([renyi(probabilities(b, rho), alpha) for b in mubs]))
-        rhs = mub_renyi_bound(mubs.dim, mubs.count, alpha, purity(rho))
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P3-mub-minent":
-        mubs = _expect(meas, MubSet, which)
-        lhs = float(np.mean([renyi(probabilities(b, rho), np.inf) for b in mubs]))
-        rhs = mub_minentropy_bound(mubs.dim, mubs.count, purity(rho))
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P4-mub-sym":
-        mubs = _expect(meas, MubSet, which)
-        if s is None:
-            s = _sym_param_from_alpha(alpha)
-        lhs = float(np.mean([symmetrized(probabilities(b, rho), s, kind) for b in mubs]))
-        rhs = mub_symmetrized_bound(mubs.dim, s, kind)
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P5-sic-ic":
-        sic = _expect(meas, SicPovm, which)
-        lhs = index_of_coincidence(probabilities(sic, rho))
-        rhs = (purity(rho) + 1.0) / (sic.dim * (sic.dim + 1.0))
-        return make_report(which, lhs, rhs, tolerance, sense="==")
-
-    if which == "P6-sic-tsallis":
-        sic = _expect(meas, SicPovm, which)
-        p2 = purity(rho)
-        if eta is None:
-            rhs = sic_tsallis_bound(sic.dim, alpha, p2)
-            lhs = tsallis(probabilities(sic, rho), alpha)
-        else:
-            rhs = sic_tsallis_bound_inefficiency(sic.dim, alpha, p2, eta)
-            lhs = tsallis(distort(probabilities(sic, rho), eta), alpha)
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P7-sic-renyi":
-        sic = _expect(meas, SicPovm, which)
-        lhs = renyi(probabilities(sic, rho), alpha)
-        rhs = sic_renyi_bound(sic.dim, alpha, purity(rho))
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P8-sic-minent":
-        sic = _expect(meas, SicPovm, which)
-        lhs = renyi(probabilities(sic, rho), np.inf)
-        rhs = sic_minentropy_bound(sic.dim, purity(rho))
-        return make_report(which, lhs, rhs, tolerance)
-
-    if which == "P9-mu-pair":
-        meas_m, meas_n = _expect_pair(meas, which)
-        reports = mu_pair_bounds(meas_m, meas_n, rho, alpha=alpha, s=s, tolerance=tolerance)
-        if kind == "tsallis":
-            return reports.tsallis
-        if kind == "renyi":
-            return reports.renyi
-        raise DomainError(f"unknown entropy kind {kind!r}")
-
-    if which == "LWBM-sum":
-        mubs = _expect(meas, MubSet, which)
-        return coincidence_sum_check(mubs, rho, tolerance)
-
-    if which == "APXA-max":
-        p = probabilities(_as_measurement(meas), rho)
-        lhs = float(p.p.max())
-        rhs = max_prob_bound(len(p), index_of_coincidence(p))
-        return make_report(which, lhs, rhs, tolerance, sense="<=")
-
-    if which == "APXB-riesz":
-        meas_m, meas_n = _expect_pair(meas, which)
-        return riesz_precondition_check(
-            meas_m, meas_n, rho, trials=trials, seed=seed, tolerance=tolerance
+    args = check_arguments(which, alpha=alpha, s=s, kind=kind, eta=eta)
+    prop = PROPOSITIONS[which]
+    if not isinstance(meas, _MEASUREMENT_TYPES[prop.measurement]) or (
+        prop.measurement == "pair" and len(meas) != 2
+    ):
+        raise DomainError(
+            f"{which} expects a {prop.measurement} measurement, got {type(meas).__name__}"
         )
-
-    # ENT-G: local import, the entanglement module builds on this one
-    from .entanglement import correlation_G, product_sic_povm
-
-    sic = _expect(meas, SicPovm, which)
-    joint = product_sic_povm(sic)
-    lhs = correlation_G(joint, rho)
-    rhs = 2.0 / (sic.dim * (sic.dim + 1.0))
-    return make_report(which, lhs, rhs, tolerance, sense="<=")
-
-
-def _expect(meas, cls, which):
-    if not isinstance(meas, cls):
-        raise DomainError(f"{which} expects a {cls.__name__}, got {type(meas).__name__}")
-    return meas
-
-
-def _expect_pair(meas, which):
-    if not isinstance(meas, (tuple, list)) or len(meas) != 2:
-        raise DomainError(f"{which} expects a pair of rank-one measurements")
-    return meas[0], meas[1]
+    lhs, rhs = prop.evaluate(meas, rho, args._replace(u=u, trials=trials, seed=seed))
+    reports = _reports(which, lhs, rhs, tolerance, prop.sense)
+    return reports if rho.mat.ndim == 3 else reports[0]

@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import BoundReport, make_report
 from .errors import ConstructionError, DimensionMismatchError, DomainError
 from .linalg import kron
-from .measurements import SicPovm
+from .measurements import SicPovm, expectations
 from .states import DensityMatrix
 
 COMPLETENESS_ATOL = 1e-10
@@ -76,23 +76,29 @@ def maximally_entangled(d: int) -> DensityMatrix:
 
 
 def joint_probabilities(povm: BipartitePovm, rho: DensityMatrix) -> np.ndarray:
-    """All d^4 outcome probabilities P(i, j) as an (d^2, d^2) array."""
+    """All d^4 outcome probabilities P(i, j) as an (d^2, d^2) array.
+
+    A stack of N states gives (N, d^2, d^2).
+    """
     d = povm.dim
     if rho.dim != d * d:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {d * d}")
     w = np.einsum("ik,jl->ijkl", povm.kets_a, povm.kets_b).reshape(d**4, d * d)
-    p = np.einsum("pk,kl,pl->p", w.conj(), rho.mat, w).real / d**2
-    return p.reshape(d * d, d * d)
+    p = expectations(w, rho.mat) / d**2
+    return p.reshape(p.shape[:-1] + (d * d, d * d))
 
 
-def correlation_G(povm: BipartitePovm, rho: DensityMatrix) -> float:
-    """Sum of the d^2 diagonal probabilities P(j, j); linear in the state."""
+def correlation_G(povm: BipartitePovm, rho: DensityMatrix):
+    """Sum of the d^2 diagonal probabilities P(j, j); linear in the state.
+
+    A float, or an (N,) array for a stack of N states.
+    """
     d = povm.dim
     if rho.dim != d * d:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {d * d}")
     w = np.einsum("jk,jl->jkl", povm.kets_a, povm.kets_b).reshape(d * d, d * d)
-    diag = np.einsum("jk,kl,jl->j", w.conj(), rho.mat, w).real / d**2
-    return float(diag.sum())
+    g = (expectations(w, rho.mat) / d**2).sum(axis=-1)
+    return float(g) if rho.mat.ndim == 2 else g
 
 
 def separable_bound(d: int, purity_a: float, purity_b: float) -> float:

@@ -31,8 +31,20 @@ def hs_inner(x, y) -> complex:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with row index i_a * rows_b + i_b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with row index i_a * rows_b + i_b.
+
+    Two stacks of matrices (N, ra, ca) and (N, rb, cb) give the stack of the
+    N products, (N, ra rb, ca cb).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim < 3 and b.ndim < 3:
+        return np.kron(a, b)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]:
+        raise DimensionMismatchError(f"cannot pair stacks of shapes {a.shape} and {b.shape}")
+    n, ra, ca = a.shape
+    rb, cb = b.shape[1:]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
 
 
 def conj_vector(v) -> np.ndarray:
@@ -50,7 +62,7 @@ def vec_qnorm(u, q) -> float:
     if np.isinf(q):
         return float(a.max()) if a.size else 0.0
     q = float(q)
-    if np.isnan(q) or q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"q-norm needs q >= 1 or q = inf, got {q}")
     m = float(a.max()) if a.size else 0.0
     if m == 0.0:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import ProbDist
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -35,40 +36,6 @@ GRAM_ATOL = 1e-10
 MUB_ATOL = 1e-10
 POVM_ATOL = 1e-10
 SIC_ATOL = 1e-8
-PROB_CLAMP = 1e-14
-
-
-class ProbDist:
-    """A finite probability vector with the normalization invariant.
-
-    Entries in [-1e-14, 0) are clamped to zero; larger negatives and
-    sums off 1 by more than 1e-12 are rejected.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        p = np.array(p, dtype=float).ravel()
-        if p.size == 0:
-            raise DomainError("empty probability vector")
-        worst = float(p.min())
-        if worst < -PROB_CLAMP:
-            raise DomainError(f"negative probability {worst:.3e}")
-        p = np.where(p < 0.0, 0.0, p)
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
-        p.setflags(write=False)
-        self.p = p
-
-    def __len__(self):
-        return self.p.size
-
-    def __iter__(self):
-        return iter(self.p)
-
-    def __repr__(self):
-        return f"ProbDist({np.array2string(self.p, precision=6)})"
 
 
 class OrthonormalBasis:
@@ -82,7 +49,7 @@ class OrthonormalBasis:
             raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
         gram = vectors.conj() @ vectors.T
         dev = float(np.max(np.abs(gram - np.eye(vectors.shape[0]))))
-        if dev > GRAM_ATOL:
+        if not dev <= GRAM_ATOL:
             raise ConstructionError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
         vectors.setflags(write=False)
         self.vectors = vectors
@@ -95,9 +62,15 @@ class OrthonormalBasis:
 
 
 class MubSet:
-    """M pairwise mutually unbiased orthonormal bases in dimension d."""
+    """M pairwise mutually unbiased orthonormal bases in dimension d.
 
-    __slots__ = ("bases", "dim", "count")
+    ``vectors`` stacks the bases as an (M, d, d) array, row j of slice m
+    being the j-th vector of basis m; ``max_deviation`` is the largest
+    | |<a_i|b_j>|^2 - 1/d | over all pairs of distinct bases found by the
+    construction check.
+    """
+
+    __slots__ = ("bases", "dim", "count", "vectors", "max_deviation")
 
     def __init__(self, bases):
         bases = tuple(
@@ -108,18 +81,24 @@ class MubSet:
         d = bases[0].dim
         if any(b.dim != d for b in bases):
             raise DimensionMismatchError("bases have differing dimensions")
-        target = 1.0 / d
-        for a in range(len(bases)):
-            for b in range(a + 1, len(bases)):
-                overlap2 = np.abs(bases[a].vectors.conj() @ bases[b].vectors.T) ** 2
-                dev = float(np.max(np.abs(overlap2 - target)))
-                if dev > MUB_ATOL:
-                    raise ConstructionError(
-                        f"bases {a} and {b} are not unbiased (worst deviation {dev:.3e})"
-                    )
+        vectors = np.stack([b.vectors for b in bases])
+        vectors.setflags(write=False)
+        # [a, b, i, j] = |<a_i|b_j>|^2 for every ordered pair of bases at once
+        overlap2 = np.abs(vectors.conj()[:, None] @ vectors.swapaxes(-1, -2)[None]) ** 2
+        first, second = np.triu_indices(len(bases), 1)
+        devs = np.abs(overlap2[first, second] - 1.0 / d).max(axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(~(devs <= MUB_ATOL))
+        if bad.size:
+            k = bad[0]
+            raise ConstructionError(
+                f"bases {first[k]} and {second[k]} are not unbiased "
+                f"(worst deviation {devs[k]:.3e})"
+            )
         self.bases = bases
         self.dim = d
         self.count = len(bases)
+        self.vectors = vectors
+        self.max_deviation = float(devs.max(initial=0.0))
 
     def __iter__(self):
         return iter(self.bases)
@@ -140,14 +119,14 @@ class Povm:
         d = elements.shape[1]
         total = elements.sum(axis=0)
         dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > POVM_ATOL:
+        if not dev <= POVM_ATOL:
             raise ConstructionError(f"POVM completeness fails (deviation {dev:.3e})")
         for k, e in enumerate(elements):
             herm_dev = float(np.max(np.abs(e - e.conj().T)))
-            if herm_dev > POVM_ATOL:
+            if not herm_dev <= POVM_ATOL:
                 raise ConstructionError(f"element {k} is not Hermitian ({herm_dev:.3e})")
             min_eig = float(np.linalg.eigvalsh(e).min())
-            if min_eig < -1e-10:
+            if not min_eig >= -1e-10:
                 raise ConstructionError(f"element {k} has negative eigenvalue {min_eig:.3e}")
         elements.setflags(write=False)
         self.elements = elements
@@ -192,12 +171,13 @@ class SicPovm:
         norm_dev = float(np.max(np.abs(np.diag(overlap2) - 1.0)))
         completeness = np.einsum("jk,jl->kl", kets, kets.conj()) / d
         comp_dev = float(np.max(np.abs(completeness - np.eye(d))))
-        if max(worst, norm_dev, comp_dev) > atol:
+        devs = np.array([worst, norm_dev, comp_dev])
+        if not np.all(devs <= atol):
             raise NotASicError(
                 "kets fail the SIC conditions "
                 f"(worst overlap deviation {worst:.3e}, norm {norm_dev:.3e}, "
                 f"completeness {comp_dev:.3e})",
-                worst_deviation=max(worst, norm_dev, comp_dev),
+                worst_deviation=float(devs.max()),
             )
         kets.setflags(write=False)
         self.kets = kets
@@ -214,26 +194,40 @@ class SicPovm:
         return Povm(self.elements())
 
 
+def expectations(kets, mats) -> np.ndarray:
+    """<k_j|A|k_j> for every ket row k_j and matrix A of a stack, real part.
+
+    ``kets`` is (K, d) and ``mats`` is (d, d) or (N, d, d); the result is
+    (K,) or (N, K).  One matmul per matrix and one sum along the last axis,
+    so row n of the result depends on mats[n] alone, whatever N is.
+    """
+    return (np.matmul(kets.conj(), mats) * kets).sum(axis=-1).real
+
+
 def probabilities(meas, rho: DensityMatrix) -> ProbDist:
-    """Outcome probabilities of a measurement on a state.
+    """Outcome probabilities of a measurement on a state or a stack of states.
 
     p_j = <b_j|rho|b_j> for a basis, tr(M_j rho) for a POVM, and
-    (1/d)<phi_j|rho|phi_j> for a SIC ket family.
+    (1/d)<phi_j|rho|phi_j> for a SIC ket family.  A :class:`MubSet` gives
+    every basis at once, with shape (M, d).  A stack of N states puts N in
+    front of that shape.
     """
-    if isinstance(meas, OrthonormalBasis):
-        if meas.dim != rho.dim:
-            raise DimensionMismatchError(f"basis dim {meas.dim} vs state dim {rho.dim}")
-        p = np.einsum("jk,kl,jl->j", meas.vectors.conj(), rho.mat, meas.vectors).real
-    elif isinstance(meas, SicPovm):
-        if meas.dim != rho.dim:
-            raise DimensionMismatchError(f"SIC dim {meas.dim} vs state dim {rho.dim}")
-        p = np.einsum("jk,kl,jl->j", meas.kets.conj(), rho.mat, meas.kets).real / meas.dim
-    elif isinstance(meas, Povm):
-        if meas.dim != rho.dim:
-            raise DimensionMismatchError(f"POVM dim {meas.dim} vs state dim {rho.dim}")
-        p = np.einsum("jkl,lk->j", meas.elements, rho.mat).real
-    else:
+    if not isinstance(meas, (MubSet, OrthonormalBasis, SicPovm, Povm)):
         raise DomainError(f"unsupported measurement type {type(meas).__name__}")
+    if meas.dim != rho.dim:
+        raise DimensionMismatchError(
+            f"{type(meas).__name__} dim {meas.dim} vs state dim {rho.dim}"
+        )
+    batch = rho.mat.shape[:-2]
+    if isinstance(meas, MubSet):
+        p = expectations(meas.vectors.reshape(-1, meas.dim), rho.mat)
+        p = p.reshape(batch + meas.vectors.shape[:2])
+    elif isinstance(meas, OrthonormalBasis):
+        p = expectations(meas.vectors, rho.mat)
+    elif isinstance(meas, SicPovm):
+        p = expectations(meas.kets, rho.mat) / meas.dim
+    else:
+        p = np.einsum("jkl,...lk->...j", meas.elements, rho.mat).real
     return ProbDist(p)
 
 
@@ -307,17 +301,16 @@ _BUILTIN_FIDUCIALS = {
 
 
 def weyl_heisenberg_orbit(fiducial) -> np.ndarray:
-    """The d^2 kets X^a Z^b |f> with X|k> = |k+1 mod d>, Z|k> = omega^k |k>."""
+    """The d^2 kets X^a Z^b |f> with X|k> = |k+1 mod d>, Z|k> = omega^k |k>.
+
+    Ket a d + b has component k equal to omega^(b (k - a)) f[k - a], indices
+    mod d.
+    """
     f = np.asarray(fiducial, dtype=complex).ravel()
     d = f.size
     omega = np.exp(2j * np.pi / d)
-    kets = np.empty((d * d, d), dtype=complex)
-    k = np.arange(d)
-    for a in range(d):
-        shifted = np.roll(f, a)  # X^a f, component k is f[k - a]
-        for b in range(d):
-            kets[a * d + b] = omega ** np.mod(b * (k - a), d) * shifted
-    return kets
+    a, b, k = np.ix_(*(np.arange(d),) * 3)
+    return (omega ** np.mod(b * (k - a), d) * f[np.mod(k - a, d)]).reshape(d * d, d)
 
 
 def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
@@ -344,7 +337,7 @@ def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
     if f.size != d:
         raise DimensionMismatchError(f"fiducial has dimension {f.size}, expected {d}")
     norm_dev = abs(np.linalg.norm(f) - 1.0)
-    if norm_dev > 1e-10:
+    if not norm_dev <= 1e-10:
         raise DomainError(f"fiducial is not unit norm (deviation {norm_dev:.3e})")
     return SicPovm(weyl_heisenberg_orbit(f))
 
@@ -417,14 +410,15 @@ def sic_design_basis(sic: SicPovm) -> np.ndarray:
 def distort(p, eta: float) -> ProbDist:
     """Detector-inefficiency distortion: scale by eta, append the no-click outcome.
 
-    The output has one more entry than the input; the final entry is
-    1 - eta.
+    The output has one more entry than the input along the last axis; the
+    final entry is 1 - eta.
     """
     eta = float(eta)
-    if np.isnan(eta) or not 0.0 <= eta <= 1.0:
+    if not 0.0 <= eta <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
     p = p.p if isinstance(p, ProbDist) else ProbDist(p).p
-    return ProbDist(np.append(eta * p, 1.0 - eta))
+    no_click = np.full(p.shape[:-1] + (1,), 1.0 - eta)
+    return ProbDist(np.concatenate([eta * p, no_click], axis=-1))
 
 
 def load_fiducial(path) -> tuple[np.ndarray, float]:
@@ -438,11 +432,13 @@ def load_fiducial(path) -> tuple[np.ndarray, float]:
     try:
         d = int(obj["dim"])
         vec = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed fiducial JSON: {exc}") from exc
     vec = vec.ravel()
     if vec.size != d:
         raise DomainError(f"fiducial JSON dim {d} does not match {vec.size} components")
+    if not np.all(np.isfinite(vec)):
+        raise DomainError("fiducial vector has a non-finite component")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise DomainError("fiducial vector is zero")

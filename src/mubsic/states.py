@@ -1,8 +1,10 @@
 """Density matrices: validation, purity, Bloch form, and random sampling.
 
-Random sampling is built on counter-based Philox streams so that
-Monte-Carlo campaigns can derive an independent generator per task from
-(seed, stream-id) and stay bitwise reproducible in any execution order.
+A :class:`DensityMatrix` is one state or a stack of states, validated
+together.  Random sampling is built on counter-based Philox streams so
+that Monte-Carlo campaigns can derive an independent generator per task
+from (seed, stream-id) and stay bitwise reproducible in any execution
+order.
 """
 
 from __future__ import annotations
@@ -40,41 +42,64 @@ def stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-class DensityMatrix:
-    """A validated density operator: Hermitian, unit trace, positive semidefinite.
+def _validate(mats: np.ndarray, eigh: bool):
+    """Check one (d, d) or a stack (N, d, d) of candidate density matrices at once.
 
-    Construction validates all three invariants (hermiticity and trace to
-    1e-12, eigenvalues >= -1e-10) and freezes the underlying array.
+    Hermiticity and unit trace to 1e-12, eigenvalues >= -1e-10, with every
+    comparison written so that NaN fails it.  Returns the eigendecomposition
+    (eigenvalues, eigenvectors) when ``eigh`` is set, else None.
+    """
+    herm_dev = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    if not herm_dev <= HERMITICITY_ATOL:
+        raise DomainError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+    trace_dev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0).max()
+    if not trace_dev <= TRACE_ATOL:
+        raise DomainError(f"trace differs from 1 by {trace_dev:.3e}")
+    decomposition = np.linalg.eigh(mats) if eigh else None
+    eigs = decomposition[0] if eigh else np.linalg.eigvalsh(mats)
+    min_eig = eigs.min()
+    if not min_eig >= EIGENVALUE_FLOOR:
+        raise DomainError(f"matrix has negative eigenvalue {min_eig:.3e}")
+    return decomposition
+
+
+class DensityMatrix:
+    """A validated density operator, or a stack of them, validated together.
+
+    ``mat`` has shape (d, d) for one state or (N, d, d) for a stack of N
+    states of dimension ``dim``.  Construction validates all three
+    invariants (hermiticity and trace to 1e-12, eigenvalues >= -1e-10) and
+    freezes the underlying array.  With ``eigh=True`` the validation keeps
+    the eigendecomposition in ``eigh``, for callers that need a matrix
+    function of the state such as its square root; otherwise ``eigh`` is
+    None.
     """
 
-    __slots__ = ("mat", "dim")
+    __slots__ = ("mat", "dim", "eigh")
 
-    def __init__(self, mat):
+    def __init__(self, mat, eigh: bool = False):
         mat = np.array(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DomainError(f"density matrix must be square, got shape {mat.shape}")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > HERMITICITY_ATOL:
-            raise DomainError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        trace_dev = abs(np.trace(mat) - 1.0)
-        if trace_dev > TRACE_ATOL:
-            raise DomainError(f"trace differs from 1 by {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < EIGENVALUE_FLOOR:
-            raise DomainError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
+            raise DomainError(f"density matrix must be square and non-empty, got shape {mat.shape}")
+        self.eigh = _validate(mat, eigh)
         mat.setflags(write=False)
         self.mat = mat
-        self.dim = mat.shape[0]
+        self.dim = mat.shape[-1]
 
     def __repr__(self):
+        if self.mat.ndim == 3:
+            return f"DensityMatrix(dim={self.dim}, states={self.mat.shape[0]})"
         return f"DensityMatrix(dim={self.dim}, purity={purity(self):.6f})"
 
 
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2), in [1/d, 1]."""
+def purity(rho: DensityMatrix):
+    """tr(rho^2), in [1/d, 1]: a float, or an (N,) array for a stack."""
     m = rho.mat
-    # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
-    return float(np.vdot(m, m).real)
+    # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho, over the real and
+    # imaginary parts as one real vector per state
+    x = m.reshape(m.shape[:-2] + (-1,)).view(np.float64)
+    value = (x * x).sum(axis=-1)
+    return float(value) if m.ndim == 2 else value
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
@@ -119,17 +144,34 @@ def random_pure(d: int, seed) -> DensityMatrix:
     return DensityMatrix(np.outer(z, z.conj()))
 
 
-def random_mixed(d: int, rank: int, seed) -> DensityMatrix:
-    """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (d, rank)."""
+def random_mixed(d: int, rank, seed=None, *, normals=None, eigh: bool = False) -> DensityMatrix:
+    """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (d, rank).
+
+    G is the first ``rank`` columns of X + iY, where X = normals[0] and
+    Y = normals[1] are d x d matrices of standard normals.  Without
+    ``normals`` one (2, d, d) block is drawn from ``seed`` (an integer seed
+    or a Generator).  Given ``normals`` of shape (N, 2, d, d) and ``rank``
+    as N integers, the result is the stack of N states, state i built from
+    normals[i] alone.  ``eigh`` is passed on to :class:`DensityMatrix`.
+    """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if not 1 <= rank <= d:
+    rank = np.asarray(rank)
+    if not (rank.min() >= 1 and rank.max() <= d):
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
-    rng = generator(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m / np.trace(m).real)
+    if normals is None:
+        normals = generator(seed).standard_normal((2, d, d))
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape[-3:] != (2, d, d) or normals.shape[:-3] != rank.shape:
+        raise DomainError(f"need normals of shape {rank.shape + (2, d, d)}, got {normals.shape}")
+    keep = np.arange(d) < rank[..., None, None]
+    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) * keep
+    m = g @ g.conj().swapaxes(-1, -2)
+    # exactly Hermitian; the factor 1/2 of the mean with the adjoint
+    # cancels in the trace normalization
+    m += m.conj().swapaxes(-1, -2)
+    m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return DensityMatrix(m, eigh=eigh)
 
 
 def to_json(rho: DensityMatrix) -> str:
@@ -149,7 +191,7 @@ def from_json(text: str) -> DensityMatrix:
     try:
         d = int(obj["dim"])
         mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed density-matrix JSON: {exc}") from exc
     if mat.shape != (d, d):
         raise DomainError(f"JSON dim field {d} does not match matrix shape {mat.shape}")

@@ -1,0 +1,214 @@
+"""The stacked evaluation core against the public single-state functions.
+
+Every labelled check evaluates a whole (N, d, d) stack of states at once.
+Its lhs must equal the public ``renyi``/``tsallis``/``symmetrized``/
+``index_of_coincidence`` applied to each basis's ``probabilities`` of each
+state on its own, and a campaign row must depend only on its cell and
+sample index.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from mubsic import (
+    DensityMatrix,
+    DomainError,
+    check_bound,
+    correlation_G,
+    distort,
+    index_of_coincidence,
+    kron,
+    mub_construct,
+    probabilities,
+    product_sic_povm,
+    purity,
+    random_mixed,
+    renyi,
+    riesz_precondition_check,
+    sic_from_fiducial,
+    stream,
+    symmetrized,
+    tsallis,
+)
+from mubsic.cli import _fixed_rotation, main
+from mubsic.measurements import SicPovm
+
+AGREEMENT = 1e-12
+NEAR_ONE = (1.0 - 5e-7, 1.0 + 5e-7)
+TSALLIS_ORDERS = (0.5, *NEAR_ONE, 1.0, 2.0)
+RENYI_ORDERS = (2.0, 3.0, np.inf)
+SYM_ORDERS = (1.0, 1.0 + 5e-7, 2.0)
+
+
+def _singles(d, seed):
+    """Random states of every rank plus |0><0|, whose statistics have zeros."""
+    rng = stream(seed, d)
+    states = [random_mixed(d, 1 + i % d, rng) for i in range(2 * d)]
+    ket0 = np.zeros((d, d))
+    ket0[0, 0] = 1.0
+    return states + [DensityMatrix(ket0)]
+
+
+def _stack(singles):
+    return DensityMatrix(np.stack([rho.mat for rho in singles]))
+
+
+def _pair(d):
+    sic = sic_from_fiducial(d)
+    return sic, SicPovm(sic.kets @ _fixed_rotation(d).T)
+
+
+def _assert_lhs(reports, expected):
+    assert len(reports) == len(expected)
+    for report, want in zip(reports, expected):
+        assert abs(report.lhs - want) <= AGREEMENT, (report, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+class TestBatchedMatchesScalar:
+    def test_zero_probabilities_are_present(self, d):
+        ket0 = _singles(d, 1)[-1]
+        assert min(probabilities(mub_construct(d, d + 1).bases[0], ket0).p) == 0.0
+
+    @pytest.mark.parametrize("alpha", TSALLIS_ORDERS)
+    @pytest.mark.parametrize("eta", [None, 0.8])
+    def test_p1_and_p6(self, d, alpha, eta):
+        singles = _singles(d, 2)
+        mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+
+        def stats(p):
+            return p if eta is None else distort(p, eta)
+
+        stack = _stack(singles)
+        want = [np.mean([tsallis(stats(probabilities(b, r)), alpha) for b in mubs]) for r in singles]
+        _assert_lhs(check_bound(mubs, stack, "P1-mub-tsallis", alpha=alpha, eta=eta), want)
+        want = [tsallis(stats(probabilities(sic, r)), alpha) for r in singles]
+        _assert_lhs(check_bound(sic, stack, "P6-sic-tsallis", alpha=alpha, eta=eta), want)
+
+    @pytest.mark.parametrize("alpha", RENYI_ORDERS)
+    def test_p2_p3_p7_p8(self, d, alpha):
+        singles = _singles(d, 3)
+        mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+        stack = _stack(singles)
+        want = [np.mean([renyi(probabilities(b, r), alpha) for b in mubs]) for r in singles]
+        _assert_lhs(check_bound(mubs, stack, "P2-mub-renyi", alpha=alpha), want)
+        want = [renyi(probabilities(sic, r), alpha) for r in singles]
+        _assert_lhs(check_bound(sic, stack, "P7-sic-renyi", alpha=alpha), want)
+        want = [np.mean([renyi(probabilities(b, r), np.inf) for b in mubs]) for r in singles]
+        _assert_lhs(check_bound(mubs, stack, "P3-mub-minent"), want)
+        want = [renyi(probabilities(sic, r), np.inf) for r in singles]
+        _assert_lhs(check_bound(sic, stack, "P8-sic-minent"), want)
+
+    @pytest.mark.parametrize("alpha", SYM_ORDERS)
+    @pytest.mark.parametrize("kind", ["tsallis", "renyi"])
+    def test_p4_and_p9(self, d, alpha, kind):
+        singles = _singles(d, 4)
+        mubs = mub_construct(d, d + 1)
+        s = 1.0 - 1.0 / alpha
+        want = [np.mean([symmetrized(probabilities(b, r), s, kind) for b in mubs]) for r in singles]
+        _assert_lhs(check_bound(mubs, _stack(singles), "P4-mub-sym", alpha=alpha, kind=kind), want)
+        pair = _pair(d)
+        fn = tsallis if kind == "tsallis" else renyi
+        a, b = 1.0 / (1.0 - s), 1.0 / (1.0 + s)
+        want = [fn(probabilities(pair[0], r), a) + fn(probabilities(pair[1], r), b)
+                for r in singles]
+        reports = check_bound(pair, _stack(singles), "P9-mu-pair", alpha=alpha, kind=kind)
+        _assert_lhs(reports, want)
+        for report, rho in zip(reports, singles):
+            single = check_bound(pair, rho, "P9-mu-pair", alpha=alpha, kind=kind)
+            assert abs(report.rhs - single.rhs) <= AGREEMENT
+
+    def test_coincidences_and_max_probability(self, d):
+        singles = _singles(d, 5)
+        mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+        stack = _stack(singles)
+        want = [index_of_coincidence(probabilities(sic, r)) for r in singles]
+        _assert_lhs(check_bound(sic, stack, "P5-sic-ic"), want)
+        want = [sum(index_of_coincidence(probabilities(b, r)) for b in mubs) for r in singles]
+        _assert_lhs(check_bound(mubs, stack, "LWBM-sum"), want)
+        want = [float(np.max(probabilities(sic, r).p)) for r in singles]
+        _assert_lhs(check_bound(sic, stack, "APXA-max"), want)
+
+    def test_riesz_with_inputs_per_state(self, d):
+        singles = _singles(d, 6)
+        pair = _pair(d)
+        rng = np.random.default_rng(d)
+        u = rng.standard_normal((len(singles), 3, d * d)) + 1j * rng.standard_normal(
+            (len(singles), 3, d * d)
+        )
+        reports = check_bound(pair, _stack(singles), "APXB-riesz", u=u, trials=0)
+        for report, rho, inputs in zip(reports, singles, u):
+            single = riesz_precondition_check(*pair, rho, u=inputs, tolerance=1e-10)
+            assert abs(report.lhs - single.lhs) <= AGREEMENT
+            assert abs(report.rhs - single.rhs) <= AGREEMENT
+
+    def test_entanglement_on_product_stack(self, d):
+        sic = sic_from_fiducial(d)
+        a, b = _singles(d, 7), _singles(d, 8)[::-1]
+        stack = DensityMatrix(kron(np.stack([r.mat for r in a]), np.stack([r.mat for r in b])))
+        want = [
+            correlation_G(product_sic_povm(sic), DensityMatrix(kron(x.mat, y.mat)))
+            for x, y in zip(a, b)
+        ]
+        _assert_lhs(check_bound(sic, stack, "ENT-G"), want)
+
+
+class TestStacks:
+    def test_stack_is_validated_as_a_whole(self):
+        good = random_mixed(3, 2, 1).mat
+        with pytest.raises(DomainError, match="eigenvalue"):
+            DensityMatrix(np.stack([good, np.diag([1.5, -0.5, 0.0])]))
+
+    def test_purity_of_a_stack(self):
+        singles = _singles(3, 9)
+        values = purity(_stack(singles))
+        assert values.shape == (len(singles),)
+        assert np.allclose(values, [purity(r) for r in singles], rtol=0.0, atol=1e-15)
+
+    def test_sampled_stack_rows_match_single_draws(self):
+        normals = np.random.default_rng(4).standard_normal((5, 2, 3, 3))
+        ranks = np.array([1, 2, 3, 1, 2])
+        stack = random_mixed(3, ranks, normals=normals)
+        for i in range(5):
+            single = random_mixed(3, ranks[i], normals=normals[i])
+            assert np.array_equal(stack.mat[i], single.mat)
+            assert np.linalg.matrix_rank(single.mat, tol=1e-10) == ranks[i]
+
+    def test_eigh_kept_when_asked(self):
+        rho = random_mixed(3, 2, 5, eigh=True)
+        eigs, vecs = rho.eigh
+        assert np.allclose((vecs * eigs) @ vecs.conj().T, rho.mat, atol=1e-14)
+        assert random_mixed(3, 2, 5).eigh is None
+
+    def test_single_state_gives_one_report_and_stack_a_list(self):
+        sic = sic_from_fiducial(2)
+        singles = _singles(2, 10)
+        assert check_bound(sic, singles[0], "P5-sic-ic").passed
+        reports = check_bound(sic, _stack(singles), "P5-sic-ic")
+        assert isinstance(reports, list) and len(reports) == len(singles)
+
+
+def _cells(path):
+    """CSV lines of a report, grouped by (prop, dim, alpha) in file order."""
+    with open(path, newline="") as fh:
+        header, *lines = fh.read().splitlines()
+    cells = {}
+    for line in lines:
+        row = dict(zip(header.split(","), next(csv.reader([line]))))
+        cells.setdefault((row["prop"], row["dim"], row["alpha"]), []).append(line)
+    return cells
+
+
+def test_rows_are_a_prefix_of_longer_campaigns(tmp_path):
+    # the replay property: row i depends only on its cell key and i
+    args = ["verify", "--dims", "2,3", "--props", "all", "--alphas", "2", "--seed", "5"]
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    assert main(args + ["--samples", "5", "--out", str(short)]) == 0
+    assert main(args + ["--samples", "25", "--out", str(long)]) == 0
+    short_cells, long_cells = _cells(short), _cells(long)
+    assert short_cells.keys() == long_cells.keys() and len(short_cells) == 26
+    for key, lines in short_cells.items():
+        assert len(lines) == 5 and len(long_cells[key]) == 25
+        assert long_cells[key][:5] == lines, key

@@ -87,6 +87,21 @@ class TestMubTsallisBound:
         with pytest.raises(DomainError):
             mub_tsallis_bound(3, 4, 1.0, 0.1)
 
+    def test_rejects_nan_purity(self):
+        with pytest.raises(DomainError):
+            mub_tsallis_bound(3, 4, 1.0, np.nan)
+        with pytest.raises(DomainError):
+            mub_renyi_bound(3, 4, 2.0, np.array([0.5, np.nan]))
+        with pytest.raises(DomainError):
+            mub_tsallis_bound(3, 4, np.nan, 0.5)
+
+    def test_purity_array_matches_each_value(self):
+        values = np.array([1.0 / 3.0, 0.5, 0.8, 1.0])
+        bounds = mub_tsallis_bound(3, 4, 1.5, values)
+        assert bounds.shape == (4,)
+        for value, bound in zip(values, bounds):
+            assert bound == pytest.approx(mub_tsallis_bound(3, 4, 1.5, value), abs=1e-15)
+
 
 class TestMubTsallisInefficiency:
     def test_full_efficiency_reduces_to_clean_bound(self):

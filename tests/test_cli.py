@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mubsic import maximally_mixed, random_pure, to_json
+from mubsic import cli, maximally_mixed, random_pure, to_json
 from mubsic.cli import main
 
 
@@ -114,6 +114,31 @@ class TestVerifyCommand:
         assert code == 2
         assert "(0, 2]" in capsys.readouterr().err
 
+    def test_nan_tolerance_exits_2(self, capsys):
+        args = ["verify", "--dims", "2", "--props", "P5-sic-ic", "--samples", "2"]
+        assert main(args + ["--tolerance", "nan"]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_whole_plan_validated_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # d = 7 has no builtin SIC fiducial; nothing may be sampled or written
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a state was sampled before the plan was validated")
+
+        monkeypatch.setattr(cli, "random_mixed", no_sampling)
+        out = tmp_path / "report.csv"
+        args = ["verify", "--dims", "7,5", "--props", "all", "--samples", "2"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "builtin fiducial" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_order_found_before_sampling(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "stream", lambda *a: pytest.fail("sampled before validation"))
+        code = main(
+            ["verify", "--dims", "2", "--props", "P2-mub-renyi,P1-mub-tsallis", "--alphas", "3"]
+        )
+        assert code == 2
+        assert "(0, 2]" in capsys.readouterr().err
+
     def test_unknown_proposition_exits_2(self, capsys):
         code = main(["verify", "--props", "P0-nope", "--samples", "1"])
         assert code == 2
@@ -186,6 +211,21 @@ class TestVerifyCommand:
         assert payload["summary"]["checks"] == 4
         assert payload["summary"]["failed"] == 0
         assert len(payload["rows"]) == 4
+
+    def test_json_report_has_one_row_per_line(self, tmp_path):
+        out = tmp_path / "report.json"
+        args = ["verify", "--dims", "2", "--props", "P8-sic-minent,P1-mub-tsallis"]
+        assert main(args + ["--samples", "3", "--format", "json", "--out", str(out)]) == 0
+        text = out.read_text()
+        lines = text.splitlines()
+        assert lines[0] == '{"rows": [' and lines[-2] == "],"
+        rows = [json.loads(line.rstrip(",")) for line in lines[1:-2]]
+        config = cli.CampaignConfig(
+            dims=[2], props=["P8-sic-minent", "P1-mub-tsallis"], alphas=[2.0], samples=3, seed=0
+        )
+        _, expected = cli.run_campaign(config)
+        assert rows == expected
+        assert json.loads(text) == {"rows": expected, "summary": json.loads(lines[-1][11:-1])}
 
     def test_eta_applies_to_tsallis_props(self, tmp_path):
         out = tmp_path / "eta.csv"
@@ -302,6 +342,18 @@ class TestCoincidenceCommand:
         path = tmp_path / "state.json"
         path.write_text(to_json(maximally_mixed(3)))
         assert main(["coincidence", "--dim", "2", "--state", str(path)]) == 2
+
+    def test_dimension_zero_exits_2(self, capsys):
+        assert main(["coincidence", "--dim", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_stray_value_error_exits_2(self, monkeypatch, capsys):
+        def broken(args):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(cli, "cmd_coincidence", broken)
+        assert main(["coincidence", "--dim", "2"]) == 2
+        assert "math domain error" in capsys.readouterr().err
 
     def test_unsupported_dim_without_fiducial(self, capsys):
         assert main(["coincidence", "--dim", "5"]) == 2

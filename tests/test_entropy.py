@@ -32,6 +32,20 @@ distributions = st.lists(
 
 
 class TestRenyi:
+    def test_rejects_nan_probability(self):
+        # NaN used to slip through and give -0.0
+        with pytest.raises(DomainError):
+            renyi([np.nan, 1.0], 2)
+        with pytest.raises(DomainError):
+            tsallis([np.nan, 1.0], 2)
+        with pytest.raises(DomainError):
+            index_of_coincidence([0.5, np.nan])
+
+    def test_reduces_along_last_axis(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        for alpha in (0.5, 1.0, 1.0 + 5e-7, 2.0, np.inf):
+            assert np.array_equal(renyi(p, alpha), [renyi(row, alpha) for row in p])
+
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 2.0, 5.0, np.inf])
     def test_uniform(self, alpha):
         for n in (2, 5, 9):
@@ -99,6 +113,12 @@ class TestTsallis:
 
 
 class TestAlphaLog:
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            alpha_log(np.nan, 2.0)
+        with pytest.raises(DomainError):
+            alpha_log(2.0, np.nan)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.0])
     def test_log_of_one_is_zero(self, alpha):
         assert alpha_log(1.0, alpha) == 0.0
@@ -204,6 +224,10 @@ class TestIndexOfCoincidence:
 
 
 class TestMaxProbBound:
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            max_prob_bound(4, np.nan)
+
     def test_uniform_boundary(self):
         assert max_prob_bound(6, 1.0 / 6) == pytest.approx(1.0 / 6, abs=1e-15)
 

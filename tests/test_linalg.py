@@ -91,6 +91,16 @@ class TestKron:
             assert np.max(np.abs(left - right)) < 1e-13
 
 
+    def test_stacks_pair_elementwise(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+        b = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        out = kron(a, b)
+        assert out.shape == (4, 6, 6)
+        for i in range(4):
+            assert np.array_equal(out[i], np.kron(a[i], b[i]))
+
+
 class TestConjVector:
     def test_real_fixed_point(self):
         v = np.array([1.0, -2.0, 0.5])

@@ -56,6 +56,16 @@ class TestMubConstruct:
         mubs = mub_construct(5, 3)
         assert mubs.count == 3 and mubs.dim == 5
 
+    def test_keeps_stacked_vectors_and_worst_deviation(self):
+        mubs = mub_construct(5, 6)
+        assert mubs.vectors.shape == (6, 5, 5)
+        worst = max(
+            np.max(np.abs(_overlap2(mubs.bases[a], mubs.bases[b]) - 0.2))
+            for a in range(6)
+            for b in range(a + 1, 6)
+        )
+        assert mubs.max_deviation == worst
+
     @pytest.mark.parametrize("d", [4, 6, 9, 12])
     def test_rejects_unsupported_dimensions(self, d):
         with pytest.raises(DomainError, match="unsupported dimension"):
@@ -147,6 +157,14 @@ class TestProbabilities:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             probabilities(sic_from_fiducial(2), maximally_mixed(3))
+
+    def test_mub_set_gives_every_basis(self):
+        mubs = mub_construct(3, 4)
+        rho = random_mixed(3, 2, 8)
+        p = probabilities(mubs, rho).p
+        assert p.shape == (4, 3)
+        for m, basis in enumerate(mubs):
+            assert np.max(np.abs(p[m] - probabilities(basis, rho).p)) < 1e-15
 
     def test_normalization_and_range(self):
         for seed in range(10):
@@ -254,6 +272,15 @@ class TestProbDist:
         with pytest.raises(DomainError):
             ProbDist([0.5, 0.4])
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            ProbDist([np.nan, 1.0])
+
+    def test_validates_each_row_of_a_stack(self):
+        assert len(ProbDist([[0.5, 0.5], [1.0, 0.0]])) == 2
+        with pytest.raises(DomainError):
+            ProbDist([[0.5, 0.5], [0.5, 0.4]])
+
 
 class TestStructuralInvariants:
     def test_basis_rejects_non_orthonormal(self):
@@ -303,6 +330,12 @@ class TestFiducialLoader:
     def test_rejects_dim_mismatch(self, tmp_path):
         path = tmp_path / "fid.json"
         path.write_text(json.dumps({"dim": 4, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+        with pytest.raises(DomainError):
+            load_fiducial(path)
+
+    def test_rejects_nan_component(self, tmp_path):
+        path = tmp_path / "fid.json"
+        path.write_text('{"dim": 3, "re": [0.0, 1.0, NaN], "im": [0.0, 0.0, 0.0]}')
         with pytest.raises(DomainError):
             load_fiducial(path)
 

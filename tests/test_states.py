@@ -19,6 +19,16 @@ from mubsic import (
 
 
 class TestValidation:
+    def test_rejects_nan_entry(self):
+        with pytest.raises(DomainError):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+        with pytest.raises(DomainError):
+            DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError):
+            DensityMatrix(np.zeros((0, 0)))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -149,6 +159,11 @@ class TestStreams:
 
 
 class TestJson:
+    def test_rejects_nan_entries(self):
+        text = '{"dim": 2, "re": [[NaN, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
+        with pytest.raises(DomainError):
+            from_json(text)
+
     def test_round_trip(self):
         rho = random_mixed(3, 2, 5)
         again = from_json(to_json(rho))
