@@ -59,7 +59,7 @@ from .errors import (
     NotASicError,
     PreconditionError,
 )
-from .linalg import adjoint, conj_vector, hs_inner, kron, vec_qnorm
+from .linalg import kron
 from .measurements import (
     MubSet,
     OrthonormalBasis,

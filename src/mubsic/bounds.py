@@ -153,6 +153,28 @@ def _renyi_order(alpha) -> float:
     return alpha
 
 
+# Every state-dependent bound is a map of a cap C on an index of
+# coincidence, and purity 1 gives the state-independent form.
+
+
+def _mub_cap(d, m, state_purity, state_independent=False):
+    """C = (d tr(rho^2) + M - 1)/(M d), the cap on the MUB-averaged index of coincidence."""
+    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
+    return (d * p2 + m - 1.0) / (m * d)
+
+
+def _sic_cap(d, state_purity, state_independent=False):
+    """C = (tr(rho^2) + 1)/(d(d+1)), the index of coincidence of any SIC (P5)."""
+    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
+    return (p2 + 1.0) / (d * (d + 1.0))
+
+
+def _renyi_from_cap(alpha, cap):
+    """alpha/(2(alpha-1)) ln(1/C), and ln(1/C)/2 at alpha = inf."""
+    factor = 0.5 if math.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
+    return _result(-factor * np.log(cap))
+
+
 def _with_inefficiency(base, alpha, eta):
     """eta^alpha times a clean Tsallis bound plus h_alpha(eta)."""
     eta = float(eta)
@@ -162,11 +184,10 @@ def _with_inefficiency(base, alpha, eta):
 
 
 def mub_tsallis_bound(d, m, alpha, state_purity, state_independent=False):
-    """Lower bound on the MUB-averaged Tsallis entropy, order in (0, 2]."""
+    """Lower bound ln_alpha(1/C) on the MUB-averaged Tsallis entropy, order in (0, 2]."""
     d, m = _check_counts(d, m)
     alpha = _tsallis_order(alpha)
-    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
-    return alpha_log(m * d / (p2 * d + m - 1.0), alpha)
+    return alpha_log(1.0 / _mub_cap(d, m, state_purity, state_independent), alpha)
 
 
 def mub_tsallis_bound_inefficiency(d, m, alpha, state_purity, eta, state_independent=False):
@@ -179,20 +200,16 @@ def mub_renyi_bound(d, m, alpha, state_purity, state_independent=False):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
     d, m = _check_counts(d, m)
     alpha = _renyi_order(alpha)
-    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
-    factor = 0.5 if np.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
-    return _result(factor * np.log(m * d / (p2 * d + m - 1.0)))
+    return _renyi_from_cap(alpha, _mub_cap(d, m, state_purity, state_independent))
 
 
 def mub_minentropy_bound(d, m, state_purity, state_independent=False):
-    """Lower bound on the MUB-averaged min-entropy (improves the alpha=inf Renyi form)."""
+    """Lower bound -ln(max p) on the MUB-averaged min-entropy, max p capped by C.
+
+    Improves the alpha = inf Renyi form.
+    """
     d, m = _check_counts(d, m)
-    if state_independent:
-        rm = math.sqrt(m)
-        return math.log(rm * d / (d + rm - 1.0))
-    p2 = _check_purity(d, state_purity)
-    radicand = np.maximum(p2 * d - 1.0, 0.0)
-    return _result(math.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * radicand) / math.sqrt(m)))
+    return _result(-np.log(max_prob_bound(d, _mub_cap(d, m, state_purity, state_independent))))
 
 
 def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
@@ -209,11 +226,10 @@ def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
 
 
 def sic_tsallis_bound(d, alpha, state_purity, state_independent=False):
-    """Lower bound on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
+    """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
     d = int(d)
     alpha = _tsallis_order(alpha)
-    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
-    return alpha_log(d * (d + 1.0) / (p2 + 1.0), alpha)
+    return alpha_log(1.0 / _sic_cap(d, state_purity, state_independent), alpha)
 
 
 def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta, state_independent=False):
@@ -226,17 +242,13 @@ def sic_renyi_bound(d, alpha, state_purity, state_independent=False):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
     d = int(d)
     alpha = _renyi_order(alpha)
-    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
-    factor = 0.5 if np.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
-    return _result(factor * np.log(d * (d + 1.0) / (p2 + 1.0)))
+    return _renyi_from_cap(alpha, _sic_cap(d, state_purity, state_independent))
 
 
 def sic_minentropy_bound(d, state_purity):
-    """Lower bound on the min-entropy of a single SIC-POVM."""
+    """Lower bound -ln(max p) on the min-entropy of a single SIC-POVM, max p capped by C."""
     d = int(d)
-    p2 = _check_purity(d, state_purity)
-    radicand = np.maximum(p2 * d - 1.0, 0.0)
-    return _result(2.0 * math.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * radicand)))
+    return _result(-np.log(max_prob_bound(d * d, _sic_cap(d, state_purity))))
 
 
 def coincidence_sum_check(mubs: MubSet, rho: DensityMatrix, tolerance=1e-12) -> BoundReport:
@@ -390,8 +402,8 @@ def _mu_pair_sides(meas_m, meas_n, rho: DensityMatrix, alpha: float, beta: float
     mu = max(alpha, beta)
     g = mu_g_factor(meas_m, meas_n, rho)
     fbar = mu_f_bar(meas_m, meas_n)
-    pm = probabilities(_as_measurement(meas_m), rho)
-    pn = probabilities(_as_measurement(meas_n), rho)
+    pm = probabilities(meas_m, rho)
+    pn = probabilities(meas_n, rho)
     lhs_t = tsallis(pm, alpha) + tsallis(pn, beta)
     lhs_r = renyi(pm, alpha) + renyi(pn, beta)
     sides = {
@@ -425,12 +437,6 @@ def mu_pair_bounds(
         for key, (lhs, rhs) in sides.items()
     }
     return MuPairReports(**reports, g=g, f_bar=fbar)
-
-
-def _as_measurement(meas):
-    if isinstance(meas, (SicPovm, OrthonormalBasis, Povm)):
-        return meas
-    raise DomainError(f"unsupported measurement type {type(meas).__name__}")
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -559,8 +565,7 @@ def _p4(mubs, rho, a):
 
 
 def _p5(sic, rho, a):
-    lhs = index_of_coincidence(_statistics(sic, rho))
-    return lhs, (purity(rho) + 1.0) / (sic.dim * (sic.dim + 1.0))
+    return index_of_coincidence(_statistics(sic, rho)), _sic_cap(sic.dim, purity(rho))
 
 
 def _p6(sic, rho, a):
@@ -585,7 +590,7 @@ def _p9(pair, rho, a):
 
 def _lwbm(mubs, rho, a):
     lhs = index_of_coincidence(_statistics(mubs, rho)).sum(axis=-1)
-    return lhs, purity(rho) + (mubs.count - 1.0) / mubs.dim
+    return lhs, mubs.count * _mub_cap(mubs.dim, mubs.count, purity(rho))
 
 
 def _apxa(meas, rho, a):
@@ -602,7 +607,7 @@ def _ent_g(sic, rho, a):
     # local import: the entanglement module builds on this one
     from .entanglement import correlation_G, product_sic_povm
 
-    return correlation_G(product_sic_povm(sic), rho), 2.0 / (sic.dim * (sic.dim + 1.0))
+    return correlation_G(product_sic_povm(sic), rho), _sic_cap(sic.dim, 1.0, state_independent=True)
 
 
 PROPOSITIONS = {

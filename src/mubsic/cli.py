@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -30,13 +31,7 @@ import numpy as np
 from . import bounds as bnd
 from .errors import DomainError
 from .linalg import kron
-from .measurements import (
-    MubSet,
-    SicPovm,
-    load_fiducial,
-    mub_construct,
-    sic_from_fiducial,
-)
+from .measurements import SicPovm, load_fiducial, mub_construct, sic_from_fiducial
 from .states import (
     DensityMatrix,
     from_json,
@@ -130,49 +125,33 @@ def _fixed_rotation(d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class _MeasurementCache:
-    """Per-dimension measurement objects, built once per campaign."""
+@functools.lru_cache
+def measurement(kind: str, d: int, count: int | None, fiducial: tuple | None):
+    """The MUB set, SIC or SIC pair of dimension d, built and verified once per process.
 
-    def __init__(self, config: CampaignConfig):
-        self.config = config
-        self.fiducial = None
-        if config.fiducial_path is not None:
-            vec, scale = load_fiducial(config.fiducial_path)
-            self.fiducial = vec
-            if abs(scale - 1.0) > 1e-12:
-                print(f"fiducial rescaled by factor {scale!r}", file=sys.stderr)
-        self._mubs: dict[int, MubSet] = {}
-        self._sics: dict[int, SicPovm] = {}
-        self._pairs: dict[int, tuple[SicPovm, SicPovm]] = {}
+    ``kind`` is "mubs" (``count`` bases), "sic" or "pair" (the SIC and its
+    copy under :func:`_fixed_rotation`).  ``fiducial`` is the SIC
+    fiducial's components as a tuple, or None for the builtin, so the memo
+    is keyed by the ket itself and not by where it was read from.  A
+    failed construction raises and is not memoized.  The 128 most recent
+    results are kept and shared by every caller; their arrays are read-only.
+    """
+    if kind == "mubs":
+        return mub_construct(d, count)
+    if kind == "pair":
+        base = measurement("sic", d, None, fiducial)
+        return base, SicPovm(base.kets @ _fixed_rotation(d).T)
+    return sic_from_fiducial(d, fiducial)
 
-    def mubs(self, d: int) -> MubSet:
-        if d not in self._mubs:
-            count = self.config.count if self.config.count is not None else d + 1
-            self._mubs[d] = mub_construct(d, count)
-        return self._mubs[d]
 
-    def sic(self, d: int) -> SicPovm:
-        if d not in self._sics:
-            if self.fiducial is not None and self.fiducial.size == d:
-                self._sics[d] = sic_from_fiducial(d, self.fiducial)
-            else:
-                self._sics[d] = sic_from_fiducial(d)
-        return self._sics[d]
-
-    def pair(self, d: int) -> tuple[SicPovm, SicPovm]:
-        if d not in self._pairs:
-            base = self.sic(d)
-            rotated = SicPovm(base.kets @ _fixed_rotation(d).T)
-            self._pairs[d] = (base, rotated)
-        return self._pairs[d]
-
-    def get(self, kind: str, d: int):
-        """The measurement a proposition of the given measurement kind checks."""
-        if kind == "mubs":
-            return self.mubs(d)
-        if kind == "pair":
-            return self.pair(d)
-        return self.sic(d)
+def _fiducial_ket(path: str | None) -> tuple | None:
+    """The unit fiducial ket in a JSON file as a tuple; reports any rescaling."""
+    if path is None:
+        return None
+    vec, scale = load_fiducial(path)
+    if abs(scale - 1.0) > 1e-12:
+        print(f"fiducial rescaled by factor {scale!r}", file=sys.stderr)
+    return tuple(vec.tolist())
 
 
 class _Cell(NamedTuple):
@@ -187,17 +166,22 @@ class _Cell(NamedTuple):
     outcomes: int  # the M column
 
 
-def _plan(config: CampaignConfig, cache: _MeasurementCache) -> list[_Cell]:
+def _plan(config: CampaignConfig) -> list[_Cell]:
     """Every cell of the campaign, with its measurement built and its orders checked."""
+    fiducial = _fiducial_ket(config.fiducial_path)
     cells = []
     for di, d in enumerate(config.dims):
+        # a fiducial file serves the one dimension it was written for
+        ket = fiducial if fiducial is not None and len(fiducial) == d else None
         for pi, prop in enumerate(config.props):
             entry = bnd.PROPOSITIONS[prop]
             eta = config.eta if entry.efficiency else None
-            meas = cache.get(entry.measurement, d)
             if entry.measurement == "mubs":
+                count = d + 1 if config.count is None else config.count
+                meas = measurement("mubs", d, count, None)
                 outcomes = meas.count
             else:
+                meas = measurement("pair" if entry.measurement == "pair" else "sic", d, None, ket)
                 outcomes = d**4 if entry.measurement == "product" else d * d
             for ai, alpha in enumerate(config.alphas if entry.order else [None]):
                 bnd.check_arguments(prop, alpha=alpha, eta=eta)
@@ -276,7 +260,7 @@ def run_campaign(config: CampaignConfig):
     The whole plan (every measurement and every order range) is validated
     before any state is sampled.
     """
-    cells = _plan(config, _MeasurementCache(config))
+    cells = _plan(config)
     reports = []
     rows = []
     for cell in cells:
@@ -384,11 +368,7 @@ def cmd_coincidence(args) -> int:
         rho = random_mixed(d, args.random_rank, args.seed)
     else:
         rho = maximally_mixed(d)
-    if args.fiducial is not None:
-        vec, _scale = load_fiducial(args.fiducial)
-        sic = sic_from_fiducial(d, vec)
-    else:
-        sic = sic_from_fiducial(d)
+    sic = measurement("sic", d, None, _fiducial_ket(args.fiducial))
     report = bnd.check_bound(sic, rho, "P5-sic-ic", tolerance=args.tolerance)
     print(
         f"coincidence dim={d} lhs={report.lhs!r} rhs={report.rhs!r} "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import BoundReport, make_report
+from .bounds import BoundReport, _sic_cap, make_report
 from .errors import ConstructionError, DimensionMismatchError, DomainError
 from .linalg import kron
 from .measurements import SicPovm, expectations
@@ -104,17 +104,12 @@ def correlation_G(povm: BipartitePovm, rho: DensityMatrix):
 def separable_bound(d: int, purity_a: float, purity_b: float) -> float:
     """Cap on G for a product state with the given marginal purities.
 
-    sqrt(purity_a + 1) sqrt(purity_b + 1) / (d(d+1)); both purities at 1
-    give the universal separable cap 2/(d(d+1)).
+    sqrt(C_a C_b) = sqrt(purity_a + 1) sqrt(purity_b + 1) / (d(d+1)), with
+    C the SIC index of coincidence of each party's marginal; both purities
+    at 1 give the universal separable cap 2/(d(d+1)).
     """
     d = int(d)
-    for value in (purity_a, purity_b):
-        value = float(value)
-        if not 1.0 / d - 1e-9 <= value <= 1.0 + 1e-9:
-            raise DomainError(f"purity {value!r} outside [1/{d}, 1]")
-    return float(
-        np.sqrt(float(purity_a) + 1.0) * np.sqrt(float(purity_b) + 1.0) / (d * (d + 1.0))
-    )
+    return float(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
 
 
 def detect_entanglement(
@@ -128,6 +123,6 @@ def detect_entanglement(
     """
     povm = product_sic_povm(sic)
     g = correlation_G(povm, rho)
-    cap = 2.0 / (sic.dim * (sic.dim + 1.0))
+    cap = _sic_cap(sic.dim, 1.0, state_independent=True)
     report = make_report("ENT-G", g, cap, tolerance, sense="<=")
     return (g > cap + tolerance), report

@@ -105,6 +105,12 @@ def renyi(p, alpha):
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
         s1, m2 = _log_moments(p)
         return _result(-s1 - 0.5 * (alpha - 1.0) * (m2 - s1 * s1))
+    if alpha > 2.0:
+        # factor out max p: sum p^alpha underflows once alpha ln(1/max p) > 708,
+        # which below order 2 would take more than e^354 outcomes
+        pmax = p.max(axis=-1)
+        scaled = ((p / pmax[..., None]) ** alpha).sum(axis=-1)
+        return _result((alpha * np.log(pmax) + np.log(scaled)) / (1.0 - alpha))
     return _result(np.log((p**alpha).sum(axis=-1)) / (1.0 - alpha))
 
 

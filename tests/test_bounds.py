@@ -4,6 +4,7 @@ import pytest
 from mubsic import (
     DensityMatrix,
     DomainError,
+    MubSet,
     PreconditionError,
     SicPovm,
     alpha_log,
@@ -27,6 +28,7 @@ from mubsic import (
     random_pure,
     renyi,
     riesz_precondition_check,
+    separable_bound,
     sic_from_fiducial,
     sic_minentropy_bound,
     sic_renyi_bound,
@@ -567,3 +569,79 @@ class TestReportInvariants:
             mub_construct(2, 3), random_mixed(2, 2, 4), "P1-mub-tsallis", alpha=1.0
         )
         assert rep.margin == rep.lhs - rep.rhs
+
+
+def _ln_q(x, alpha):
+    # the deformed logarithm as printed, ln x at alpha = 1
+    return np.log(x) if alpha == 1.0 else (x ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+
+
+def _renyi_factor(alpha):
+    return 0.5 if np.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
+
+
+class TestClosedForms:
+    """Every purity bound against its closed form, over the state-independent case too."""
+
+    DIMS = (2, 3, 5, 7)
+    TSALLIS_ORDERS = (0.3, 0.5, 1.0, 1.5, 2.0)
+    RENYI_ORDERS = (2.0, 3.0, 50.0, np.inf)
+
+    @staticmethod
+    def _purities(d):
+        return [*np.linspace(1.0 / d, 1.0, 9), None]  # None: state_independent=True
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_mub_bounds(self, d):
+        for m in sorted({1, 2, d, d + 1}):
+            for p2 in self._purities(d):
+                si = p2 is None
+                x = 1.0 if si else p2
+                ratio = m * d / (d * x + m - 1.0)
+                for alpha in self.TSALLIS_ORDERS:
+                    got = mub_tsallis_bound(d, m, alpha, x, state_independent=si)
+                    assert got == pytest.approx(_ln_q(ratio, alpha), abs=1e-13)
+                for alpha in self.RENYI_ORDERS:
+                    got = mub_renyi_bound(d, m, alpha, x, state_independent=si)
+                    assert got == pytest.approx(_renyi_factor(alpha) * np.log(ratio), abs=1e-13)
+                got = mub_minentropy_bound(d, m, x, state_independent=si)
+                if si:
+                    want = np.log(np.sqrt(m) * d / (d + np.sqrt(m) - 1.0))
+                else:
+                    want = np.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * (d * x - 1.0) / m))
+                assert got == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_sic_bounds(self, d):
+        for p2 in self._purities(d):
+            si = p2 is None
+            x = 1.0 if si else p2
+            ratio = d * (d + 1.0) / (x + 1.0)
+            for alpha in self.TSALLIS_ORDERS:
+                got = sic_tsallis_bound(d, alpha, x, state_independent=si)
+                assert got == pytest.approx(_ln_q(ratio, alpha), abs=1e-13)
+            for alpha in self.RENYI_ORDERS:
+                got = sic_renyi_bound(d, alpha, x, state_independent=si)
+                assert got == pytest.approx(_renyi_factor(alpha) * np.log(ratio), abs=1e-13)
+            want = 2.0 * np.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * (d * x - 1.0)))
+            assert sic_minentropy_bound(d, x) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_separable_bound(self, d):
+        for pa in self._purities(d)[:-1]:
+            for pb in (1.0 / d, 0.5 * (1.0 + 1.0 / d), 1.0):
+                want = np.sqrt(pa + 1.0) * np.sqrt(pb + 1.0) / (d * (d + 1.0))
+                assert separable_bound(d, pa, pb) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_coincidence_right_hand_sides(self, d):
+        # LWBM-sum: tr(rho^2) + (M - 1)/d, for M = 1 too; P5: (tr(rho^2) + 1)/(d(d+1))
+        rho = DensityMatrix(np.stack([random_mixed(d, 1 + i % d, seed=i).mat for i in range(8)]))
+        p2 = np.array([np.real(np.trace(r @ r)) for r in rho.mat])
+        full = mub_construct(d, d + 1)
+        for m in range(1, d + 2):
+            mubs = MubSet(full.bases[:m])
+            rhs = [r.rhs for r in check_bound(mubs, rho, "LWBM-sum")]
+            np.testing.assert_allclose(rhs, p2 + (m - 1.0) / d, rtol=0, atol=1e-13)
+        rhs = [r.rhs for r in check_bound(sic_from_fiducial(d), rho, "P5-sic-ic")]
+        np.testing.assert_allclose(rhs, (p2 + 1.0) / (d * (d + 1.0)), rtol=0, atol=1e-13)

@@ -316,6 +316,70 @@ class TestVerifyCommand:
         assert main(base + ["--seed", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_large_renyi_orders_report_finite_margins(self, tmp_path, capsys):
+        # p^alpha underflows at these orders; lhs and margin used to read inf
+        out = tmp_path / "large.csv"
+        args = ["verify", "--dims", "2,3", "--props", "P2-mub-renyi,P7-sic-renyi"]
+        args += ["--alphas", "1100,5000", "--samples", "6", "--out", str(out)]
+        assert main(args) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 48
+        for row in rows:
+            assert np.isfinite(float(row["lhs"])) and np.isfinite(float(row["margin"]))
+        assert "min_margin=inf" not in capsys.readouterr().out
+
+
+class TestMeasurementBuilder:
+    @staticmethod
+    def _config():
+        props = ["P1-mub-tsallis", "P5-sic-ic", "P9-mu-pair", "APXA-max", "ENT-G"]
+        return cli.CampaignConfig(dims=[2, 3], props=props, alphas=[2.0], samples=2, seed=1)
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_each_measurement_built_once_per_process(self, monkeypatch):
+        cli.measurement.cache_clear()
+        sics = self._count_calls(monkeypatch, "sic_from_fiducial")
+        mubs = self._count_calls(monkeypatch, "mub_construct")
+        first = cli.run_campaign(self._config())
+        second = cli.run_campaign(self._config())
+        # one SIC per dim serves P5, P9's pair, APXA and ENT-G, in both campaigns
+        assert [a[0] for a in sics] == [2, 3]
+        assert [a[0] for a in mubs] == [2, 3]
+        assert first[1] == second[1]
+
+    def test_failed_construction_is_not_memoized(self, capsys):
+        args = ["verify", "--dims", "5", "--props", "P5-sic-ic", "--samples", "2"]
+        for _ in range(2):
+            assert main(args) == 2
+            assert "builtin fiducial" in capsys.readouterr().err
+
+    def test_verify_with_fiducial_file(self, tmp_path, capsys):
+        # the builtin d = 3 fiducial (0, 1, -1)/sqrt(2), scaled by sqrt(2)
+        fid = tmp_path / "fid.json"
+        fid.write_text(json.dumps({"dim": 3, "re": [0.0, 1.0, -1.0], "im": [0.0, 0.0, 0.0]}))
+        args = ["verify", "--dims", "2,3", "--props", "P5-sic-ic,P9-mu-pair", "--samples", "3"]
+        args += ["--fiducial", str(fid), "--out", str(tmp_path / "report.csv")]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert "failed=0" in captured.out
+        assert captured.err.count(f"fiducial rescaled by factor {1.0 / 2.0**0.5!r}") == 1
+        # the same path, rewritten to a unit ket whose orbit is not a SIC
+        fid.write_text(json.dumps({"dim": 3, "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}))
+        assert main(args) == 2
+        assert "SIC conditions" in capsys.readouterr().err
+
 
 class TestCoincidenceCommand:
     def test_maximally_mixed_default(self, capsys):

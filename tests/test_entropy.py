@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,27 @@ class TestRenyi:
 
     def test_skips_zero_entries(self):
         assert renyi([0.5, 0.5, 0.0], 0.5) == pytest.approx(np.log(2.0), abs=1e-13)
+
+    @staticmethod
+    def _decimal_renyi(p, alpha):
+        """ln(sum p^alpha)/(1 - alpha) to 50 digits, exponents unbounded."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            ctx.Emin = decimal.MIN_EMIN
+            a = decimal.Decimal(alpha)
+            total = sum(decimal.Decimal(float(x)) ** a for x in p if x > 0.0)
+            return float(total.ln() / (1 - a))
+
+    @pytest.mark.parametrize("alpha", [1100.0, 5000.0, 1e6])
+    def test_large_finite_order_matches_decimal_reference(self, alpha):
+        # p^alpha underflows to 0 here; the entropy is still about -ln(max p)
+        rng = np.random.default_rng(7)
+        dists = [np.array([0.5, 0.3, 0.2]), _random_dist(rng, 9), _random_dist(rng, 49)]
+        for p in dists:
+            want = self._decimal_renyi(p, alpha)
+            assert renyi(p, alpha) == pytest.approx(want, abs=1e-13)
+        stack = renyi(np.stack([dists[0], dists[0][::-1]]), alpha)
+        assert np.all(np.isfinite(stack))
 
 
 class TestTsallis:
