@@ -17,6 +17,7 @@ from .bounds import (
     check_arguments,
     check_bound,
     coincidence_sum_check,
+    detect_entanglement,
     mu_f_bar,
     mu_g_factor,
     mu_pair_bounds,
@@ -26,6 +27,7 @@ from .bounds import (
     mub_tsallis_bound,
     mub_tsallis_bound_inefficiency,
     riesz_precondition_check,
+    separable_bound,
     sic_minentropy_bound,
     sic_renyi_bound,
     sic_tsallis_bound,
@@ -35,11 +37,9 @@ from .bounds import (
 from .entanglement import (
     BipartitePovm,
     correlation_G,
-    detect_entanglement,
     joint_probabilities,
     maximally_entangled,
     product_sic_povm,
-    separable_bound,
 )
 from .entropy import (
     SymOrderPair,

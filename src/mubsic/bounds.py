@@ -28,7 +28,8 @@ relations are labeled
 * ``APXB-riesz``      -- the 2-norm contraction property of the
   overlap transformation used by P9,
 * ``ENT-G``           -- the separable-state cap on the diagonal
-  correlation measure of a product SIC-POVM.
+  correlation measure of a product SIC-POVM; :func:`detect_entanglement`
+  reads it as an entanglement witness.
 
 Margins follow the signed convention lhs - rhs; a lower bound passes
 when margin >= -tolerance.  The default pass threshold 1e-10 absorbs
@@ -43,6 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import entanglement
 from .entropy import (
     SymOrderPair,
     _entropy_fn,
@@ -176,11 +178,8 @@ def _renyi_from_cap(alpha, cap):
 
 
 def _with_inefficiency(base, alpha, eta):
-    """eta^alpha times a clean Tsallis bound plus h_alpha(eta)."""
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    return eta ** float(alpha) * base + binary_tsallis(eta, alpha)
+    """h_alpha(eta), which checks eta, plus eta^alpha times a clean Tsallis bound."""
+    return binary_tsallis(eta, alpha) + float(eta) ** float(alpha) * base
 
 
 def mub_tsallis_bound(d, m, alpha, state_purity, state_independent=False):
@@ -214,9 +213,7 @@ def mub_minentropy_bound(d, m, state_purity, state_independent=False):
 
 def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
     """Lower bound on the MUB-averaged symmetrized entropy of parameter s."""
-    d = int(d)
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d, _ = _check_counts(d, 1)
     pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
     if kind == "tsallis":
         return 0.5 * alpha_log(d, pair.mu)
@@ -249,6 +246,17 @@ def sic_minentropy_bound(d, state_purity):
     """Lower bound -ln(max p) on the min-entropy of a single SIC-POVM, max p capped by C."""
     d = int(d)
     return _result(-np.log(max_prob_bound(d * d, _sic_cap(d, state_purity))))
+
+
+def separable_bound(d: int, purity_a: float, purity_b: float) -> float:
+    """Cap on the ENT-G correlation G for a product state with the given marginal purities.
+
+    sqrt(C_a C_b) = sqrt(purity_a + 1) sqrt(purity_b + 1) / (d(d+1)), with
+    C the SIC index of coincidence of each party's marginal; both purities
+    at 1 give the universal separable cap 2/(d(d+1)).
+    """
+    d = int(d)
+    return float(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
 
 
 def coincidence_sum_check(mubs: MubSet, rho: DensityMatrix, tolerance=1e-12) -> BoundReport:
@@ -311,15 +319,15 @@ def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
     return scaled @ vecs.conj().swapaxes(-1, -2)
 
 
-def _overlap_transform(kets_m, kets_n, rho: DensityMatrix, threshold=ZERO_PROB_THRESHOLD):
+def _overlap_transform(kets_m, kets_n, rho: DensityMatrix):
     """The matrix t_ij = <m_i|n_j><n_j|rho|m_i> / sqrt(<m_i|rho|m_i><n_j|rho|n_j>).
 
     Evaluated through the factorization rho = R R with R = rho^(1/2):
     <n|rho|m> = (R n)^dag (R m) and the probabilities are squared norms
     of R-images, so the Cauchy-Schwarz structure survives rounding even
     for probabilities many orders below one.  Rows and columns whose
-    probability falls below ``threshold`` are zeroed, matching the
-    exclusion of unobservable outcomes.  A stack of states gives a stack
+    probability is at most ``ZERO_PROB_THRESHOLD`` are zeroed, matching
+    the exclusion of unobservable outcomes.  A stack of states gives a stack
     of matrices.
     """
     root_t = _sqrt_factor(rho).swapaxes(-1, -2)
@@ -329,8 +337,8 @@ def _overlap_transform(kets_m, kets_n, rho: DensityMatrix, threshold=ZERO_PROB_T
     qn = (zn.real * zn.real + zn.imag * zn.imag).sum(axis=-1)
     overlap = kets_m.conj() @ kets_n.T  # [i, j] = <m_i|n_j>
     cross = np.matmul(zm, zn.conj().swapaxes(-1, -2))  # [i, j] = <n_j|rho|m_i>
-    keep_m = qm > threshold
-    keep_n = qn > threshold
+    keep_m = qm > ZERO_PROB_THRESHOLD
+    keep_n = qn > ZERO_PROB_THRESHOLD
     qm_safe = np.where(keep_m, qm, 1.0)
     qn_safe = np.where(keep_n, qn, 1.0)
     denom = np.sqrt(qm_safe[..., :, None] * qn_safe[..., None, :])
@@ -338,12 +346,12 @@ def _overlap_transform(kets_m, kets_n, rho: DensityMatrix, threshold=ZERO_PROB_T
     return np.where(keep, overlap * cross / denom, 0.0)
 
 
-def mu_g_factor(meas_m, meas_n, rho: DensityMatrix, threshold=ZERO_PROB_THRESHOLD):
+def mu_g_factor(meas_m, meas_n, rho: DensityMatrix):
     """State-dependent overlap factor g driving the Maassen-Uffink pair bounds.
 
     The maximum of |<m_i|n_j><n_j|rho|m_i>| over the geometric mean of
     the outcome probabilities, taken over pairs where both probabilities
-    exceed ``threshold``.  Always <= 1 by Cauchy-Schwarz; for two
+    exceed ``ZERO_PROB_THRESHOLD``.  Always <= 1 by Cauchy-Schwarz; for two
     SIC-POVMs the subnormalized kets carry the 1/d prefactor
     automatically.  An array for a stack of states.
     """
@@ -351,7 +359,7 @@ def mu_g_factor(meas_m, meas_n, rho: DensityMatrix, threshold=ZERO_PROB_THRESHOL
     kets_n = _rank_one_kets(meas_n)
     if kets_m.shape[1] != rho.dim or kets_n.shape[1] != rho.dim:
         raise DomainError("measurement and state dimensions differ")
-    t = _overlap_transform(kets_m, kets_n, rho, threshold)
+    t = _overlap_transform(kets_m, kets_n, rho)
     return _result(np.abs(t).max(axis=(-2, -1)))
 
 
@@ -604,10 +612,8 @@ def _apxb(pair, rho, a):
 
 
 def _ent_g(sic, rho, a):
-    # local import: the entanglement module builds on this one
-    from .entanglement import correlation_G, product_sic_povm
-
-    return correlation_G(product_sic_povm(sic), rho), _sic_cap(sic.dim, 1.0, state_independent=True)
+    g = entanglement.correlation_G(entanglement.product_sic_povm(sic), rho)
+    return g, _sic_cap(sic.dim, 1.0, state_independent=True)
 
 
 PROPOSITIONS = {
@@ -704,3 +710,18 @@ def check_bound(
     lhs, rhs = prop.evaluate(meas, rho, args._replace(u=u, trials=trials, seed=seed))
     reports = _reports(which, lhs, rhs, tolerance, prop.sense)
     return reports if rho.mat.ndim == 3 else reports[0]
+
+
+def detect_entanglement(
+    sic: SicPovm, rho: DensityMatrix, tolerance: float = 1e-12
+) -> tuple[bool, BoundReport]:
+    """Flag a bipartite state as entangled when G exceeds the universal cap.
+
+    The ENT-G check, which uses only the purity-independent cap
+    2/(d(d+1)), since the marginals of an unknown joint state are not
+    observable from G alone.  A True flag is sufficient for entanglement;
+    False is inconclusive, as the cap is only a necessary criterion for
+    separability.
+    """
+    report = check_bound(sic, rho, "ENT-G", tolerance=tolerance)
+    return report.lhs > report.rhs + tolerance, report

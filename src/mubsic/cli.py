@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -75,9 +76,7 @@ class CampaignConfig:
     samples: int
     seed: int
     eta: float | None = None
-    tolerance: float = 1e-10
-    out: str | None = None
-    fmt: str = "csv"
+    tolerance: float = bnd.DEFAULT_TOLERANCE
     count: int | None = None
     fiducial_path: str | None = None
     trials: int = 4
@@ -270,25 +269,27 @@ def run_campaign(config: CampaignConfig):
     return reports, rows
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None or empty."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_report(rows, summary, out, fmt):
     if fmt == "json":
         # one row per line, so each row goes through the C encoder
         lines = ",\n".join(map(json.dumps, rows))
-        payload = f'{{"rows": [\n{lines}\n],\n"summary": {json.dumps(summary)}}}\n'
-        if out is None:
-            sys.stdout.write(payload)
-        else:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        return
-    target = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        writer = csv.DictWriter(target, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        text = f'{{"rows": [\n{lines}\n],\n"summary": {json.dumps(summary)}}}\n'
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if out:
-            target.close()
+        text = buf.getvalue()
+    _emit(text, out)
 
 
 def cmd_verify(args) -> int:
@@ -304,8 +305,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         eta=args.eta,
         tolerance=args.tolerance,
-        out=args.out,
-        fmt=args.format,
         count=args.count,
         fiducial_path=args.fiducial,
         trials=args.trials,
@@ -322,7 +321,7 @@ def cmd_verify(args) -> int:
         "min_margin": min_margin,
         "saturated": n_saturated,
     }
-    _write_report(rows, summary, config.out, config.fmt)
+    _write_report(rows, summary, args.out, args.format)
     print(
         f"checks={len(reports)} failed={n_failed} "
         f"min_margin={min_margin!r} saturated={n_saturated}/{len(reports)}"
@@ -341,12 +340,7 @@ def cmd_mub(args) -> int:
         ],
         "max_unbiasedness_deviation": mubs.max_deviation,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     print(
         f"mub ok: dim={mubs.dim} count={mubs.count} "
         f"max_unbiasedness_deviation={mubs.max_deviation:.3e}",
@@ -387,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mub = sub.add_parser("mub", help="construct and verify a MUB set")
     p_mub.add_argument("--dim", type=int, required=True, help="Hilbert-space dimension")
     p_mub.add_argument("--count", type=int, required=True, help="number of bases")
-    p_mub.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p_mub.add_argument("--out", default=None, help="JSON path (default or empty: stdout)")
     p_mub.set_defaults(func=cmd_mub)
 
     p_ver = sub.add_parser("verify", help="run a bound-verification campaign")
@@ -408,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0, help="master seed")
     p_ver.add_argument("--count", type=int, default=None, help="MUB count (default d+1)")
     p_ver.add_argument("--eta", type=float, default=None, help="detector efficiency for P1/P6")
-    p_ver.add_argument("--tolerance", type=float, default=1e-10, help="pass threshold")
+    p_ver.add_argument(
+        "--tolerance", type=float, default=bnd.DEFAULT_TOLERANCE, help="pass threshold"
+    )
     p_ver.add_argument("--trials", type=int, default=4, help="random inputs per APXB check")
-    p_ver.add_argument("--out", default=None, help="report path (default stdout)")
+    p_ver.add_argument("--out", default=None, help="report path (default or empty: stdout)")
     p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ver.add_argument("--fiducial", default=None, help="JSON fiducial for non-builtin dims")
     p_ver.set_defaults(func=cmd_verify)
@@ -421,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ic.add_argument("--random-rank", type=int, default=None, help="sample a random state")
     p_ic.add_argument("--seed", type=int, default=0)
     p_ic.add_argument("--fiducial", default=None, help="JSON fiducial file")
-    p_ic.add_argument("--tolerance", type=float, default=1e-10)
+    p_ic.add_argument("--tolerance", type=float, default=bnd.DEFAULT_TOLERANCE)
     p_ic.set_defaults(func=cmd_coincidence)
     return parser
 

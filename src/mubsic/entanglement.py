@@ -4,16 +4,16 @@ A SIC ket family on one party, conjugated on the other, yields the
 product POVM with elements (1/d^2)|phi_i phi_j*><phi_i phi_j*| on
 H (x) H.  The sum G of its diagonal outcome probabilities is capped at
 2/(d(d+1)) for every separable state, while the maximally entangled
-state reaches 1/d, so G > 2/(d(d+1)) witnesses entanglement.  The cap
-is only a necessary criterion for separability: a False detection flag
-does not certify a state as separable.
+state reaches 1/d, so G > 2/(d(d+1)) witnesses entanglement.  This
+module holds the measurement; the cap and the witness are the ENT-G
+check of :mod:`mubsic.bounds` (``separable_bound``,
+``detect_entanglement``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import BoundReport, _sic_cap, make_report
 from .errors import ConstructionError, DimensionMismatchError, DomainError
 from .linalg import kron
 from .measurements import SicPovm, expectations
@@ -100,29 +100,3 @@ def correlation_G(povm: BipartitePovm, rho: DensityMatrix):
     g = (expectations(w, rho.mat) / d**2).sum(axis=-1)
     return float(g) if rho.mat.ndim == 2 else g
 
-
-def separable_bound(d: int, purity_a: float, purity_b: float) -> float:
-    """Cap on G for a product state with the given marginal purities.
-
-    sqrt(C_a C_b) = sqrt(purity_a + 1) sqrt(purity_b + 1) / (d(d+1)), with
-    C the SIC index of coincidence of each party's marginal; both purities
-    at 1 give the universal separable cap 2/(d(d+1)).
-    """
-    d = int(d)
-    return float(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
-
-
-def detect_entanglement(
-    sic: SicPovm, rho: DensityMatrix, tolerance: float = 1e-12
-) -> tuple[bool, BoundReport]:
-    """Flag a bipartite state as entangled when G exceeds the universal cap.
-
-    Uses only the purity-independent cap 2/(d(d+1)) since the marginals
-    of an unknown joint state are not observable from G alone.  A True
-    flag is sufficient for entanglement; False is inconclusive.
-    """
-    povm = product_sic_povm(sic)
-    g = correlation_G(povm, rho)
-    cap = _sic_cap(sic.dim, 1.0, state_independent=True)
-    report = make_report("ENT-G", g, cap, tolerance, sense="<=")
-    return (g > cap + tolerance), report

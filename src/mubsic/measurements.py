@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     NotASicError,
+    PreconditionError,
 )
 from .linalg import kron
 from .states import DensityMatrix
@@ -135,18 +136,16 @@ class Povm:
     def __len__(self):
         return self.elements.shape[0]
 
-    def rank_one_kets(self, atol: float = 1e-10) -> np.ndarray:
+    def rank_one_kets(self) -> np.ndarray:
         """Subnormalized kets m_j with element_j = |m_j><m_j|.
 
         Raises :class:`~mubsic.errors.PreconditionError` when any element
-        has rank above one within ``atol``.
+        has rank above one within ``POVM_ATOL``.
         """
-        from .errors import PreconditionError
-
         kets = np.empty((len(self), self.dim), dtype=complex)
         for k, e in enumerate(self.elements):
             eigs, vecs = np.linalg.eigh(e)
-            if eigs.size > 1 and eigs[-2] > atol:
+            if eigs.size > 1 and eigs[-2] > POVM_ATOL:
                 raise PreconditionError(
                     f"element {k} is not rank-one (second eigenvalue {eigs[-2]:.3e})"
                 )
