@@ -6,9 +6,13 @@ the index of coincidence, and the max-element bound that converts a
 known coincidence value into a cap on the largest probability.
 
 All entropies are in nats.  Order alpha = 1 and alpha = inf dispatch to
-the Shannon and min-entropy closed forms; a guard band |alpha - 1| <
-1e-6 reroutes to first-order expansions because the generic formulas
-lose all precision there.
+the Shannon and min-entropy closed forms.  Every other finite order
+goes through sum_j (p_j^alpha - p_j), written with expm1 of
+(alpha - 1) ln p_j so that nothing cancels as alpha approaches 1: the
+Tsallis entropy is that sum over 1 - alpha, the Renyi entropy up to
+order 2 is its log1p over 1 - alpha, and ln_alpha(x) is
+expm1((1 - alpha) ln x)/(1 - alpha).  Above order 2 the Renyi entropy
+factors out max p instead.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import numpy as np
 
 from .errors import DomainError
 
-ALPHA_ONE_BAND = 1e-6
 PROB_CLAMP = 1e-14
 PROB_SUM_ATOL = 1e-12
 
@@ -84,11 +87,31 @@ def as_probabilities(p) -> np.ndarray:
     return p.p if isinstance(p, ProbDist) else ProbDist(p).p
 
 
-def _log_moments(p: np.ndarray):
-    """sum p ln p and sum p (ln p)^2 along the last axis, with 0 ln 0 = 0."""
-    lp = np.log(np.where(p > 0.0, p, 1.0))
-    plp = p * lp
-    return plp.sum(axis=-1), (plp * lp).sum(axis=-1)
+def _log(p: np.ndarray) -> np.ndarray:
+    """ln p, finite at p = 0, so every p ln p or p^a expm1(c ln p) term vanishes there.
+
+    A zero reads as the least positive double, 5e-324, whose log is -744.4.
+    """
+    return np.log(np.maximum(p, 5e-324))
+
+
+def _shannon(p: np.ndarray):
+    """-sum p ln p along the last axis."""
+    return -(p * _log(p)).sum(axis=-1)
+
+
+def _power_excess(p: np.ndarray, alpha: float):
+    """sum (p^alpha - p) along the last axis, for a finite order alpha != 1.
+
+    Written as sum p expm1((alpha - 1) ln p) above order 1 and as
+    -sum p^alpha expm1((1 - alpha) ln p) below it: the expm1 argument is
+    never positive, so no term overflows, and near alpha = 1 the sum keeps
+    its full relative precision instead of cancelling against sum p = 1.
+    """
+    lp = _log(p)
+    if alpha > 1.0:
+        return (p * np.expm1((alpha - 1.0) * lp)).sum(axis=-1)
+    return -(p**alpha * np.expm1((1.0 - alpha) * lp)).sum(axis=-1)
 
 
 def renyi(p, alpha):
@@ -102,16 +125,15 @@ def renyi(p, alpha):
     alpha = _check_order(alpha)
     if math.isinf(alpha):
         return _result(-np.log(p.max(axis=-1)))
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        s1, m2 = _log_moments(p)
-        return _result(-s1 - 0.5 * (alpha - 1.0) * (m2 - s1 * s1))
+    if alpha == 1.0:
+        return _result(_shannon(p))
     if alpha > 2.0:
         # factor out max p: sum p^alpha underflows once alpha ln(1/max p) > 708,
         # which below order 2 would take more than e^354 outcomes
         pmax = p.max(axis=-1)
         scaled = ((p / pmax[..., None]) ** alpha).sum(axis=-1)
         return _result((alpha * np.log(pmax) + np.log(scaled)) / (1.0 - alpha))
-    return _result(np.log((p**alpha).sum(axis=-1)) / (1.0 - alpha))
+    return _result(np.log1p(_power_excess(p, alpha)) / (1.0 - alpha))
 
 
 def tsallis(p, alpha):
@@ -123,10 +145,9 @@ def tsallis(p, alpha):
     alpha = _check_order(alpha)
     if math.isinf(alpha):
         raise DomainError("Tsallis entropy is defined for finite positive order")
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        s1, m2 = _log_moments(p)
-        return _result(-s1 - 0.5 * (alpha - 1.0) * m2)
-    return _result(((p**alpha).sum(axis=-1) - 1.0) / (1.0 - alpha))
+    if alpha == 1.0:
+        return _result(_shannon(p))
+    return _result(_power_excess(p, alpha) / (1.0 - alpha))
 
 
 def alpha_log(x, alpha):
@@ -140,10 +161,9 @@ def alpha_log(x, alpha):
     alpha = _check_order(alpha)
     if math.isinf(alpha):
         raise DomainError("alpha-logarithm is defined for finite positive order")
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        lx = np.log(x)
-        return _result(lx + 0.5 * (1.0 - alpha) * lx * lx)
-    return _result((x ** (1.0 - alpha) - 1.0) / (1.0 - alpha))
+    if alpha == 1.0:
+        return _result(np.log(x))
+    return _result(np.expm1((1.0 - alpha) * np.log(x)) / (1.0 - alpha))
 
 
 def binary_tsallis(eta, alpha) -> float:
@@ -151,12 +171,7 @@ def binary_tsallis(eta, alpha) -> float:
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    alpha = _check_order(alpha)
-    total = 0.0
-    for t in (eta, 1.0 - eta):
-        if t > 0.0:
-            total -= t**alpha * alpha_log(t, alpha)
-    return total
+    return tsallis([eta, 1.0 - eta], alpha)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubsic import (
     DensityMatrix,
     DomainError,
+    PROPOSITIONS,
     MubSet,
     PreconditionError,
     SicPovm,
@@ -645,3 +648,33 @@ class TestClosedForms:
             np.testing.assert_allclose(rhs, p2 + (m - 1.0) / d, rtol=0, atol=1e-13)
         rhs = [r.rhs for r in check_bound(sic_from_fiducial(d), rho, "P5-sic-ic")]
         np.testing.assert_allclose(rhs, (p2 + 1.0) / (d * (d + 1.0)), rtol=0, atol=1e-13)
+
+
+# labels whose bound is attained at I/d, checked at d = 2, 3; "tsallis" stands
+# for every order in (0, 2]
+SATURATED_AT_MAXIMALLY_MIXED = [
+    ("P1-mub-tsallis", "tsallis"),
+    ("P6-sic-tsallis", "tsallis"),
+    ("P2-mub-renyi", 2.0),
+    ("P7-sic-renyi", 2.0),
+    ("P3-mub-minent", None),
+    ("P5-sic-ic", None),
+    ("P8-sic-minent", None),
+    ("LWBM-sum", None),
+    ("APXA-max", None),
+]
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("label, order", SATURATED_AT_MAXIMALLY_MIXED)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_saturated_at_maximally_mixed(d, label, order, data):
+    alpha = order
+    if order == "tsallis":
+        near_one = st.sampled_from([1 - 1.01e-6, 1.0, 1 + 1.01e-6, 2.0])
+        alpha = data.draw(near_one | st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+    mubs = PROPOSITIONS[label].measurement == "mubs"
+    meas = mub_construct(d, d + 1) if mubs else sic_from_fiducial(d)
+    report = check_bound(meas, maximally_mixed(d), label, alpha=alpha)
+    assert report.saturated and report.passed

@@ -429,3 +429,50 @@ class TestCoincidenceCommand:
             json.dumps({"dim": 3, "re": [0.0, 1.0, -1.0], "im": [0.0, 0.0, 0.0]})
         )
         assert main(["coincidence", "--dim", "3", "--fiducial", str(fid)]) == 0
+
+
+_P5 = ["verify", "--dims", "2", "--props", "P5-sic-ic", "--samples", "2"]
+
+# (arguments, exit code, start of stderr for codes 2 and 3, of stdout for 0 and 1);
+# {dir} is a directory, {missing} a path that does not exist, {malformed} bad JSON
+EXIT_CONTRACT = [
+    (["mub", "--dim", "4", "--count", "3"], 2, "error:"),
+    (["mub", "--dim", "3", "--count", "9"], 2, "error:"),
+    (["mub", "--dim", "3", "--count", "4", "--out", "{dir}"], 3, "i/o error:"),
+    (_P5 + ["--dims", "x"], 2, "error:"),
+    (_P5 + ["--samples", "0"], 2, "error:"),
+    (_P5 + ["--alphas", "nan"], 2, "error:"),
+    (_P5 + ["--eta", "2"], 2, "error:"),
+    (_P5 + ["--seed", "-1"], 2, "error:"),
+    (_P5 + ["--dims", "3", "--fiducial", "{missing}"], 3, "i/o error:"),
+    (_P5 + ["--dims", "3", "--fiducial", "{malformed}"], 2, "error:"),
+    (_P5 + ["--out", "{dir}"], 3, "i/o error:"),
+    (_P5 + ["--format", "xml"], 2, "usage:"),
+    (["coincidence", "--dim", "2", "--state", "{missing}"], 3, "i/o error:"),
+    (["coincidence", "--dim", "2", "--state", "{malformed}"], 2, "error:"),
+    (["coincidence", "--dim", "2", "--random-rank", "0"], 2, "error:"),
+    (["coincidence", "--dim", "0"], 2, "error:"),
+    (["coincidence", "--dim", "2", "--tolerance", "-1"], 2, "error:"),
+    (["coincidence", "--dim", "5"], 2, "error:"),
+    (_P5 + ["--samples", "10", "--seed", "1", "--tolerance", "1e-18"], 1, "prop,dim,M,"),
+    # an empty --out writes to stdout for every writer
+    (["mub", "--dim", "2", "--count", "3", "--out", ""], 0, '{\n  "dim": 2,'),
+    (_P5 + ["--out", ""], 0, "prop,dim,M,"),
+    (_P5 + ["--format", "json", "--out", ""], 0, '{"rows": [\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, start", EXIT_CONTRACT)
+def test_exit_code_contract(argv, code, start, tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"dim": 3, "re": [0, 1')
+    paths = {"{dir}": tmp_path, "{missing}": tmp_path / "missing.json", "{malformed}": malformed}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line before main runs it
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert (captured.err if code >= 2 else captured.out).startswith(start)
+    assert "Traceback" not in captured.err

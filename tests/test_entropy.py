@@ -101,6 +101,49 @@ class TestRenyi:
         assert np.all(np.isfinite(stack))
 
 
+def _decimal_entropies(p, alpha):
+    """(Renyi, Tsallis) of p normalized exactly, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = [decimal.Decimal(float(x)) for x in p]
+        total = sum(exact)
+        a = decimal.Decimal(alpha)
+        power_sum = sum((x / total) ** a for x in exact if x > 0)
+        return float(power_sum.ln() / (1 - a)), float((power_sum - 1) / (1 - a))
+
+
+def _reference_distributions():
+    rng = np.random.default_rng(5)
+    dists = [_random_dist(rng, n) for n in (2, 3, 7, 16, 49) for _ in range(2)]
+    for tiny in ([1e-300, 0.0], [1e-200, 1e-17], [0.0, 0.0, 1e-300]):
+        p = rng.uniform(size=9)
+        p[: len(tiny)] = tiny
+        dists.append(p / p.sum())
+    return dists
+
+
+class TestOrderNearOne:
+    # the generic (sum p^alpha - 1)/(1 - alpha) divides a rounding error of
+    # about 1e-16 by 1 - alpha: 5e-10 at alpha = 1 + 1.01e-6
+    ORDERS = [1 + 1.01e-6, 1 - 1.01e-6, 1 + 1e-9, 1 - 1e-9, 1 + 1e-4, 1 - 1e-4, 0.3, 1.5, 2.0]
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_matches_decimal_reference(self, alpha):
+        for p in _reference_distributions():
+            want_renyi, want_tsallis = _decimal_entropies(p, alpha)
+            assert renyi(p, alpha) == pytest.approx(want_renyi, rel=4e-15)
+            assert tsallis(p, alpha) == pytest.approx(want_tsallis, rel=4e-15)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_alpha_log_matches_decimal_reference(self, alpha):
+        for x in (0.3, 1.5, 2.0, 7.0, 42.0):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                a = decimal.Decimal(alpha)
+                want = float((decimal.Decimal(x) ** (1 - a) - 1) / (1 - a))
+            assert alpha_log(x, alpha) == pytest.approx(want, rel=4e-15)
+
+
 class TestTsallis:
     @pytest.mark.parametrize("alpha", [0.4, 1.0, 1.7, 2.0])
     def test_uniform_is_alpha_log(self, alpha):
@@ -328,6 +371,25 @@ class TestDistributionProperties:
     def test_renyi_coincidence_floor(self, p, alpha):
         floor = alpha / (2.0 * (1.0 - alpha)) * np.log(index_of_coincidence(p))
         assert renyi(p, alpha) >= floor - 1e-12
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12).filter(
+            lambda xs: sum(xs) > 0.0
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_renyi_nonincreasing_across_order_one(self, xs):
+        # crosses the former order-1 band edges and the order-2 switch of form
+        p = np.array(xs) / np.sum(xs)
+        grid = [0.3, 1 - 1.01e-6, 1 - 0.99e-6, 1.0, 1 + 0.99e-6, 1 + 1.01e-6, 2.0, 2.5, np.inf]
+        values = [renyi(p, a) for a in grid]
+        for lo, hi in zip(values[1:], values[:-1]):
+            assert lo <= hi + 1e-13
+
+    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.05, max_value=5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_binary_tsallis_is_two_outcome_tsallis(self, eta, alpha):
+        assert binary_tsallis(eta, alpha) == tsallis([eta, 1.0 - eta], alpha)
 
     @given(distributions)
     @settings(max_examples=200, deadline=None)
