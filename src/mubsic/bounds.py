@@ -715,13 +715,10 @@ def check_bound(
 def detect_entanglement(
     sic: SicPovm, rho: DensityMatrix, tolerance: float = 1e-12
 ) -> tuple[bool, BoundReport]:
-    """Flag a bipartite state as entangled when G exceeds the universal cap.
+    """Flag a bipartite state as entangled when G exceeds the universal cap (ENT-G).
 
-    The ENT-G check, which uses only the purity-independent cap
-    2/(d(d+1)), since the marginals of an unknown joint state are not
-    observable from G alone.  A True flag is sufficient for entanglement;
-    False is inconclusive, as the cap is only a necessary criterion for
-    separability.
+    The cap 2/(d(d+1)) is purity-independent, since G alone does not show
+    the marginals.  True is sufficient for entanglement; False is inconclusive.
     """
     report = check_bound(sic, rho, "ENT-G", tolerance=tolerance)
     return report.lhs > report.rhs + tolerance, report

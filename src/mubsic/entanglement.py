@@ -19,8 +19,6 @@ from .linalg import kron
 from .measurements import SicPovm, expectations
 from .states import DensityMatrix
 
-COMPLETENESS_ATOL = 1e-10
-
 
 class BipartitePovm:
     """The d^4-outcome product measurement built from a SIC ket family.

@@ -6,13 +6,10 @@ the index of coincidence, and the max-element bound that converts a
 known coincidence value into a cap on the largest probability.
 
 All entropies are in nats.  Order alpha = 1 and alpha = inf dispatch to
-the Shannon and min-entropy closed forms.  Every other finite order
-goes through sum_j (p_j^alpha - p_j), written with expm1 of
-(alpha - 1) ln p_j so that nothing cancels as alpha approaches 1: the
-Tsallis entropy is that sum over 1 - alpha, the Renyi entropy up to
-order 2 is its log1p over 1 - alpha, and ln_alpha(x) is
-expm1((1 - alpha) ln x)/(1 - alpha).  Above order 2 the Renyi entropy
-factors out max p instead.
+the Shannon and min-entropy closed forms.  Other finite orders go
+through sum (p^alpha - p) in an expm1 form that does not cancel near
+order 1, and ln_alpha(x) is expm1((1 - alpha) ln x)/(1 - alpha); Renyi
+entropies above order 2 factor out max p instead.
 """
 
 from __future__ import annotations
@@ -88,10 +85,7 @@ def as_probabilities(p) -> np.ndarray:
 
 
 def _log(p: np.ndarray) -> np.ndarray:
-    """ln p, finite at p = 0, so every p ln p or p^a expm1(c ln p) term vanishes there.
-
-    A zero reads as the least positive double, 5e-324, whose log is -744.4.
-    """
+    """ln p, with zeros read as 5e-324 (the least positive double) so their terms are 0."""
     return np.log(np.maximum(p, 5e-324))
 
 
@@ -101,12 +95,10 @@ def _shannon(p: np.ndarray):
 
 
 def _power_excess(p: np.ndarray, alpha: float):
-    """sum (p^alpha - p) along the last axis, for a finite order alpha != 1.
+    """sum (p^alpha - p) along the last axis for finite alpha != 1, without cancellation.
 
-    Written as sum p expm1((alpha - 1) ln p) above order 1 and as
-    -sum p^alpha expm1((1 - alpha) ln p) below it: the expm1 argument is
-    never positive, so no term overflows, and near alpha = 1 the sum keeps
-    its full relative precision instead of cancelling against sum p = 1.
+    Terms are p expm1((alpha - 1) ln p) above order 1 and -p^alpha expm1((1 - alpha) ln p)
+    below it; the expm1 argument is never positive, so no term overflows.
     """
     lp = _log(p)
     if alpha > 1.0:
