@@ -74,9 +74,8 @@ DEFAULT_TOLERANCE = 1e-10
 ZERO_PROB_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one bound check.
+class BoundReport(NamedTuple):
+    """Outcome of one bound check, an immutable tuple of its fields.
 
     ``margin`` is always lhs - rhs; ``sense`` records the inequality
     direction that ``lhs`` must satisfy (">=", "<=", or "==" for exact

@@ -18,9 +18,7 @@ cell as one stack of states drawn from the cell's own stream.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -61,6 +59,16 @@ CSV_COLUMNS = (
     "margin",
     "saturated",
 )
+
+# Report rows hold registry labels, ints, float reprs, "" and "true"/"false"
+# only, so neither format needs quoting or escaping: one %-template per row
+# renders exactly what json.dumps and csv.DictWriter would.
+_INT_COLUMNS = ("dim", "M", "seed", "sample")
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+_CSV_ROW = ",".join(f"%({c})s" for c in CSV_COLUMNS) + "\n"
+_JSON_ROW = "{" + ", ".join(
+    f'"{c}": %({c})d' if c in _INT_COLUMNS else f'"{c}": "%({c})s"' for c in CSV_COLUMNS
+) + "}"
 
 # seed of the fixed unitary that rotates the builtin SIC for pair checks
 PAIR_ROTATION_SEED = 20130416
@@ -279,16 +287,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _write_report(rows, summary, out, fmt):
+    """Write the report rows (dicts keyed by CSV_COLUMNS) as CSV or one JSON row per line."""
     if fmt == "json":
-        # one row per line, so each row goes through the C encoder
-        lines = ",\n".join(map(json.dumps, rows))
+        lines = ",\n".join(map(_JSON_ROW.__mod__, rows))
         text = f'{{"rows": [\n{lines}\n],\n"summary": {json.dumps(summary)}}}\n'
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows))
     _emit(text, out)
 
 
@@ -382,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mub.add_argument("--dim", type=int, required=True, help="Hilbert-space dimension")
     p_mub.add_argument("--count", type=int, required=True, help="number of bases")
     p_mub.add_argument("--out", default=None, help="JSON path (default or empty: stdout)")
-    p_mub.set_defaults(func=cmd_mub)
 
     p_ver = sub.add_parser("verify", help="run a bound-verification campaign")
     p_ver.add_argument("--dims", default="2,3", help="comma list of dimensions")
@@ -409,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", default=None, help="report path (default or empty: stdout)")
     p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ver.add_argument("--fiducial", default=None, help="JSON fiducial for non-builtin dims")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_ic = sub.add_parser("coincidence", help="evaluate the exact SIC coincidence identity")
     p_ic.add_argument("--dim", type=int, required=True)
@@ -418,15 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ic.add_argument("--seed", type=int, default=0)
     p_ic.add_argument("--fiducial", default=None, help="JSON fiducial file")
     p_ic.add_argument("--tolerance", type=float, default=bnd.DEFAULT_TOLERANCE)
-    p_ic.set_defaults(func=cmd_coincidence)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first :func:`main` call of a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced cmd_* function is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:  # DomainError and every other rejected input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

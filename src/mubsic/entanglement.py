@@ -42,7 +42,7 @@ class BipartitePovm:
         sum_b = np.einsum("jk,jl->kl", kets_b, kets_b.conj())
         total = kron(sum_a, sum_b) / (d * d)
         dev = float(np.max(np.abs(total - np.eye(d * d))))
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             raise ConstructionError(f"product POVM completeness fails (deviation {dev:.3e})")
         kets_a.setflags(write=False)
         kets_b.setflags(write=False)

@@ -399,7 +399,7 @@ def sic_design_basis(sic: SicPovm) -> np.ndarray:
     vectors[1:] *= np.sqrt(d + 1.0)
     gram = vectors.conj() @ vectors.T
     dev = float(np.max(np.abs(gram - np.eye(n))))
-    if dev > 1e-8:
+    if not dev <= 1e-8:
         raise ConstructionError(
             f"design-basis Gram deviation {dev:.3e}; input kets are not a SIC"
         )

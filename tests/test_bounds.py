@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubsic import (
+    BoundReport,
     DensityMatrix,
     DomainError,
     PROPOSITIONS,
@@ -572,6 +573,18 @@ class TestReportInvariants:
             mub_construct(2, 3), random_mixed(2, 2, 4), "P1-mub-tsallis", alpha=1.0
         )
         assert rep.margin == rep.lhs - rep.rhs
+
+    def test_report_fields_default_sense_and_immutability(self):
+        fields = ("label", "lhs", "rhs", "margin", "tolerance", "saturated", "passed", "sense")
+        assert BoundReport._fields == fields
+        rep = BoundReport("P5-sic-ic", 0.5, 0.25, 0.25, 1e-10, False, True)
+        assert rep.sense == ">="
+        assert rep == ("P5-sic-ic", 0.5, 0.25, 0.25, 1e-10, False, True, ">=")
+        label, *_, sense = rep
+        assert (label, sense) == ("P5-sic-ic", ">=")
+        with pytest.raises(AttributeError):
+            rep.passed = False
+        assert rep.passed
 
 
 def _ln_q(x, alpha):

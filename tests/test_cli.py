@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -476,3 +477,62 @@ def test_exit_code_contract(argv, code, start, tmp_path, capsys):
     assert got == code
     assert (captured.err if code >= 2 else captured.out).startswith(start)
     assert "Traceback" not in captured.err
+
+
+def _stdlib_report(rows, summary, fmt):
+    """The report as json.dumps per row and csv.DictWriter would write it."""
+    if fmt == "json":
+        lines = ",\n".join(map(json.dumps, rows))
+        return f'{{"rows": [\n{lines}\n],\n"summary": {json.dumps(summary)}}}\n'
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=cli.CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_writer_matches_stdlib_writers(fmt, tmp_path):
+    labels = list(cli.bnd.PROPOSITION_LABELS)
+    configs = [
+        cli.CampaignConfig(dims=[2, 3], props=labels, alphas=[2.0], samples=3, seed=7),
+        cli.CampaignConfig(
+            dims=[2, 3],
+            props=["P1-mub-tsallis", "P6-sic-tsallis"],
+            alphas=[0.5, 1.0, 1.000001],
+            eta=0.8,
+            samples=3,
+            seed=7,
+        ),
+        cli.CampaignConfig(dims=[2, 3], props=["P2-mub-renyi"], alphas=[np.inf], samples=3, seed=7),
+    ]
+    rows = [row for config in configs for row in cli.run_campaign(config)[1]]
+    # flip margins as the benchmark's gate test does, and turn a zero into "-0.0"
+    flipped = next(r for r in rows if float(r["margin"]) != 0.0)
+    flipped["margin"] = repr(-float(flipped["margin"]))
+    zero = next(r for r in rows if r["margin"] == "0.0")
+    zero["margin"] = repr(-0.0)
+    values = {v for row in rows for v in row.values()}
+    assert {"inf", "-0.0", "0.8", "1.000001", ""} <= values
+    assert any("e-" in str(v) for v in values)
+    summary = {"checks": len(rows), "failed": 0, "min_margin": -2.5e-16, "saturated": 4}
+
+    out = tmp_path / f"report.{fmt}"
+    cli._write_report(rows, summary, str(out), fmt)
+    with open(out, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == _stdlib_report(rows, summary, fmt)
+    assert flipped["margin"] in text and "-0.0" in text
+
+
+def test_parser_reuse_keeps_no_state_between_calls(tmp_path, capsys):
+    args = ["verify", "--dims", "2", "--props", "P1-mub-tsallis", "--samples", "2"]
+    first, second = tmp_path / "first.json", tmp_path / "second.csv"
+    assert main(args + ["--format", "json", "--eta", "0.8", "--out", str(first)]) == 0
+    assert main(args + ["--out", str(second)]) == 0
+    assert cli._parser() is cli._parser()
+    assert {row["eta"] for row in json.loads(first.read_text())["rows"]} == {"0.8"}
+    text = second.read_text()
+    assert text.startswith(",".join(cli.CSV_COLUMNS) + "\n")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 2 and {row["eta"] for row in rows} == {""}

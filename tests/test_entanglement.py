@@ -78,6 +78,11 @@ class TestProductPovm:
         with pytest.raises(ConstructionError):
             BipartitePovm(kets, kets.conj())
 
+    def test_rejects_nan_kets(self):
+        kets = np.full((4, 2), np.nan)
+        with pytest.raises(ConstructionError):
+            BipartitePovm(kets, kets)
+
     def test_dimension_mismatch(self):
         povm = product_sic_povm(sic_from_fiducial(2))
         with pytest.raises(DimensionMismatchError):
