@@ -12,21 +12,17 @@ from .bounds import (
     PROPOSITION_LABELS,
     PROPOSITIONS,
     BoundReport,
-    MuPairReports,
     Proposition,
     check_arguments,
     check_bound,
-    coincidence_sum_check,
     detect_entanglement,
     mu_f_bar,
     mu_g_factor,
-    mu_pair_bounds,
     mub_minentropy_bound,
     mub_renyi_bound,
     mub_symmetrized_bound,
     mub_tsallis_bound,
     mub_tsallis_bound_inefficiency,
-    riesz_precondition_check,
     separable_bound,
     sic_minentropy_bound,
     sic_renyi_bound,

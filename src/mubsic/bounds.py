@@ -39,7 +39,6 @@ accumulated floating error in d^2-outcome entropy sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,14 +51,13 @@ from .entropy import (
     alpha_log,
     as_probabilities,
     binary_tsallis,
-    conjugate_order,
     index_of_coincidence,
     max_prob_bound,
     renyi,
     symmetrized,
     tsallis,
 )
-from .errors import ConstructionError, DomainError, PreconditionError
+from .errors import ConstructionError, DimensionMismatchError, DomainError, PreconditionError
 from .measurements import (
     MubSet,
     OrthonormalBasis,
@@ -68,7 +66,7 @@ from .measurements import (
     distort,
     probabilities,
 )
-from .states import DensityMatrix, generator, purity
+from .states import DensityMatrix, purity
 
 DEFAULT_TOLERANCE = 1e-10
 ZERO_PROB_THRESHOLD = 1e-14
@@ -100,6 +98,12 @@ _PASSES = {
 }
 
 
+def check_tolerance(tolerance) -> None:
+    """Raise :class:`DomainError` unless the pass threshold is finite and >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance}")
+
+
 def _reports(label, lhs, rhs, tolerance, sense) -> list[BoundReport]:
     """One report per entry of lhs; rhs is an array like lhs or one value for all."""
     passes = _PASSES.get(sense)
@@ -115,11 +119,6 @@ def _reports(label, lhs, rhs, tolerance, sense) -> list[BoundReport]:
         passed = passes(margin, tolerance)
         reports.append(BoundReport(label, left, right, margin, tolerance, saturated, passed, sense))
     return reports
-
-
-def make_report(label, lhs, rhs, tolerance=DEFAULT_TOLERANCE, sense=">=") -> BoundReport:
-    (report,) = _reports(label, float(lhs), float(rhs), tolerance, sense)
-    return report
 
 
 def _check_purity(d: int, value):
@@ -166,6 +165,7 @@ def _mub_cap(d, m, state_purity, state_independent=False):
 
 def _sic_cap(d, state_purity, state_independent=False):
     """C = (tr(rho^2) + 1)/(d(d+1)), the index of coincidence of any SIC (P5)."""
+    d, _ = _check_counts(d, 1)
     p2 = 1.0 if state_independent else _check_purity(d, state_purity)
     return (p2 + 1.0) / (d * (d + 1.0))
 
@@ -223,7 +223,6 @@ def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
 
 def sic_tsallis_bound(d, alpha, state_purity, state_independent=False):
     """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
-    d = int(d)
     alpha = _tsallis_order(alpha)
     return alpha_log(1.0 / _sic_cap(d, state_purity, state_independent), alpha)
 
@@ -236,15 +235,13 @@ def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta, state_independen
 
 def sic_renyi_bound(d, alpha, state_purity, state_independent=False):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
-    d = int(d)
     alpha = _renyi_order(alpha)
     return _renyi_from_cap(alpha, _sic_cap(d, state_purity, state_independent))
 
 
 def sic_minentropy_bound(d, state_purity):
     """Lower bound -ln(max p) on the min-entropy of a single SIC-POVM, max p capped by C."""
-    d = int(d)
-    return _result(-np.log(max_prob_bound(d * d, _sic_cap(d, state_purity))))
+    return _result(-np.log(max_prob_bound(int(d) ** 2, _sic_cap(d, state_purity))))
 
 
 def separable_bound(d: int, purity_a: float, purity_b: float) -> float:
@@ -254,13 +251,7 @@ def separable_bound(d: int, purity_a: float, purity_b: float) -> float:
     C the SIC index of coincidence of each party's marginal; both purities
     at 1 give the universal separable cap 2/(d(d+1)).
     """
-    d = int(d)
     return float(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
-
-
-def coincidence_sum_check(mubs: MubSet, rho: DensityMatrix, tolerance=1e-12) -> BoundReport:
-    """Check sum_m C(B_m|rho) <= tr(rho^2) + (M-1)/d over a MUB set."""
-    return check_bound(mubs, rho, "LWBM-sum", tolerance=tolerance)
 
 
 def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANCE) -> BoundReport:
@@ -269,6 +260,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
     Requires max p <= 1/d (every SIC probability obeys it); violation
     raises :class:`PreconditionError`.
     """
+    check_tolerance(tolerance)
     p = as_probabilities(p).ravel()
     d = int(d)
     pmax = float(p.max())
@@ -294,7 +286,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
         raise ConstructionError(
             f"intermediate bound {rhs!r} fell below its floor {floor!r}"
         )
-    return make_report(label, lhs, rhs, tolerance)
+    return _reports(label, lhs, rhs, tolerance, ">=")[0]
 
 
 def _rank_one_kets(meas) -> np.ndarray:
@@ -345,6 +337,18 @@ def _overlap_transform(kets_m, kets_n, rho: DensityMatrix):
     return np.where(keep, overlap * cross / denom, 0.0)
 
 
+def _pair_kets(meas_m, meas_n, dim=None):
+    """Subnormalized kets of two rank-one measurements on one space (of dimension ``dim``)."""
+    kets_m = _rank_one_kets(meas_m)
+    kets_n = _rank_one_kets(meas_n)
+    dm, dn = kets_m.shape[1], kets_n.shape[1]
+    if dm != dn:
+        raise DimensionMismatchError(f"pair measurements have dimensions {dm} and {dn}")
+    if dim is not None and dm != dim:
+        raise DimensionMismatchError(f"pair dimension {dm} differs from state dimension {dim}")
+    return kets_m, kets_n
+
+
 def mu_g_factor(meas_m, meas_n, rho: DensityMatrix):
     """State-dependent overlap factor g driving the Maassen-Uffink pair bounds.
 
@@ -354,96 +358,14 @@ def mu_g_factor(meas_m, meas_n, rho: DensityMatrix):
     SIC-POVMs the subnormalized kets carry the 1/d prefactor
     automatically.  An array for a stack of states.
     """
-    kets_m = _rank_one_kets(meas_m)
-    kets_n = _rank_one_kets(meas_n)
-    if kets_m.shape[1] != rho.dim or kets_n.shape[1] != rho.dim:
-        raise DomainError("measurement and state dimensions differ")
-    t = _overlap_transform(kets_m, kets_n, rho)
+    t = _overlap_transform(*_pair_kets(meas_m, meas_n, rho.dim), rho)
     return _result(np.abs(t).max(axis=(-2, -1)))
 
 
 def mu_f_bar(meas_m, meas_n) -> float:
     """State-independent overlap cap: max_ij |<m_i|n_j>| over subnormalized kets."""
-    kets_m = _rank_one_kets(meas_m)
-    kets_n = _rank_one_kets(meas_n)
+    kets_m, kets_n = _pair_kets(meas_m, meas_n)
     return float(np.max(np.abs(kets_m.conj() @ kets_n.T)))
-
-
-@dataclass(frozen=True)
-class MuPairReports:
-    """Maassen-Uffink pair-bound reports at conjugate orders (alpha, beta)."""
-
-    tsallis: BoundReport
-    renyi: BoundReport
-    tsallis_state_independent: BoundReport
-    renyi_state_independent: BoundReport
-    g: float
-    f_bar: float
-
-
-_PAIR_LABELS = {
-    "tsallis": "P9-mu-pair-tsallis",
-    "renyi": "P9-mu-pair-renyi",
-    "tsallis_state_independent": "P9-mu-pair-tsallis-si",
-    "renyi_state_independent": "P9-mu-pair-renyi-si",
-}
-
-
-def _resolve_order_pair(alpha=None, beta=None, s=None):
-    if s is not None:
-        pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
-        return pair.alpha, pair.beta
-    if alpha is None:
-        raise DomainError("give either s or the order alpha (optionally beta)")
-    alpha = float(alpha)
-    if beta is None:
-        return alpha, conjugate_order(alpha)
-    beta = float(beta)
-    if not abs(1.0 / alpha + 1.0 / beta - 2.0) <= 1e-12:
-        raise DomainError(f"orders must satisfy 1/alpha + 1/beta = 2, got {alpha}, {beta}")
-    return alpha, beta
-
-
-def _mu_pair_sides(meas_m, meas_n, rho: DensityMatrix, alpha: float, beta: float):
-    """(lhs, rhs) of the four pair bounds, keyed like :class:`MuPairReports`; g; f-bar."""
-    mu = max(alpha, beta)
-    g = mu_g_factor(meas_m, meas_n, rho)
-    fbar = mu_f_bar(meas_m, meas_n)
-    pm = probabilities(meas_m, rho)
-    pn = probabilities(meas_n, rho)
-    lhs_t = tsallis(pm, alpha) + tsallis(pn, beta)
-    lhs_r = renyi(pm, alpha) + renyi(pn, beta)
-    sides = {
-        "tsallis": (lhs_t, alpha_log(np.power(g, -2.0), mu)),
-        "renyi": (lhs_r, -2.0 * np.log(g)),
-        "tsallis_state_independent": (lhs_t, alpha_log(fbar**-2, mu)),
-        "renyi_state_independent": (lhs_r, -2.0 * math.log(fbar)),
-    }
-    return sides, g, fbar
-
-
-def mu_pair_bounds(
-    meas_m,
-    meas_n,
-    rho: DensityMatrix,
-    alpha=None,
-    beta=None,
-    s=None,
-    tolerance=DEFAULT_TOLERANCE,
-) -> MuPairReports:
-    """Check the Tsallis and Renyi pair bounds for two rank-one POVMs on one state.
-
-    H_a(M|rho) + H_b(N|rho) >= ln_mu(g^-2) and R_a + R_b >= -2 ln g with
-    mu = max(alpha, beta); the state-independent variants replace g by
-    the overlap cap f-bar.
-    """
-    alpha, beta = _resolve_order_pair(alpha, beta, s)
-    sides, g, fbar = _mu_pair_sides(meas_m, meas_n, rho, alpha, beta)
-    reports = {
-        key: make_report(_PAIR_LABELS[key], lhs, rhs, tolerance)
-        for key, (lhs, rhs) in sides.items()
-    }
-    return MuPairReports(**reports, g=g, f_bar=fbar)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -451,54 +373,26 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=-1))
 
 
-def _riesz_sides(t: np.ndarray, u, trials: int, seed):
+def _riesz_sides(t: np.ndarray, u):
     """Worst ||t v||_2 and its ||v||_2 over the input vectors v of each state.
 
-    ``u`` holds given inputs: one vector (n,), several (T, n), or several
-    per state (N, T, n); ``trials`` random complex vectors drawn from
-    ``seed`` are applied to every state as well.
+    ``u`` holds the inputs: one vector (n,), several (T, n), or several
+    per state (N, T, n).
     """
+    if u is None:
+        raise DomainError("APXB-riesz needs input vectors u")
     n = t.shape[-1]
-    inputs = []
-    if u is not None:
-        u = np.asarray(u, dtype=complex)
-        if u.shape[-1] != n:
-            raise DomainError(f"input vector has length {u.shape[-1]}, expected {n}")
-        inputs.append(u.reshape(1, n) if u.ndim == 1 else u)
-    if trials > 0:
-        z = generator(seed).standard_normal((int(trials), 2, n))
-        inputs.append(z[:, 0] + 1j * z[:, 1])
-    if len(inputs) == 2:
-        batch = np.broadcast_shapes(t.shape[:-2], *(v.shape[:-2] for v in inputs))
-        inputs = [np.concatenate([np.broadcast_to(v, batch + v.shape[-2:]) for v in inputs], -2)]
-    if not inputs or inputs[0].shape[-2] == 0:
-        raise DomainError("need an input vector or trials >= 1")
-    nu = _norms(inputs[0])
-    nv = _norms(np.matmul(inputs[0], t.swapaxes(-1, -2)))
+    u = np.asarray(u, dtype=complex)
+    if u.shape[-1] != n:
+        raise DomainError(f"input vector has length {u.shape[-1]}, expected {n}")
+    u = u.reshape(1, n) if u.ndim == 1 else u
+    if u.shape[-2] == 0:
+        raise DomainError("APXB-riesz needs at least one input vector")
+    nu = _norms(u)
+    nv = _norms(np.matmul(u, t.swapaxes(-1, -2)))
     nu = nu if nu.shape == nv.shape else np.broadcast_to(nu, nv.shape)
     worst = np.arange(nv.shape[-1]) == (nv - nu).argmax(axis=-1)[..., None]
     return nv[worst], nu[worst]
-
-
-def riesz_precondition_check(
-    meas_m,
-    meas_n,
-    rho: DensityMatrix,
-    u=None,
-    trials: int = 0,
-    seed=0,
-    tolerance: float = 1e-12,
-):
-    """Verify the overlap transformation is a 2-norm contraction.
-
-    Applies t to the given input vectors (if any) and to ``trials``
-    random complex vectors, and reports the worst case of
-    ||t u||_2 <= ||u||_2: one report, or a list of them for a stack of
-    states.
-    """
-    return check_bound(
-        (meas_m, meas_n), rho, "APXB-riesz", u=u, trials=trials, seed=seed, tolerance=tolerance
-    )
 
 
 def _sym_param_from_alpha(alpha) -> float:
@@ -518,8 +412,6 @@ class CheckArguments(NamedTuple):
     kind: str = "tsallis"
     eta: float | None = None
     u: object = None
-    trials: int = 16
-    seed: object = 0
 
 
 class Proposition(NamedTuple):
@@ -591,8 +483,14 @@ def _p8(sic, rho, a):
 
 
 def _p9(pair, rho, a):
-    sides, _g, _fbar = _mu_pair_sides(*pair, rho, a.pair.alpha, a.pair.beta)
-    return sides[a.kind]
+    """H_a(M) + H_b(N) >= ln_mu(g^-2) (Tsallis) or R_a(M) + R_b(N) >= -2 ln g (Renyi)."""
+    g = mu_g_factor(*pair, rho)
+    pm = probabilities(pair[0], rho)
+    pn = probabilities(pair[1], rho)
+    if a.kind == "tsallis":
+        lhs = tsallis(pm, a.pair.alpha) + tsallis(pn, a.pair.beta)
+        return lhs, alpha_log(np.power(g, -2.0), a.pair.mu)
+    return renyi(pm, a.pair.alpha) + renyi(pn, a.pair.beta), -2.0 * np.log(g)
 
 
 def _lwbm(mubs, rho, a):
@@ -606,8 +504,8 @@ def _apxa(meas, rho, a):
 
 
 def _apxb(pair, rho, a):
-    t = _overlap_transform(_rank_one_kets(pair[0]), _rank_one_kets(pair[1]), rho)
-    return _riesz_sides(t, a.u, a.trials, a.seed)
+    t = _overlap_transform(*_pair_kets(*pair, rho.dim), rho)
+    return _riesz_sides(t, a.u)
 
 
 def _ent_g(sic, rho, a):
@@ -681,8 +579,6 @@ def check_bound(
     s=None,
     kind: str = "tsallis",
     eta=None,
-    trials: int = 16,
-    seed=0,
     u=None,
     tolerance: float = DEFAULT_TOLERANCE,
 ):
@@ -692,12 +588,17 @@ def check_bound(
     :class:`MubSet` for P1-P4 and LWBM-sum, a :class:`SicPovm` for
     P5-P8 and ENT-G (ENT-G takes the bipartite state on H (x) H), any
     single measurement for APXA-max, and a pair of rank-one measurements
-    for P9 and APXB-riesz.  ``eta`` switches P1/P6 to the
-    detector-inefficiency variant.  APXB-riesz applies the input vectors
-    ``u`` (see :func:`riesz_precondition_check`) and ``trials`` random
-    ones drawn from ``seed``.  Returns one :class:`BoundReport` for a
-    single state and a list of them, in stack order, for a stack.
+    for P9 and APXB-riesz.  ``alpha`` (or ``s`` for P4 and P9) sets the
+    order and ``kind`` the entropy family of P4 and P9; ``eta`` switches
+    P1/P6 to the detector-inefficiency variant.  APXB-riesz needs the
+    input vectors ``u`` and checks only those: one vector (n,), several
+    (T, n), or several per state (N, T, n), with n the second
+    measurement's outcome count; it reports the worst case of
+    ||t u||_2 <= ||u||_2.  ``tolerance`` must be finite and >= 0.
+    Returns one :class:`BoundReport` for a single state and a list of
+    them, in stack order, for a stack.
     """
+    check_tolerance(tolerance)
     args = check_arguments(which, alpha=alpha, s=s, kind=kind, eta=eta)
     prop = PROPOSITIONS[which]
     if not isinstance(meas, _MEASUREMENT_TYPES[prop.measurement]) or (
@@ -706,7 +607,7 @@ def check_bound(
         raise DomainError(
             f"{which} expects a {prop.measurement} measurement, got {type(meas).__name__}"
         )
-    lhs, rhs = prop.evaluate(meas, rho, args._replace(u=u, trials=trials, seed=seed))
+    lhs, rhs = prop.evaluate(meas, rho, args._replace(u=u))
     reports = _reports(which, lhs, rhs, tolerance, prop.sense)
     return reports if rho.mat.ndim == 3 else reports[0]
 
@@ -720,4 +621,4 @@ def detect_entanglement(
     the marginals.  True is sufficient for entanglement; False is inconclusive.
     """
     report = check_bound(sic, rho, "ENT-G", tolerance=tolerance)
-    return report.lhs > report.rhs + tolerance, report
+    return not report.passed, report

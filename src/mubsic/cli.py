@@ -92,8 +92,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if not self.tolerance >= 0.0:
-            raise DomainError(f"tolerance must be nonnegative, got {self.tolerance}")
+        bnd.check_tolerance(self.tolerance)
         for a in self.alphas:
             if not a > 0.0:
                 raise DomainError(f"entropy order must be positive, got {a}")
@@ -234,7 +233,6 @@ def _run_cell(cell: _Cell, config: CampaignConfig):
         cell.prop,
         alpha=cell.alpha,
         eta=cell.eta,
-        trials=0,
         u=u,
         tolerance=config.tolerance,
     )
@@ -355,8 +353,6 @@ def cmd_mub(args) -> int:
 
 def cmd_coincidence(args) -> int:
     d = args.dim
-    if not args.tolerance >= 0.0:
-        raise DomainError(f"tolerance must be nonnegative, got {args.tolerance}")
     if args.state is not None:
         with open(args.state, "r", encoding="utf-8") as fh:
             rho = from_json(fh.read())

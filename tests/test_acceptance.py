@@ -19,7 +19,8 @@ from mubsic import (
     maximally_entangled,
     maximally_mixed,
     max_prob_bound,
-    mu_pair_bounds,
+    mu_f_bar,
+    mu_g_factor,
     mub_construct,
     binary_tsallis,
     probabilities,
@@ -27,7 +28,6 @@ from mubsic import (
     purity,
     random_mixed,
     random_pure,
-    riesz_precondition_check,
     sic_design_basis,
     sic_from_fiducial,
     simple_bounds,
@@ -208,15 +208,17 @@ def test_criterion_08_maassen_uffink_pair():
 
     sic_a = sic_from_fiducial(2)
     sic_b = SicPovm(sic_a.kets @ _fixed_rotation(2).T)
+    f_bar = mu_f_bar(sic_a, sic_b)
     worst = np.inf
     overlap_ok = True
     rng = stream(MASTER_SEED, 80)
     for sample in range(500):
         rho = random_mixed(2, 1 + sample % 2, rng)
         for s in (0.0, 0.5):
-            reports = mu_pair_bounds(sic_a, sic_b, rho, s=s)
-            worst = min(worst, reports.tsallis.margin, reports.renyi.margin)
-            overlap_ok = overlap_ok and reports.g <= reports.f_bar + 1e-12
+            for kind in ("tsallis", "renyi"):
+                rep = check_bound((sic_a, sic_b), rho, "P9-mu-pair", s=s, kind=kind)
+                worst = min(worst, rep.margin)
+        overlap_ok = overlap_ok and mu_g_factor(sic_a, sic_b, rho) <= f_bar + 1e-12
     ok = worst >= -1e-10 and overlap_ok
     _announce(
         "08 mu-pair",
@@ -265,7 +267,7 @@ def test_criterion_10_contraction_precondition():
         meas_n = _haar_basis(d, rng)
         rho = random_mixed(d, 1 + trial % d, rng)
         u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        rep = riesz_precondition_check(meas_m, meas_n, rho, u=u)
+        rep = check_bound((meas_m, meas_n), rho, "APXB-riesz", u=u, tolerance=1e-12)
         worst_slack = min(worst_slack, rep.rhs - rep.lhs)
     _announce(
         "10 contraction",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mubsic import (
     BoundReport,
     DensityMatrix,
+    DimensionMismatchError,
     DomainError,
     PROPOSITIONS,
     MubSet,
@@ -13,14 +14,12 @@ from mubsic import (
     SicPovm,
     alpha_log,
     check_bound,
-    coincidence_sum_check,
     from_bloch,
     index_of_coincidence,
     maximally_mixed,
     max_prob_bound,
     mu_f_bar,
     mu_g_factor,
-    mu_pair_bounds,
     mub_construct,
     mub_minentropy_bound,
     mub_renyi_bound,
@@ -31,7 +30,6 @@ from mubsic import (
     random_mixed,
     random_pure,
     renyi,
-    riesz_precondition_check,
     separable_bound,
     sic_from_fiducial,
     sic_minentropy_bound,
@@ -39,7 +37,9 @@ from mubsic import (
     sic_tsallis_bound,
     sic_tsallis_bound_inefficiency,
     simple_bounds,
+    stream,
     binary_tsallis,
+    detect_entanglement,
     tsallis,
 )
 from mubsic.bounds import PROPOSITION_LABELS
@@ -192,20 +192,21 @@ class TestMubMinentropyBound:
 class TestCoincidenceSum:
     def test_maximally_mixed_saturates(self):
         for d, m in ((2, 3), (3, 4), (5, 6)):
-            rep = coincidence_sum_check(mub_construct(d, m), maximally_mixed(d))
+            rep = check_bound(mub_construct(d, m), maximally_mixed(d), "LWBM-sum", tolerance=1e-12)
             assert rep.saturated and rep.passed
 
     def test_pure_qubit_saturates_complete_pauli_set(self):
         # the three Bloch components of a pure state have unit square sum
         mubs = mub_construct(2, 3)
         for seed in range(25):
-            rep = coincidence_sum_check(mubs, random_pure(2, seed))
+            rep = check_bound(mubs, random_pure(2, seed), "LWBM-sum", tolerance=1e-12)
             assert abs(rep.margin) < 1e-12
 
     def test_random_qutrit_states_pass(self):
         mubs = mub_construct(3, 4)
         for seed in range(1000):
-            rep = coincidence_sum_check(mubs, random_mixed(3, 1 + seed % 3, seed))
+            rho = random_mixed(3, 1 + seed % 3, seed)
+            rep = check_bound(mubs, rho, "LWBM-sum", tolerance=1e-12)
             assert rep.margin <= 1e-12
 
 
@@ -302,6 +303,21 @@ class TestSicBounds:
                 assert lhs == pytest.approx(sic_minentropy_bound(d, 1.0), abs=1e-12)
 
 
+SIC_BOUNDS = {
+    "tsallis": lambda d: sic_tsallis_bound(d, 1.0, 1.0),
+    "renyi": lambda d: sic_renyi_bound(d, 2.0, 1.0),
+    "minentropy": lambda d: sic_minentropy_bound(d, 1.0),
+    "separable": lambda d: separable_bound(d, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("d", (0, 1, -2))
+@pytest.mark.parametrize("bound", SIC_BOUNDS)
+def test_sic_bounds_reject_dimension_below_two(bound, d):
+    with pytest.raises(DomainError):
+        SIC_BOUNDS[bound](d)
+
+
 class TestSimpleBounds:
     def test_uniform_statistics(self):
         for d in (2, 3):
@@ -374,45 +390,53 @@ class TestGFactor:
         assert fbar == pytest.approx(direct, abs=1e-13)
 
 
+def _p9_report(pair, rho, s, kind):
+    return check_bound(pair, rho, "P9-mu-pair", s=s, kind=kind)
+
+
 class TestMuPairBounds:
     def test_shannon_pair_bound(self):
         sic_a, sic_b = _rotated_sic(2)
         rho = random_mixed(2, 2, 3)
-        reports = mu_pair_bounds(sic_a, sic_b, rho, s=0.0)
-        g = reports.g
-        assert reports.renyi.rhs == pytest.approx(-2.0 * np.log(g), abs=1e-13)
-        assert reports.tsallis.rhs == pytest.approx(-2.0 * np.log(g), abs=1e-12)
+        g = mu_g_factor(sic_a, sic_b, rho)
+        assert _p9_report((sic_a, sic_b), rho, 0.0, "renyi").rhs == pytest.approx(
+            -2.0 * np.log(g), abs=1e-13
+        )
+        assert _p9_report((sic_a, sic_b), rho, 0.0, "tsallis").rhs == pytest.approx(
+            -2.0 * np.log(g), abs=1e-12
+        )
 
     def test_random_pure_states_pass(self):
         sic_a, sic_b = _rotated_sic(2)
+        f_bar = mu_f_bar(sic_a, sic_b)
         for seed in range(1000):
             rho = random_pure(2, seed)
             for s in (0.0, 0.5):
-                reports = mu_pair_bounds(sic_a, sic_b, rho, s=s)
-                assert reports.tsallis.margin >= -1e-12
-                assert reports.renyi.margin >= -1e-12
-                assert reports.g <= reports.f_bar + 1e-12
+                assert _p9_report((sic_a, sic_b), rho, s, "tsallis").margin >= -1e-12
+                assert _p9_report((sic_a, sic_b), rho, s, "renyi").margin >= -1e-12
+            assert mu_g_factor(sic_a, sic_b, rho) <= f_bar + 1e-12
 
     def test_state_independent_rhs_is_weaker(self):
+        # the state-independent forms put f-bar >= g into the same decreasing maps
         sic_a, sic_b = _rotated_sic(3)
+        f_bar = mu_f_bar(sic_a, sic_b)
         for seed in range(20):
             rho = random_mixed(3, 1 + seed % 3, seed)
-            reports = mu_pair_bounds(sic_a, sic_b, rho, s=0.5)
-            assert reports.tsallis_state_independent.rhs <= reports.tsallis.rhs + 1e-12
-            assert reports.renyi_state_independent.rhs <= reports.renyi.rhs + 1e-12
-
-    def test_rejects_inconsistent_orders(self):
-        sic_a, sic_b = _rotated_sic(2)
-        with pytest.raises(DomainError):
-            mu_pair_bounds(sic_a, sic_b, maximally_mixed(2), alpha=2.0, beta=2.0)
+            rhs_t = _p9_report((sic_a, sic_b), rho, 0.5, "tsallis").rhs
+            rhs_r = _p9_report((sic_a, sic_b), rho, 0.5, "renyi").rhs
+            assert alpha_log(f_bar**-2, 2.0) <= rhs_t + 1e-12
+            assert -2.0 * np.log(f_bar) <= rhs_r + 1e-12
 
     def test_bounds_are_nonnegative(self):
         sic_a, sic_b = _rotated_sic(2)
         for seed in range(20):
             rho = random_mixed(2, 1 + seed % 2, seed)
-            reports = mu_pair_bounds(sic_a, sic_b, rho, s=0.5)
-            assert reports.tsallis.rhs >= -1e-12
-            assert reports.renyi.rhs >= -1e-12
+            assert _p9_report((sic_a, sic_b), rho, 0.5, "tsallis").rhs >= -1e-12
+            assert _p9_report((sic_a, sic_b), rho, 0.5, "renyi").rhs >= -1e-12
+
+
+def _riesz(meas_m, meas_n, rho, u):
+    return check_bound((meas_m, meas_n), rho, "APXB-riesz", u=u, tolerance=1e-12)
 
 
 class TestRieszPrecondition:
@@ -422,14 +446,14 @@ class TestRieszPrecondition:
         b = mub_construct(3, 3).bases
         rho = random_mixed(3, 3, 5)
         u = np.sqrt(probabilities(b[1], rho).p)
-        rep = riesz_precondition_check(b[0], b[1], rho, u=u)
+        rep = _riesz(b[0], b[1], rho, u)
         assert rep.rhs == pytest.approx(1.0, abs=1e-12)
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.passed
 
     def test_zero_input_passes(self):
         b = mub_construct(2, 2).bases
-        rep = riesz_precondition_check(b[0], b[1], maximally_mixed(2), u=np.zeros(2))
+        rep = _riesz(b[0], b[1], maximally_mixed(2), np.zeros(2))
         assert rep.passed and rep.margin == 0.0
 
     def test_random_inputs_contract(self):
@@ -438,15 +462,43 @@ class TestRieszPrecondition:
             meas_m = _haar_basis(d, seed)
             meas_n = _haar_basis(d, 500 + seed)
             rho = random_mixed(d, 1 + seed % d, seed)
-            rep = riesz_precondition_check(meas_m, meas_n, rho, trials=10, seed=seed)
+            z = stream(seed).standard_normal((10, 2, d))
+            rep = _riesz(meas_m, meas_n, rho, z[:, 0] + 1j * z[:, 1])
             # contraction slack rhs - lhs must not go negative
             assert rep.rhs - rep.lhs >= -1e-12
             assert rep.passed
 
     def test_requires_some_input(self):
+        # only the given inputs are checked: none given is an error
         b = mub_construct(2, 2).bases
         with pytest.raises(DomainError):
-            riesz_precondition_check(b[0], b[1], maximally_mixed(2), trials=0)
+            check_bound((b[0], b[1]), maximally_mixed(2), "APXB-riesz")
+        with pytest.raises(DomainError):
+            _riesz(b[0], b[1], maximally_mixed(2), np.zeros((0, 2)))
+
+
+class TestPairDimensions:
+    """A pair whose dimensions disagree, with each other or with the state."""
+
+    def _pairs(self):
+        b2, b3 = mub_construct(2, 2).bases[0], mub_construct(3, 2).bases
+        return [(b2, b3[0]), (b3[0], b3[1])]  # mixed pair; qutrit pair on a qubit state
+
+    def test_checks_raise_dimension_mismatch(self):
+        rho = random_mixed(2, 2, 1)
+        for pair in self._pairs():
+            with pytest.raises(DimensionMismatchError):
+                check_bound(pair, rho, "APXB-riesz", u=np.ones(pair[1].dim))
+            with pytest.raises(DimensionMismatchError):
+                check_bound(pair, rho, "P9-mu-pair", s=0.5)
+            with pytest.raises(DimensionMismatchError):
+                mu_g_factor(*pair, rho)
+
+    def test_f_bar_raises_dimension_mismatch(self):
+        mixed, same = self._pairs()
+        with pytest.raises(DimensionMismatchError):
+            mu_f_bar(*mixed)
+        assert mu_f_bar(*same) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-14)
 
 
 class TestCheckBound:
@@ -503,14 +555,18 @@ class TestCheckBound:
         product = DensityMatrix(kron(rho_a.mat, rho_b.mat))
         assert check_bound(sic, product, "ENT-G").passed
 
-    def test_p9_label_matches_pair_reports(self):
+    def test_p9_label_matches_direct_formula(self):
         sic_a, sic_b = _rotated_sic(2)
         rho = random_mixed(2, 2, 21)
         rep_t = check_bound((sic_a, sic_b), rho, "P9-mu-pair", s=0.5, kind="tsallis")
         rep_r = check_bound((sic_a, sic_b), rho, "P9-mu-pair", s=0.5, kind="renyi")
-        direct = mu_pair_bounds(sic_a, sic_b, rho, s=0.5)
-        assert rep_t.margin == pytest.approx(direct.tsallis.margin, abs=1e-14)
-        assert rep_r.margin == pytest.approx(direct.renyi.margin, abs=1e-14)
+        # orders 1/(1 -+ s) = 2, 2/3 and mu = 2
+        pa, pb = probabilities(sic_a, rho), probabilities(sic_b, rho)
+        g = mu_g_factor(sic_a, sic_b, rho)
+        margin_t = tsallis(pa, 2.0) + tsallis(pb, 2.0 / 3.0) - alpha_log(g**-2, 2.0)
+        margin_r = renyi(pa, 2.0) + renyi(pb, 2.0 / 3.0) + 2.0 * np.log(g)
+        assert rep_t.margin == pytest.approx(margin_t, abs=1e-14)
+        assert rep_r.margin == pytest.approx(margin_r, abs=1e-14)
 
     def test_unknown_label(self):
         with pytest.raises(DomainError):
@@ -573,6 +629,16 @@ class TestReportInvariants:
             mub_construct(2, 3), random_mixed(2, 2, 4), "P1-mub-tsallis", alpha=1.0
         )
         assert rep.margin == rep.lhs - rep.rhs
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        sic = sic_from_fiducial(2)
+        with pytest.raises(DomainError):
+            check_bound(sic, maximally_mixed(2), "P5-sic-ic", tolerance=tolerance)
+        with pytest.raises(DomainError):
+            detect_entanglement(sic, maximally_mixed(4), tolerance=tolerance)
+        with pytest.raises(DomainError):
+            simple_bounds(np.ones(4) / 4, 2, 2.0, tolerance=tolerance)
 
     def test_report_fields_default_sense_and_immutability(self):
         fields = ("label", "lhs", "rhs", "margin", "tolerance", "saturated", "passed", "sense")

@@ -460,6 +460,9 @@ EXIT_CONTRACT = [
     (["mub", "--dim", "2", "--count", "3", "--out", ""], 0, '{\n  "dim": 2,'),
     (_P5 + ["--out", ""], 0, "prop,dim,M,"),
     (_P5 + ["--format", "json", "--out", ""], 0, '{"rows": [\n'),
+    # an infinite tolerance would pass every margin
+    (_P5 + ["--tolerance", "inf"], 2, "error:"),
+    (["coincidence", "--dim", "2", "--tolerance", "inf"], 2, "error:"),
 ]
 
 
