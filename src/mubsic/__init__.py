@@ -38,7 +38,6 @@ from .entanglement import (
     product_sic_povm,
 )
 from .entropy import (
-    SymOrderPair,
     alpha_log,
     binary_tsallis,
     conjugate_order,

@@ -15,7 +15,7 @@ relations are labeled
 * ``P3-mub-minent``   -- averaged min-entropy, improved over the
   order-inf limit of P2,
 * ``P4-mub-sym``      -- averaged symmetrized entropies at conjugate
-  orders 1/(1-s), 1/(1+s),
+  orders alpha >= 1 and beta = alpha/(2 alpha - 1),
 * ``P5-sic-ic``       -- the exact SIC index-of-coincidence identity
   sum p^2 = (tr(rho^2) + 1)/(d(d+1)),
 * ``P6-sic-tsallis`` / ``P7-sic-renyi`` / ``P8-sic-minent`` -- single
@@ -45,12 +45,13 @@ import numpy as np
 
 from . import entanglement
 from .entropy import (
-    SymOrderPair,
     _entropy_fn,
     _result,
+    _sym_order,
     alpha_log,
     as_probabilities,
     binary_tsallis,
+    conjugate_order,
     index_of_coincidence,
     max_prob_bound,
     renyi,
@@ -106,9 +107,7 @@ def check_tolerance(tolerance) -> None:
 
 def _reports(label, lhs, rhs, tolerance, sense) -> list[BoundReport]:
     """One report per entry of lhs; rhs is an array like lhs or one value for all."""
-    passes = _PASSES.get(sense)
-    if passes is None:
-        raise DomainError(f"unknown report sense {sense!r}")
+    passes = _PASSES[sense]
     lhs = np.asarray(lhs, dtype=float).ravel().tolist()
     rhs = np.asarray(rhs, dtype=float)
     rhs = rhs.ravel().tolist() if rhs.size == len(lhs) else [float(rhs)] * len(lhs)
@@ -157,16 +156,16 @@ def _renyi_order(alpha) -> float:
 # coincidence, and purity 1 gives the state-independent form.
 
 
-def _mub_cap(d, m, state_purity, state_independent=False):
+def _mub_cap(d, m, state_purity):
     """C = (d tr(rho^2) + M - 1)/(M d), the cap on the MUB-averaged index of coincidence."""
-    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
+    p2 = _check_purity(d, state_purity)
     return (d * p2 + m - 1.0) / (m * d)
 
 
-def _sic_cap(d, state_purity, state_independent=False):
+def _sic_cap(d, state_purity):
     """C = (tr(rho^2) + 1)/(d(d+1)), the index of coincidence of any SIC (P5)."""
     d, _ = _check_counts(d, 1)
-    p2 = 1.0 if state_independent else _check_purity(d, state_purity)
+    p2 = _check_purity(d, state_purity)
     return (p2 + 1.0) / (d * (d + 1.0))
 
 
@@ -181,62 +180,62 @@ def _with_inefficiency(base, alpha, eta):
     return binary_tsallis(eta, alpha) + float(eta) ** float(alpha) * base
 
 
-def mub_tsallis_bound(d, m, alpha, state_purity, state_independent=False):
+def mub_tsallis_bound(d, m, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the MUB-averaged Tsallis entropy, order in (0, 2]."""
     d, m = _check_counts(d, m)
     alpha = _tsallis_order(alpha)
-    return alpha_log(1.0 / _mub_cap(d, m, state_purity, state_independent), alpha)
+    return alpha_log(1.0 / _mub_cap(d, m, state_purity), alpha)
 
 
-def mub_tsallis_bound_inefficiency(d, m, alpha, state_purity, eta, state_independent=False):
+def mub_tsallis_bound_inefficiency(d, m, alpha, state_purity, eta):
     """Inefficiency-model variant: eta^alpha times the clean bound plus h_alpha(eta)."""
-    base = mub_tsallis_bound(d, m, alpha, state_purity, state_independent)
+    base = mub_tsallis_bound(d, m, alpha, state_purity)
     return _with_inefficiency(base, alpha, eta)
 
 
-def mub_renyi_bound(d, m, alpha, state_purity, state_independent=False):
+def mub_renyi_bound(d, m, alpha, state_purity):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
     d, m = _check_counts(d, m)
     alpha = _renyi_order(alpha)
-    return _renyi_from_cap(alpha, _mub_cap(d, m, state_purity, state_independent))
+    return _renyi_from_cap(alpha, _mub_cap(d, m, state_purity))
 
 
-def mub_minentropy_bound(d, m, state_purity, state_independent=False):
+def mub_minentropy_bound(d, m, state_purity):
     """Lower bound -ln(max p) on the MUB-averaged min-entropy, max p capped by C.
 
     Improves the alpha = inf Renyi form.
     """
     d, m = _check_counts(d, m)
-    return _result(-np.log(max_prob_bound(d, _mub_cap(d, m, state_purity, state_independent))))
+    return _result(-np.log(max_prob_bound(d, _mub_cap(d, m, state_purity))))
 
 
-def mub_symmetrized_bound(d, s, kind: str = "tsallis") -> float:
-    """Lower bound on the MUB-averaged symmetrized entropy of parameter s."""
+def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
+    """Lower bound on the MUB-averaged symmetrized entropy, larger order alpha in [1, inf)."""
     d, _ = _check_counts(d, 1)
-    pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
+    alpha = _sym_order(alpha)
     if kind == "tsallis":
-        return 0.5 * alpha_log(d, pair.mu)
+        return 0.5 * alpha_log(d, alpha)
     if kind == "renyi":
         return 0.5 * math.log(d)
     raise DomainError(f"unknown entropy kind {kind!r}")
 
 
-def sic_tsallis_bound(d, alpha, state_purity, state_independent=False):
+def sic_tsallis_bound(d, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
     alpha = _tsallis_order(alpha)
-    return alpha_log(1.0 / _sic_cap(d, state_purity, state_independent), alpha)
+    return alpha_log(1.0 / _sic_cap(d, state_purity), alpha)
 
 
-def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta, state_independent=False):
+def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta):
     """Inefficiency-model variant of the single-SIC Tsallis bound."""
-    base = sic_tsallis_bound(d, alpha, state_purity, state_independent)
+    base = sic_tsallis_bound(d, alpha, state_purity)
     return _with_inefficiency(base, alpha, eta)
 
 
-def sic_renyi_bound(d, alpha, state_purity, state_independent=False):
+def sic_renyi_bound(d, alpha, state_purity):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
     alpha = _renyi_order(alpha)
-    return _renyi_from_cap(alpha, _sic_cap(d, state_purity, state_independent))
+    return _renyi_from_cap(alpha, _sic_cap(d, state_purity))
 
 
 def sic_minentropy_bound(d, state_purity):
@@ -383,8 +382,8 @@ def _riesz_sides(t: np.ndarray, u):
         raise DomainError("APXB-riesz needs input vectors u")
     n = t.shape[-1]
     u = np.asarray(u, dtype=complex)
-    if u.shape[-1] != n:
-        raise DomainError(f"input vector has length {u.shape[-1]}, expected {n}")
+    if u.shape[-1:] != (n,):
+        raise DomainError(f"input vectors need shape (..., {n}), got {u.shape}")
     u = u.reshape(1, n) if u.ndim == 1 else u
     if u.shape[-2] == 0:
         raise DomainError("APXB-riesz needs at least one input vector")
@@ -395,20 +394,10 @@ def _riesz_sides(t: np.ndarray, u):
     return nv[worst], nu[worst]
 
 
-def _sym_param_from_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not 1.0 <= alpha < math.inf:
-        raise DomainError(
-            f"symmetrized orders need 1 <= alpha < inf (alpha is max of the pair), got {alpha}"
-        )
-    return 1.0 - 1.0 / alpha
-
-
 class CheckArguments(NamedTuple):
     """The validated arguments of one labelled check (see :func:`check_arguments`)."""
 
     alpha: float | None = None
-    pair: SymOrderPair | None = None
     kind: str = "tsallis"
     eta: float | None = None
     u: object = None
@@ -422,8 +411,9 @@ class Proposition(NamedTuple):
     single measurement; campaigns use the SIC), "pair" (two rank-one
     measurements) or "product" (a :class:`SicPovm`, with states on
     H (x) H).  ``order`` names the order range the check takes its order
-    from ("tsallis": (0, 2], "renyi": [2, inf], "symmetrized": s = 1 - 1/alpha
-    with 1 <= alpha < inf) and is None for the order-free checks.
+    from ("tsallis": (0, 2], "renyi": [2, inf], "symmetrized": the larger
+    order alpha in [1, inf) of a conjugate pair) and is None for the
+    order-free checks.
     ``evaluate(meas, rho, args)`` returns the lhs and rhs arrays over the
     states of ``rho``.
     """
@@ -459,8 +449,8 @@ def _p3(mubs, rho, a):
 
 
 def _p4(mubs, rho, a):
-    lhs = symmetrized(_statistics(mubs, rho), a.pair, a.kind).mean(axis=-1)
-    return lhs, mub_symmetrized_bound(mubs.dim, a.pair, a.kind)
+    lhs = symmetrized(_statistics(mubs, rho), a.alpha, a.kind).mean(axis=-1)
+    return lhs, mub_symmetrized_bound(mubs.dim, a.alpha, a.kind)
 
 
 def _p5(sic, rho, a):
@@ -483,14 +473,14 @@ def _p8(sic, rho, a):
 
 
 def _p9(pair, rho, a):
-    """H_a(M) + H_b(N) >= ln_mu(g^-2) (Tsallis) or R_a(M) + R_b(N) >= -2 ln g (Renyi)."""
+    """H_a(M) + H_b(N) >= ln_a(g^-2) (Tsallis) or R_a(M) + R_b(N) >= -2 ln g (Renyi)."""
     g = mu_g_factor(*pair, rho)
     pm = probabilities(pair[0], rho)
     pn = probabilities(pair[1], rho)
+    beta = conjugate_order(a.alpha)
     if a.kind == "tsallis":
-        lhs = tsallis(pm, a.pair.alpha) + tsallis(pn, a.pair.beta)
-        return lhs, alpha_log(np.power(g, -2.0), a.pair.mu)
-    return renyi(pm, a.pair.alpha) + renyi(pn, a.pair.beta), -2.0 * np.log(g)
+        return tsallis(pm, a.alpha) + tsallis(pn, beta), alpha_log(np.power(g, -2.0), a.alpha)
+    return renyi(pm, a.alpha) + renyi(pn, beta), -2.0 * np.log(g)
 
 
 def _lwbm(mubs, rho, a):
@@ -510,7 +500,7 @@ def _apxb(pair, rho, a):
 
 def _ent_g(sic, rho, a):
     g = entanglement.correlation_G(entanglement.product_sic_povm(sic), rho)
-    return g, _sic_cap(sic.dim, 1.0, state_independent=True)
+    return g, _sic_cap(sic.dim, 1.0)
 
 
 PROPOSITIONS = {
@@ -539,13 +529,16 @@ _MEASUREMENT_TYPES = {
 }
 
 
-def check_arguments(
-    which: str, *, alpha=None, s=None, kind: str = "tsallis", eta=None
-) -> CheckArguments:
+# the range check of each Proposition.order
+_ORDER_RANGES = {"tsallis": _tsallis_order, "renyi": _renyi_order, "symmetrized": _sym_order}
+
+
+def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArguments:
     """Validate a labelled check's order arguments without a state.
 
     Raises :class:`DomainError` for an unknown label, an order outside the
-    label's range, an unknown entropy kind, or an efficiency given to a
+    label's range, an unknown entropy kind or a kind given to a label other
+    than P4/P9 (None means "tsallis" there), or an efficiency given to a
     label without the inefficiency model (its range is checked where it
     is used).  Order-free labels ignore ``alpha``.
     """
@@ -554,20 +547,16 @@ def check_arguments(
         raise DomainError(f"unknown proposition label {which!r}")
     if eta is not None and not prop.efficiency:
         raise DomainError(f"inefficiency model applies to P1/P6 only, not {which}")
+    if kind is not None and prop.order != "symmetrized":
+        raise DomainError(f"entropy kind applies to P4/P9 only, not {which}")
     if prop.order is None:
         return CheckArguments()
-    if prop.order == "symmetrized":
-        _entropy_fn(kind)
-        if s is None:
-            if alpha is None:
-                raise DomainError(f"{which} needs s or an order alpha")
-            s = _sym_param_from_alpha(alpha)
-        pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
-        return CheckArguments(pair=pair, kind=kind)
     if alpha is None:
         raise DomainError(f"{which} needs an order alpha")
-    alpha = _tsallis_order(alpha) if prop.order == "tsallis" else _renyi_order(alpha)
-    return CheckArguments(alpha=alpha, eta=eta)
+    alpha = _ORDER_RANGES[prop.order](alpha)
+    kind = "tsallis" if kind is None else kind
+    _entropy_fn(kind)
+    return CheckArguments(alpha, kind, eta)
 
 
 def check_bound(
@@ -576,8 +565,7 @@ def check_bound(
     which: str,
     *,
     alpha=None,
-    s=None,
-    kind: str = "tsallis",
+    kind=None,
     eta=None,
     u=None,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -588,18 +576,19 @@ def check_bound(
     :class:`MubSet` for P1-P4 and LWBM-sum, a :class:`SicPovm` for
     P5-P8 and ENT-G (ENT-G takes the bipartite state on H (x) H), any
     single measurement for APXA-max, and a pair of rank-one measurements
-    for P9 and APXB-riesz.  ``alpha`` (or ``s`` for P4 and P9) sets the
-    order and ``kind`` the entropy family of P4 and P9; ``eta`` switches
-    P1/P6 to the detector-inefficiency variant.  APXB-riesz needs the
-    input vectors ``u`` and checks only those: one vector (n,), several
-    (T, n), or several per state (N, T, n), with n the second
-    measurement's outcome count; it reports the worst case of
-    ||t u||_2 <= ||u||_2.  ``tolerance`` must be finite and >= 0.
+    for P9 and APXB-riesz.  ``alpha`` sets the order (for P4 and P9 the
+    larger order of the conjugate pair) and ``kind`` the entropy family of
+    P4 and P9, "tsallis" when None; ``eta`` switches P1/P6 to the
+    detector-inefficiency variant.  APXB-riesz needs the input vectors
+    ``u`` and checks only those: one vector (n,), several (T, n), or
+    several per state (N, T, n), with n the second measurement's outcome
+    count; it reports the worst case of ||t u||_2 <= ||u||_2.
+    ``tolerance`` must be finite and >= 0.
     Returns one :class:`BoundReport` for a single state and a list of
     them, in stack order, for a stack.
     """
     check_tolerance(tolerance)
-    args = check_arguments(which, alpha=alpha, s=s, kind=kind, eta=eta)
+    args = check_arguments(which, alpha=alpha, kind=kind, eta=eta)
     prop = PROPOSITIONS[which]
     if not isinstance(meas, _MEASUREMENT_TYPES[prop.measurement]) or (
         prop.measurement == "pair" and len(meas) != 2

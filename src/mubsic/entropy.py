@@ -15,7 +15,6 @@ entropies above order 2 factor out max p instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,34 +165,6 @@ def binary_tsallis(eta, alpha) -> float:
     return tsallis([eta, 1.0 - eta], alpha)
 
 
-@dataclass(frozen=True)
-class SymOrderPair:
-    """Conjugate entropic orders alpha = 1/(1-s), beta = 1/(1+s).
-
-    The constraint 1/alpha + 1/beta = 2 holds exactly by construction
-    for s in [0, 1).
-    """
-
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.s < 1.0:
-            raise DomainError(f"symmetrization parameter must lie in [0, 1), got {self.s}")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / (1.0 - self.s)
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / (1.0 + self.s)
-
-    @property
-    def mu(self) -> float:
-        """max of the pair, 1/(1-s)."""
-        return self.alpha
-
-
 def conjugate_order(alpha) -> float:
     """The order beta with 1/alpha + 1/beta = 2; requires alpha > 1/2."""
     alpha = _check_order(alpha)
@@ -202,14 +173,26 @@ def conjugate_order(alpha) -> float:
     return alpha / (2.0 * alpha - 1.0)
 
 
-def symmetrized(p, s, kind: str = "tsallis"):
-    """Half-sum of the order-alpha and order-beta entropies of the pair for s.
+def _sym_order(alpha) -> float:
+    """The larger order alpha = max(alpha, beta) of a symmetrized pair, in [1, inf)."""
+    alpha = float(alpha)
+    if not 1.0 <= alpha < math.inf:
+        raise DomainError(
+            f"symmetrized orders need 1 <= alpha < inf (alpha is max of the pair), got {alpha}"
+        )
+    return alpha
 
-    ``kind`` selects "renyi" or "tsallis".  Reduces along the last axis.
+
+def symmetrized(p, alpha, kind: str = "tsallis"):
+    """Half-sum of the order-alpha and order-beta entropies, 1/alpha + 1/beta = 2.
+
+    ``alpha`` in [1, inf) is the larger order of the pair and beta is
+    :func:`conjugate_order`; ``kind`` selects "renyi" or "tsallis".
+    Reduces along the last axis.
     """
-    pair = s if isinstance(s, SymOrderPair) else SymOrderPair(float(s))
+    alpha = _sym_order(alpha)
     fn = _entropy_fn(kind)
-    return 0.5 * (fn(p, pair.alpha) + fn(p, pair.beta))
+    return 0.5 * (fn(p, alpha) + fn(p, conjugate_order(alpha)))
 
 
 def _entropy_fn(kind: str):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ProbDist
+from .entropy import ProbDist, as_probabilities
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -415,7 +415,7 @@ def distort(p, eta: float) -> ProbDist:
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    p = p.p if isinstance(p, ProbDist) else ProbDist(p).p
+    p = as_probabilities(p)
     no_click = np.full(p.shape[:-1] + (1,), 1.0 - eta)
     return ProbDist(np.concatenate([eta * p, no_click], axis=-1))
 

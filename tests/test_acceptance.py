@@ -160,14 +160,14 @@ def test_criterion_06_symmetrized_bounds():
     for d in (2, 3, 5):
         mubs = mub_construct(d, d + 1)
         for rho in _states(d, 200, 60 + d):
-            for s in (0.0, 0.25, 0.5, 0.9):
+            for alpha in (1.0, 4.0 / 3.0, 2.0, 10.0):
                 for kind in ("tsallis", "renyi"):
-                    rep = check_bound(mubs, rho, "P4-mub-sym", s=s, kind=kind)
+                    rep = check_bound(mubs, rho, "P4-mub-sym", alpha=alpha, kind=kind)
                     worst = min(worst, rep.margin)
     _announce(
         "06 symmetrized",
         worst >= -1e-10,
-        f"min margin of symmetrized bounds = {worst:.3e} (s grid, both kinds)",
+        f"min margin of symmetrized bounds = {worst:.3e} (alpha grid, both kinds)",
     )
 
 
@@ -214,9 +214,9 @@ def test_criterion_08_maassen_uffink_pair():
     rng = stream(MASTER_SEED, 80)
     for sample in range(500):
         rho = random_mixed(2, 1 + sample % 2, rng)
-        for s in (0.0, 0.5):
+        for alpha in (1.0, 2.0):
             for kind in ("tsallis", "renyi"):
-                rep = check_bound((sic_a, sic_b), rho, "P9-mu-pair", s=s, kind=kind)
+                rep = check_bound((sic_a, sic_b), rho, "P9-mu-pair", alpha=alpha, kind=kind)
                 worst = min(worst, rep.margin)
         overlap_ok = overlap_ok and mu_g_factor(sic_a, sic_b, rho) <= f_bar + 1e-12
     ok = worst >= -1e-10 and overlap_ok

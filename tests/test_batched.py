@@ -16,6 +16,7 @@ from mubsic import (
     DensityMatrix,
     DomainError,
     check_bound,
+    conjugate_order,
     correlation_G,
     distort,
     index_of_coincidence,
@@ -105,12 +106,12 @@ class TestBatchedMatchesScalar:
     def test_p4_and_p9(self, d, alpha, kind):
         singles = _singles(d, 4)
         mubs = mub_construct(d, d + 1)
-        s = 1.0 - 1.0 / alpha
-        want = [np.mean([symmetrized(probabilities(b, r), s, kind) for b in mubs]) for r in singles]
+        want = [np.mean([symmetrized(probabilities(b, r), alpha, kind) for b in mubs])
+                for r in singles]
         _assert_lhs(check_bound(mubs, _stack(singles), "P4-mub-sym", alpha=alpha, kind=kind), want)
         pair = _pair(d)
         fn = tsallis if kind == "tsallis" else renyi
-        a, b = 1.0 / (1.0 - s), 1.0 / (1.0 + s)
+        a, b = alpha, conjugate_order(alpha)
         want = [fn(probabilities(pair[0], r), a) + fn(probabilities(pair[1], r), b)
                 for r in singles]
         reports = check_bound(pair, _stack(singles), "P9-mu-pair", alpha=alpha, kind=kind)

@@ -39,6 +39,7 @@ from mubsic import (
     simple_bounds,
     stream,
     binary_tsallis,
+    check_arguments,
     detect_entanglement,
     tsallis,
 )
@@ -79,11 +80,6 @@ class TestMubTsallisBound:
         mubs = mub_construct(3, 4)
         avg = np.mean([tsallis(probabilities(b, rho), 1.0) for b in mubs])
         assert avg == pytest.approx(val, abs=1e-12)
-
-    def test_state_independent_flag(self):
-        assert mub_tsallis_bound(3, 4, 1.5, 0.5, state_independent=True) == (
-            mub_tsallis_bound(3, 4, 1.5, 1.0)
-        )
 
     def test_rejects_order_above_two(self):
         with pytest.raises(DomainError):
@@ -171,12 +167,6 @@ class TestMubMinentropyBound:
                 np.log(d), abs=1e-13
             )
 
-    def test_pure_matches_state_independent(self):
-        for d, m in ((2, 3), (3, 4), (5, 2)):
-            assert mub_minentropy_bound(d, m, 1.0) == pytest.approx(
-                mub_minentropy_bound(d, m, 1.0, state_independent=True), abs=1e-13
-            )
-
     def test_plugin_value(self):
         expected = np.log(2.0 * np.sqrt(3.0) / (1.0 + np.sqrt(3.0)))
         assert mub_minentropy_bound(2, 3, 1.0) == pytest.approx(expected, abs=1e-14)
@@ -212,20 +202,21 @@ class TestCoincidenceSum:
 
 class TestSymmetrizedBound:
     def test_s_zero_is_half_log_d(self):
+        # the Shannon pair alpha = beta = 1
         for kind in ("renyi", "tsallis"):
-            assert mub_symmetrized_bound(4, 0.0, kind) == pytest.approx(
+            assert mub_symmetrized_bound(4, 1.0, kind) == pytest.approx(
                 0.5 * np.log(4.0), abs=1e-13
             )
 
     def test_renyi_kind_is_s_independent(self):
-        for s in (0.0, 0.3, 0.9):
-            assert mub_symmetrized_bound(3, s, "renyi") == pytest.approx(
+        for alpha in (1.0, 1.0 / 0.7, 10.0):
+            assert mub_symmetrized_bound(3, alpha, "renyi") == pytest.approx(
                 0.5 * np.log(3.0), abs=1e-15
             )
 
     def test_tsallis_kind_value(self):
-        # d=4, s=0.5: half of ln_2(4) = 0.375
-        assert mub_symmetrized_bound(4, 0.5, "tsallis") == pytest.approx(0.375, abs=1e-14)
+        # d=4, alpha=2: half of ln_2(4) = 0.375
+        assert mub_symmetrized_bound(4, 2.0, "tsallis") == pytest.approx(0.375, abs=1e-14)
         assert alpha_log(4.0, 2.0) == pytest.approx(0.75, abs=1e-15)
 
 
@@ -390,8 +381,8 @@ class TestGFactor:
         assert fbar == pytest.approx(direct, abs=1e-13)
 
 
-def _p9_report(pair, rho, s, kind):
-    return check_bound(pair, rho, "P9-mu-pair", s=s, kind=kind)
+def _p9_report(pair, rho, alpha, kind):
+    return check_bound(pair, rho, "P9-mu-pair", alpha=alpha, kind=kind)
 
 
 class TestMuPairBounds:
@@ -399,10 +390,10 @@ class TestMuPairBounds:
         sic_a, sic_b = _rotated_sic(2)
         rho = random_mixed(2, 2, 3)
         g = mu_g_factor(sic_a, sic_b, rho)
-        assert _p9_report((sic_a, sic_b), rho, 0.0, "renyi").rhs == pytest.approx(
+        assert _p9_report((sic_a, sic_b), rho, 1.0, "renyi").rhs == pytest.approx(
             -2.0 * np.log(g), abs=1e-13
         )
-        assert _p9_report((sic_a, sic_b), rho, 0.0, "tsallis").rhs == pytest.approx(
+        assert _p9_report((sic_a, sic_b), rho, 1.0, "tsallis").rhs == pytest.approx(
             -2.0 * np.log(g), abs=1e-12
         )
 
@@ -411,19 +402,19 @@ class TestMuPairBounds:
         f_bar = mu_f_bar(sic_a, sic_b)
         for seed in range(1000):
             rho = random_pure(2, seed)
-            for s in (0.0, 0.5):
-                assert _p9_report((sic_a, sic_b), rho, s, "tsallis").margin >= -1e-12
-                assert _p9_report((sic_a, sic_b), rho, s, "renyi").margin >= -1e-12
+            for alpha in (1.0, 2.0):
+                assert _p9_report((sic_a, sic_b), rho, alpha, "tsallis").margin >= -1e-12
+                assert _p9_report((sic_a, sic_b), rho, alpha, "renyi").margin >= -1e-12
             assert mu_g_factor(sic_a, sic_b, rho) <= f_bar + 1e-12
 
-    def test_state_independent_rhs_is_weaker(self):
+    def test_f_bar_rhs_is_weaker(self):
         # the state-independent forms put f-bar >= g into the same decreasing maps
         sic_a, sic_b = _rotated_sic(3)
         f_bar = mu_f_bar(sic_a, sic_b)
         for seed in range(20):
             rho = random_mixed(3, 1 + seed % 3, seed)
-            rhs_t = _p9_report((sic_a, sic_b), rho, 0.5, "tsallis").rhs
-            rhs_r = _p9_report((sic_a, sic_b), rho, 0.5, "renyi").rhs
+            rhs_t = _p9_report((sic_a, sic_b), rho, 2.0, "tsallis").rhs
+            rhs_r = _p9_report((sic_a, sic_b), rho, 2.0, "renyi").rhs
             assert alpha_log(f_bar**-2, 2.0) <= rhs_t + 1e-12
             assert -2.0 * np.log(f_bar) <= rhs_r + 1e-12
 
@@ -431,8 +422,8 @@ class TestMuPairBounds:
         sic_a, sic_b = _rotated_sic(2)
         for seed in range(20):
             rho = random_mixed(2, 1 + seed % 2, seed)
-            assert _p9_report((sic_a, sic_b), rho, 0.5, "tsallis").rhs >= -1e-12
-            assert _p9_report((sic_a, sic_b), rho, 0.5, "renyi").rhs >= -1e-12
+            assert _p9_report((sic_a, sic_b), rho, 2.0, "tsallis").rhs >= -1e-12
+            assert _p9_report((sic_a, sic_b), rho, 2.0, "renyi").rhs >= -1e-12
 
 
 def _riesz(meas_m, meas_n, rho, u):
@@ -476,6 +467,12 @@ class TestRieszPrecondition:
         with pytest.raises(DomainError):
             _riesz(b[0], b[1], maximally_mixed(2), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("u", [1.0, np.float64(1)], ids=["float", "float64"])
+    def test_rejects_scalar_input(self, u):
+        b = mub_construct(2, 2).bases
+        with pytest.raises(DomainError):
+            _riesz(b[0], b[1], maximally_mixed(2), u)
+
 
 class TestPairDimensions:
     """A pair whose dimensions disagree, with each other or with the state."""
@@ -490,7 +487,7 @@ class TestPairDimensions:
             with pytest.raises(DimensionMismatchError):
                 check_bound(pair, rho, "APXB-riesz", u=np.ones(pair[1].dim))
             with pytest.raises(DimensionMismatchError):
-                check_bound(pair, rho, "P9-mu-pair", s=0.5)
+                check_bound(pair, rho, "P9-mu-pair", alpha=2.0)
             with pytest.raises(DimensionMismatchError):
                 mu_g_factor(*pair, rho)
 
@@ -526,12 +523,14 @@ class TestCheckBound:
             assert rep.saturated and rep.passed
 
     def test_p4_includes_alpha_mapping(self):
+        # alpha = 2 pairs with its conjugate order 2/3
         mubs = mub_construct(2, 3)
         rho = random_mixed(2, 2, 9)
-        via_s = check_bound(mubs, rho, "P4-mub-sym", s=0.5)
-        via_alpha = check_bound(mubs, rho, "P4-mub-sym", alpha=2.0)
-        assert via_s.rhs == pytest.approx(via_alpha.rhs, abs=1e-14)
-        assert via_s.lhs == pytest.approx(via_alpha.lhs, abs=1e-13)
+        rep = check_bound(mubs, rho, "P4-mub-sym", alpha=2.0)
+        pairs = [tsallis(probabilities(b, rho), 2.0) + tsallis(probabilities(b, rho), 2.0 / 3.0)
+                 for b in mubs]
+        assert rep.rhs == pytest.approx(0.5 * alpha_log(2.0, 2.0), abs=1e-14)
+        assert rep.lhs == pytest.approx(0.5 * np.mean(pairs), abs=1e-13)
 
     def test_apxa_label_uses_coincidence_cap(self):
         sic = sic_from_fiducial(2)
@@ -558,9 +557,9 @@ class TestCheckBound:
     def test_p9_label_matches_direct_formula(self):
         sic_a, sic_b = _rotated_sic(2)
         rho = random_mixed(2, 2, 21)
-        rep_t = check_bound((sic_a, sic_b), rho, "P9-mu-pair", s=0.5, kind="tsallis")
-        rep_r = check_bound((sic_a, sic_b), rho, "P9-mu-pair", s=0.5, kind="renyi")
-        # orders 1/(1 -+ s) = 2, 2/3 and mu = 2
+        rep_t = check_bound((sic_a, sic_b), rho, "P9-mu-pair", alpha=2.0, kind="tsallis")
+        rep_r = check_bound((sic_a, sic_b), rho, "P9-mu-pair", alpha=2.0, kind="renyi")
+        # orders alpha = 2 and its conjugate 2/3
         pa, pb = probabilities(sic_a, rho), probabilities(sic_b, rho)
         g = mu_g_factor(sic_a, sic_b, rho)
         margin_t = tsallis(pa, 2.0) + tsallis(pb, 2.0 / 3.0) - alpha_log(g**-2, 2.0)
@@ -585,6 +584,50 @@ class TestCheckBound:
     def test_all_labels_registered(self):
         assert len(PROPOSITION_LABELS) == 13
 
+    def test_kind_restricted_to_symmetrized_props(self):
+        mubs, rho = mub_construct(2, 3), maximally_mixed(2)
+        for kind in ("renyi", "tsallis"):
+            with pytest.raises(DomainError):
+                check_bound(mubs, rho, "P1-mub-tsallis", alpha=1, kind=kind)
+            for label, prop in PROPOSITIONS.items():
+                if prop.order != "symmetrized":
+                    with pytest.raises(DomainError):
+                        check_arguments(label, alpha=2.0, kind=kind)
+        # None is Tsallis for P4 and P9
+        assert check_bound(mubs, rho, "P4-mub-sym", alpha=2.0) == (
+            check_bound(mubs, rho, "P4-mub-sym", alpha=2.0, kind="tsallis")
+        )
+        with pytest.raises(DomainError):
+            check_bound(mubs, rho, "P4-mub-sym", alpha=2.0, kind="shannon")
+
+    def test_symmetrized_order_out_of_range_rejected(self):
+        # alpha is the larger order of the pair, so it lies in [1, inf)
+        mubs, pair, rho = mub_construct(2, 3), _rotated_sic(2), random_mixed(2, 2, 5)
+        for alpha in (0.0, 0.5, 0.75, np.inf):
+            with pytest.raises(DomainError):
+                check_bound(mubs, rho, "P4-mub-sym", alpha=alpha)
+            with pytest.raises(DomainError):
+                check_bound(pair, rho, "P9-mu-pair", alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 100.0])
+def test_symmetrized_orders_are_exact(alpha):
+    # P4 and P9 evaluate at alpha and alpha/(2 alpha - 1) themselves, bit for bit
+    beta = alpha / (2.0 * alpha - 1.0)
+    d = 3
+    mubs, pair = mub_construct(d, d + 1), _rotated_sic(d)
+    rho = DensityMatrix(np.stack([random_mixed(d, 1 + i % d, seed=i).mat for i in range(20)]))
+    p = probabilities(mubs, rho)
+    pm, pn = probabilities(pair[0], rho), probabilities(pair[1], rho)
+    g = mu_g_factor(*pair, rho)
+    p4 = check_bound(mubs, rho, "P4-mub-sym", alpha=alpha)
+    p9 = check_bound(pair, rho, "P9-mu-pair", alpha=alpha)
+    lhs4 = (0.5 * (tsallis(p, alpha) + tsallis(p, beta))).mean(axis=-1)
+    assert [r.lhs for r in p4] == lhs4.tolist()
+    assert [r.rhs for r in p4] == [0.5 * alpha_log(d, alpha)] * len(p4)
+    assert [r.lhs for r in p9] == (tsallis(pm, alpha) + tsallis(pn, beta)).tolist()
+    assert [r.rhs for r in p9] == alpha_log(np.power(g, -2.0), alpha).tolist()
+
 
 class TestBoundShapeProperties:
     def test_bounds_nonincreasing_in_purity(self):
@@ -597,17 +640,13 @@ class TestBoundShapeProperties:
             assert sic_renyi_bound(3, 3.0, lo) >= sic_renyi_bound(3, 3.0, hi) - 1e-12
             assert sic_minentropy_bound(3, lo) >= sic_minentropy_bound(3, hi) - 1e-12
 
-    def test_state_dependent_dominates_state_independent(self):
+    def test_state_dependent_dominates_purity_one(self):
         for p2 in np.linspace(0.4, 1.0, 7):
             assert mub_tsallis_bound(3, 4, 1.5, p2) >= (
-                mub_tsallis_bound(3, 4, 1.5, p2, state_independent=True) - 1e-12
+                mub_tsallis_bound(3, 4, 1.5, 1.0) - 1e-12
             )
-            assert mub_renyi_bound(3, 4, 2.0, p2) >= (
-                mub_renyi_bound(3, 4, 2.0, p2, state_independent=True) - 1e-12
-            )
-            assert mub_minentropy_bound(3, 4, p2) >= (
-                mub_minentropy_bound(3, 4, p2, state_independent=True) - 1e-12
-            )
+            assert mub_renyi_bound(3, 4, 2.0, p2) >= mub_renyi_bound(3, 4, 2.0, 1.0) - 1e-12
+            assert mub_minentropy_bound(3, 4, p2) >= mub_minentropy_bound(3, 4, 1.0) - 1e-12
 
     def test_max_prob_transform_concave_increasing(self):
         # x -> (1 + sqrt(d-1) sqrt(xd - 1))/d on [1/d, 1]
@@ -663,7 +702,7 @@ def _renyi_factor(alpha):
 
 
 class TestClosedForms:
-    """Every purity bound against its closed form, over the state-independent case too."""
+    """Every purity bound against its closed form; purity 1 is the state-independent case."""
 
     DIMS = (2, 3, 5, 7)
     TSALLIS_ORDERS = (0.3, 0.5, 1.0, 1.5, 2.0)
@@ -671,46 +710,42 @@ class TestClosedForms:
 
     @staticmethod
     def _purities(d):
-        return [*np.linspace(1.0 / d, 1.0, 9), None]  # None: state_independent=True
+        return np.linspace(1.0 / d, 1.0, 9)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_mub_bounds(self, d):
         for m in sorted({1, 2, d, d + 1}):
-            for p2 in self._purities(d):
-                si = p2 is None
-                x = 1.0 if si else p2
+            for x in self._purities(d):
                 ratio = m * d / (d * x + m - 1.0)
                 for alpha in self.TSALLIS_ORDERS:
-                    got = mub_tsallis_bound(d, m, alpha, x, state_independent=si)
+                    got = mub_tsallis_bound(d, m, alpha, x)
                     assert got == pytest.approx(_ln_q(ratio, alpha), abs=1e-13)
                 for alpha in self.RENYI_ORDERS:
-                    got = mub_renyi_bound(d, m, alpha, x, state_independent=si)
+                    got = mub_renyi_bound(d, m, alpha, x)
                     assert got == pytest.approx(_renyi_factor(alpha) * np.log(ratio), abs=1e-13)
-                got = mub_minentropy_bound(d, m, x, state_independent=si)
-                if si:
-                    want = np.log(np.sqrt(m) * d / (d + np.sqrt(m) - 1.0))
-                else:
-                    want = np.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * (d * x - 1.0) / m))
+                got = mub_minentropy_bound(d, m, x)
+                want = np.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * (d * x - 1.0) / m))
                 assert got == pytest.approx(want, abs=1e-13)
+            # the state-independent form at purity 1
+            want = np.log(np.sqrt(m) * d / (d + np.sqrt(m) - 1.0))
+            assert mub_minentropy_bound(d, m, 1.0) == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_sic_bounds(self, d):
-        for p2 in self._purities(d):
-            si = p2 is None
-            x = 1.0 if si else p2
+        for x in self._purities(d):
             ratio = d * (d + 1.0) / (x + 1.0)
             for alpha in self.TSALLIS_ORDERS:
-                got = sic_tsallis_bound(d, alpha, x, state_independent=si)
+                got = sic_tsallis_bound(d, alpha, x)
                 assert got == pytest.approx(_ln_q(ratio, alpha), abs=1e-13)
             for alpha in self.RENYI_ORDERS:
-                got = sic_renyi_bound(d, alpha, x, state_independent=si)
+                got = sic_renyi_bound(d, alpha, x)
                 assert got == pytest.approx(_renyi_factor(alpha) * np.log(ratio), abs=1e-13)
             want = 2.0 * np.log(d) - np.log(1.0 + np.sqrt((d - 1.0) * (d * x - 1.0)))
             assert sic_minentropy_bound(d, x) == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_separable_bound(self, d):
-        for pa in self._purities(d)[:-1]:
+        for pa in self._purities(d):
             for pb in (1.0 / d, 0.5 * (1.0 + 1.0 / d), 1.0):
                 want = np.sqrt(pa + 1.0) * np.sqrt(pb + 1.0) / (d * (d + 1.0))
                 assert separable_bound(d, pa, pb) == pytest.approx(want, abs=1e-13)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from mubsic import (
     DomainError,
-    SymOrderPair,
     alpha_log,
     binary_tsallis,
     conjugate_order,
     distort,
     index_of_coincidence,
     max_prob_bound,
+    mub_symmetrized_bound,
     probabilities,
     random_pure,
     renyi,
@@ -234,26 +234,31 @@ class TestBinaryTsallis:
 
 class TestSymmetrized:
     def test_order_pair_constraint(self):
-        for s in (0.0, 0.25, 0.5, 0.9, 0.999):
-            pair = SymOrderPair(s)
-            assert pair.alpha == 1.0 / (1.0 - s) and pair.beta == 1.0 / (1.0 + s)
-            assert abs(1.0 / pair.alpha + 1.0 / pair.beta - 2.0) < 1e-14
+        for alpha in (1.0, 4.0 / 3.0, 2.0, 10.0, 1000.0):
+            beta = conjugate_order(alpha)
+            assert beta == alpha / (2.0 * alpha - 1.0) and beta <= 1.0 <= alpha
+            assert abs(1.0 / alpha + 1.0 / beta - 2.0) < 1e-14
 
     def test_rejects_bad_parameter(self):
-        with pytest.raises(DomainError):
-            SymOrderPair(1.0)
-        with pytest.raises(DomainError):
-            SymOrderPair(-0.1)
+        # the larger order of the pair lies in [1, inf)
+        p = np.ones(3) / 3
+        for alpha in (np.inf, 1.0 / 1.1, 0.0, 0.5, 0.999):
+            with pytest.raises(DomainError):
+                symmetrized(p, alpha)
+            with pytest.raises(DomainError):
+                mub_symmetrized_bound(3, alpha)
 
     def test_s_zero_is_shannon(self):
+        # alpha = 1 pairs with beta = 1
         p = np.array([0.1, 0.6, 0.3])
         shannon = -np.sum(p * np.log(p))
-        assert symmetrized(p, 0.0, "renyi") == pytest.approx(shannon, abs=1e-13)
-        assert symmetrized(p, 0.0, "tsallis") == pytest.approx(shannon, abs=1e-13)
+        assert symmetrized(p, 1.0, "renyi") == pytest.approx(shannon, abs=1e-13)
+        assert symmetrized(p, 1.0, "tsallis") == pytest.approx(shannon, abs=1e-13)
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.8])
     def test_uniform_renyi(self, s):
-        assert symmetrized(np.ones(5) / 5, s, "renyi") == pytest.approx(
+        # the pair of orders 1/(1 - s) and 1/(1 + s)
+        assert symmetrized(np.ones(5) / 5, 1.0 / (1.0 - s), "renyi") == pytest.approx(
             np.log(5.0), abs=1e-12
         )
 
@@ -261,10 +266,10 @@ class TestSymmetrized:
         rng = np.random.default_rng(4)
         for _ in range(10):
             p = _random_dist(rng, 6)
-            # s = 0.5 pairs orders 2 and 2/3
+            # alpha = 2 pairs with beta = 2/3
             for kind, fn in (("renyi", renyi), ("tsallis", tsallis)):
                 direct = 0.5 * (fn(p, 2.0) + fn(p, 2.0 / 3.0))
-                assert symmetrized(p, 0.5, kind) == pytest.approx(direct, abs=1e-13)
+                assert symmetrized(p, 2.0, kind) == pytest.approx(direct, abs=1e-13)
 
     def test_conjugate_order(self):
         assert conjugate_order(1.0) == pytest.approx(1.0)
