@@ -302,9 +302,9 @@ def _rank_one_kets(meas) -> np.ndarray:
 def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
     """Hermitian square root of each state, eigenvalues clipped at zero.
 
-    Reuses the eigendecomposition kept by the state's validation, if any.
+    Only the pair labels (P9, APXB) need it, so the state is decomposed here.
     """
-    eigs, vecs = rho.eigh if rho.eigh is not None else np.linalg.eigh(rho.mat)
+    eigs, vecs = np.linalg.eigh(rho.mat)
     scaled = vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., None, :]
     return scaled @ vecs.conj().swapaxes(-1, -2)
 

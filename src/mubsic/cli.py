@@ -205,19 +205,13 @@ def _run_cell(cell: _Cell, config: CampaignConfig):
     (trials, 2, d^2) for the input vectors.
     """
     d, n = cell.d, config.samples
-    entry = bnd.PROPOSITIONS[cell.prop]
     block = 2 * d * d
-    product = entry.measurement == "product"
+    product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
     trials = config.trials if cell.prop == "APXB-riesz" else 0
     width = block * (2 if product else 1) + 2 * trials * d * d
     draws = stream(config.seed, *cell.key).standard_normal((n, width))
     samples = np.arange(n)
-    rho = random_mixed(
-        d,
-        1 + samples % d,
-        normals=draws[:, :block].reshape(n, 2, d, d),
-        eigh=entry.measurement == "pair",
-    )
+    rho = random_mixed(d, 1 + samples % d, normals=draws[:, :block].reshape(n, 2, d, d))
     if product:
         rho_b = random_mixed(
             d, 1 + (samples // d) % d, normals=draws[:, block : 2 * block].reshape(n, 2, d, d)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConstructionError, DimensionMismatchError, DomainError
 from .linalg import kron
-from .measurements import SicPovm, expectations
+from .measurements import SicPovm, _identity_deviation, expectations
 from .states import DensityMatrix
 
 
@@ -40,8 +40,7 @@ class BipartitePovm:
         # completeness factorizes over the parties
         sum_a = np.einsum("jk,jl->kl", kets_a, kets_a.conj())
         sum_b = np.einsum("jk,jl->kl", kets_b, kets_b.conj())
-        total = kron(sum_a, sum_b) / (d * d)
-        dev = float(np.max(np.abs(total - np.eye(d * d))))
+        dev = _identity_deviation(kron(sum_a, sum_b) / (d * d))
         if not dev <= 1e-8:
             raise ConstructionError(f"product POVM completeness fails (deviation {dev:.3e})")
         kets_a.setflags(write=False)

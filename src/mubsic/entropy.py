@@ -170,7 +170,8 @@ def conjugate_order(alpha) -> float:
     alpha = _check_order(alpha)
     if np.isinf(alpha) or alpha <= 0.5:
         raise DomainError(f"conjugate order needs finite alpha > 1/2, got {alpha}")
-    return alpha / (2.0 * alpha - 1.0)
+    # alpha/(2 alpha - 1) in a form whose denominator cannot overflow
+    return (0.5 * alpha) / (alpha - 0.5)
 
 
 def _sym_order(alpha) -> float:

@@ -30,13 +30,17 @@ from .errors import (
     NotASicError,
     PreconditionError,
 )
-from .linalg import kron
 from .states import DensityMatrix
 
 GRAM_ATOL = 1e-10
 MUB_ATOL = 1e-10
 POVM_ATOL = 1e-10
 SIC_ATOL = 1e-8
+
+
+def _identity_deviation(m) -> float:
+    """max |m - I| over the entries of a square matrix."""
+    return float(np.max(np.abs(m - np.eye(m.shape[-1]))))
 
 
 class OrthonormalBasis:
@@ -48,8 +52,7 @@ class OrthonormalBasis:
         vectors = np.array(vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
-        gram = vectors.conj() @ vectors.T
-        dev = float(np.max(np.abs(gram - np.eye(vectors.shape[0]))))
+        dev = _identity_deviation(vectors.conj() @ vectors.T)
         if not dev <= GRAM_ATOL:
             raise ConstructionError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
         vectors.setflags(write=False)
@@ -117,21 +120,22 @@ class Povm:
         elements = np.array(elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise DomainError(f"expected N square matrices, got shape {elements.shape}")
-        d = elements.shape[1]
-        total = elements.sum(axis=0)
-        dev = float(np.max(np.abs(total - np.eye(d))))
+        dev = _identity_deviation(elements.sum(axis=0))
         if not dev <= POVM_ATOL:
             raise ConstructionError(f"POVM completeness fails (deviation {dev:.3e})")
-        for k, e in enumerate(elements):
-            herm_dev = float(np.max(np.abs(e - e.conj().T)))
-            if not herm_dev <= POVM_ATOL:
-                raise ConstructionError(f"element {k} is not Hermitian ({herm_dev:.3e})")
-            min_eig = float(np.linalg.eigvalsh(e).min())
-            if not min_eig >= -1e-10:
-                raise ConstructionError(f"element {k} has negative eigenvalue {min_eig:.3e}")
+        herm_dev = np.abs(elements - elements.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = np.flatnonzero(~(herm_dev <= POVM_ATOL))
+        if bad.size:
+            raise ConstructionError(f"element {bad[0]} is not Hermitian ({herm_dev[bad[0]]:.3e})")
+        min_eig = np.linalg.eigvalsh(elements)[:, 0]
+        bad = np.flatnonzero(~(min_eig >= -1e-10))
+        if bad.size:
+            raise ConstructionError(
+                f"element {bad[0]} has negative eigenvalue {min_eig[bad[0]]:.3e}"
+            )
         elements.setflags(write=False)
         self.elements = elements
-        self.dim = d
+        self.dim = elements.shape[1]
 
     def __len__(self):
         return self.elements.shape[0]
@@ -142,15 +146,15 @@ class Povm:
         Raises :class:`~mubsic.errors.PreconditionError` when any element
         has rank above one within ``POVM_ATOL``.
         """
-        kets = np.empty((len(self), self.dim), dtype=complex)
-        for k, e in enumerate(self.elements):
-            eigs, vecs = np.linalg.eigh(e)
-            if eigs.size > 1 and eigs[-2] > POVM_ATOL:
-                raise PreconditionError(
-                    f"element {k} is not rank-one (second eigenvalue {eigs[-2]:.3e})"
-                )
-            kets[k] = np.sqrt(max(eigs[-1], 0.0)) * vecs[:, -1]
-        return kets
+        eigs, vecs = np.linalg.eigh(self.elements)
+        # eigenvalues ascend, so the largest below the top one is the second
+        second = eigs[:, :-1].max(axis=-1, initial=-np.inf)
+        bad = np.flatnonzero(second > POVM_ATOL)
+        if bad.size:
+            raise PreconditionError(
+                f"element {bad[0]} is not rank-one (second eigenvalue {second[bad[0]]:.3e})"
+            )
+        return np.sqrt(np.maximum(eigs[:, -1], 0.0))[:, None] * vecs[:, :, -1]
 
 
 class SicPovm:
@@ -158,7 +162,7 @@ class SicPovm:
 
     __slots__ = ("kets", "dim")
 
-    def __init__(self, kets, atol: float = SIC_ATOL):
+    def __init__(self, kets):
         kets = np.array(kets, dtype=complex)
         d = kets.shape[1] if kets.ndim == 2 else 0
         if kets.ndim != 2 or kets.shape[0] != d * d:
@@ -168,10 +172,9 @@ class SicPovm:
         np.fill_diagonal(off, 0.0)
         worst = float(np.max(np.abs(off)))
         norm_dev = float(np.max(np.abs(np.diag(overlap2) - 1.0)))
-        completeness = np.einsum("jk,jl->kl", kets, kets.conj()) / d
-        comp_dev = float(np.max(np.abs(completeness - np.eye(d))))
+        comp_dev = _identity_deviation(np.einsum("jk,jl->kl", kets, kets.conj()) / d)
         devs = np.array([worst, norm_dev, comp_dev])
-        if not np.all(devs <= atol):
+        if not np.all(devs <= SIC_ATOL):
             raise NotASicError(
                 "kets fail the SIC conditions "
                 f"(worst overlap deviation {worst:.3e}, norm {norm_dev:.3e}, "
@@ -390,15 +393,12 @@ def sic_design_basis(sic: SicPovm) -> np.ndarray:
     """
     d = sic.dim
     n = d * d
-    pairs = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        pairs[j] = kron(sic.kets[j], sic.kets[j].conj())
+    pairs = (sic.kets[:, :, None] * sic.kets.conj()[:, None, :]).reshape(n, n)
     omega = np.exp(2j * np.pi / n)
     phases = omega ** (np.arange(n)[:, None] * np.arange(n)[None, :])  # [k, j]
     vectors = phases @ pairs / d**1.5
     vectors[1:] *= np.sqrt(d + 1.0)
-    gram = vectors.conj() @ vectors.T
-    dev = float(np.max(np.abs(gram - np.eye(n))))
+    dev = _identity_deviation(vectors.conj() @ vectors.T)
     if not dev <= 1e-8:
         raise ConstructionError(
             f"design-basis Gram deviation {dev:.3e}; input kets are not a SIC"

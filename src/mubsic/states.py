@@ -42,46 +42,32 @@ def stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _validate(mats: np.ndarray, eigh: bool):
-    """Check one (d, d) or a stack (N, d, d) of candidate density matrices at once.
-
-    Hermiticity and unit trace to 1e-12, eigenvalues >= -1e-10, with every
-    comparison written so that NaN fails it.  Returns the eigendecomposition
-    (eigenvalues, eigenvectors) when ``eigh`` is set, else None.
-    """
-    herm_dev = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
-    if not herm_dev <= HERMITICITY_ATOL:
-        raise DomainError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-    trace_dev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0).max()
-    if not trace_dev <= TRACE_ATOL:
-        raise DomainError(f"trace differs from 1 by {trace_dev:.3e}")
-    decomposition = np.linalg.eigh(mats) if eigh else None
-    eigs = decomposition[0] if eigh else np.linalg.eigvalsh(mats)
-    min_eig = eigs.min()
-    if not min_eig >= EIGENVALUE_FLOOR:
-        raise DomainError(f"matrix has negative eigenvalue {min_eig:.3e}")
-    return decomposition
-
-
 class DensityMatrix:
     """A validated density operator, or a stack of them, validated together.
 
     ``mat`` has shape (d, d) for one state or (N, d, d) for a stack of N
-    states of dimension ``dim``.  Construction validates all three
-    invariants (hermiticity and trace to 1e-12, eigenvalues >= -1e-10) and
-    freezes the underlying array.  With ``eigh=True`` the validation keeps
-    the eigendecomposition in ``eigh``, for callers that need a matrix
-    function of the state such as its square root; otherwise ``eigh`` is
-    None.
+    states of dimension ``dim``.  Construction checks hermiticity and trace
+    to 1e-12 and eigenvalues >= -1e-10 (one batched eigenvalue call; NaN
+    fails every check) and freezes the underlying array.  Callers that need
+    a matrix function of the state, such as its square root, decompose
+    ``mat`` themselves.
     """
 
-    __slots__ = ("mat", "dim", "eigh")
+    __slots__ = ("mat", "dim")
 
-    def __init__(self, mat, eigh: bool = False):
+    def __init__(self, mat):
         mat = np.array(mat, dtype=complex)
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
             raise DomainError(f"density matrix must be square and non-empty, got shape {mat.shape}")
-        self.eigh = _validate(mat, eigh)
+        herm_dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()
+        if not herm_dev <= HERMITICITY_ATOL:
+            raise DomainError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+        trace_dev = np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max()
+        if not trace_dev <= TRACE_ATOL:
+            raise DomainError(f"trace differs from 1 by {trace_dev:.3e}")
+        min_eig = np.linalg.eigvalsh(mat).min()
+        if not min_eig >= EIGENVALUE_FLOOR:
+            raise DomainError(f"matrix has negative eigenvalue {min_eig:.3e}")
         mat.setflags(write=False)
         self.mat = mat
         self.dim = mat.shape[-1]
@@ -144,7 +130,7 @@ def random_pure(d: int, seed) -> DensityMatrix:
     return DensityMatrix(np.outer(z, z.conj()))
 
 
-def random_mixed(d: int, rank, seed=None, *, normals=None, eigh: bool = False) -> DensityMatrix:
+def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (d, rank).
 
     G is the first ``rank`` columns of X + iY, where X = normals[0] and
@@ -152,7 +138,7 @@ def random_mixed(d: int, rank, seed=None, *, normals=None, eigh: bool = False) -
     ``normals`` one (2, d, d) block is drawn from ``seed`` (an integer seed
     or a Generator).  Given ``normals`` of shape (N, 2, d, d) and ``rank``
     as N integers, the result is the stack of N states, state i built from
-    normals[i] alone.  ``eigh`` is passed on to :class:`DensityMatrix`.
+    normals[i] alone.
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
@@ -171,7 +157,7 @@ def random_mixed(d: int, rank, seed=None, *, normals=None, eigh: bool = False) -
     # cancels in the trace normalization
     m += m.conj().swapaxes(-1, -2)
     m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return DensityMatrix(m, eigh=eigh)
+    return DensityMatrix(m)
 
 
 def to_json(rho: DensityMatrix) -> str:

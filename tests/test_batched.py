@@ -32,7 +32,7 @@ from mubsic import (
     symmetrized,
     tsallis,
 )
-from mubsic.cli import _fixed_rotation, main
+from mubsic.cli import CSV_COLUMNS, _fixed_rotation, main
 from mubsic.measurements import SicPovm
 
 AGREEMENT = 1e-12
@@ -165,7 +165,7 @@ class TestStacks:
         singles = _singles(3, 9)
         values = purity(_stack(singles))
         assert values.shape == (len(singles),)
-        assert np.allclose(values, [purity(r) for r in singles], rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(values - [purity(r) for r in singles])) <= 1e-15
 
     def test_sampled_stack_rows_match_single_draws(self):
         normals = np.random.default_rng(4).standard_normal((5, 2, 3, 3))
@@ -175,12 +175,6 @@ class TestStacks:
             single = random_mixed(3, ranks[i], normals=normals[i])
             assert np.array_equal(stack.mat[i], single.mat)
             assert np.linalg.matrix_rank(single.mat, tol=1e-10) == ranks[i]
-
-    def test_eigh_kept_when_asked(self):
-        rho = random_mixed(3, 2, 5, eigh=True)
-        eigs, vecs = rho.eigh
-        assert np.allclose((vecs * eigs) @ vecs.conj().T, rho.mat, atol=1e-14)
-        assert random_mixed(3, 2, 5).eigh is None
 
     def test_single_state_gives_one_report_and_stack_a_list(self):
         sic = sic_from_fiducial(2)
@@ -212,3 +206,21 @@ def test_rows_are_a_prefix_of_longer_campaigns(tmp_path):
     for key, lines in short_cells.items():
         assert len(lines) == 5 and len(long_cells[key]) == 25
         assert long_cells[key][:5] == lines, key
+
+
+def test_trials_widen_rows_but_keep_row_zero_and_the_prefix(tmp_path):
+    # a row draws its state first and its (trials, 2, d^2) APXB inputs after it
+    args = ["verify", "--dims", "2,3", "--props", "APXB-riesz", "--seed", "5"]
+    runs = {}
+    for trials, samples in (("1", "5"), ("3", "5"), ("3", "25")):
+        out = tmp_path / f"t{trials}-n{samples}.csv"
+        assert main(args + ["--trials", trials, "--samples", samples, "--out", str(out)]) == 0
+        runs[trials, samples] = _cells(out)
+    keys = [("APXB-riesz", "2", ""), ("APXB-riesz", "3", "")]
+    col = CSV_COLUMNS.index("purity")
+    for key in keys:
+        one, three, long = (runs[run][key] for run in (("1", "5"), ("3", "5"), ("3", "25")))
+        assert len(one) == len(three) == 5 and len(long) == 25
+        assert next(csv.reader([one[0]]))[col] == next(csv.reader([three[0]]))[col], key
+        assert long[:5] == three, key
+    assert all(list(cells) == keys for cells in runs.values())

@@ -609,6 +609,11 @@ class TestCheckBound:
             with pytest.raises(DomainError):
                 check_bound(pair, rho, "P9-mu-pair", alpha=alpha)
 
+    def test_symmetrized_order_at_the_top_of_the_float_range(self):
+        # the conjugate order stays 1/2 where 2 alpha overflows
+        mubs, rho = mub_construct(2, 3), random_mixed(2, 2, 5)
+        assert check_bound(mubs, rho, "P4-mub-sym", alpha=1e308, kind="renyi").passed
+
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0, 100.0])
 def test_symmetrized_orders_are_exact(alpha):
@@ -759,9 +764,9 @@ class TestClosedForms:
         for m in range(1, d + 2):
             mubs = MubSet(full.bases[:m])
             rhs = [r.rhs for r in check_bound(mubs, rho, "LWBM-sum")]
-            np.testing.assert_allclose(rhs, p2 + (m - 1.0) / d, rtol=0, atol=1e-13)
+            assert np.max(np.abs(np.subtract(rhs, p2 + (m - 1.0) / d))) <= 1e-13
         rhs = [r.rhs for r in check_bound(sic_from_fiducial(d), rho, "P5-sic-ic")]
-        np.testing.assert_allclose(rhs, (p2 + 1.0) / (d * (d + 1.0)), rtol=0, atol=1e-13)
+        assert np.max(np.abs(np.subtract(rhs, (p2 + 1.0) / (d * (d + 1.0))))) <= 1e-13
 
 
 # labels whose bound is attained at I/d, checked at d = 2, 3; "tsallis" stands

@@ -463,6 +463,7 @@ EXIT_CONTRACT = [
     # an infinite tolerance would pass every margin
     (_P5 + ["--tolerance", "inf"], 2, "error:"),
     (["coincidence", "--dim", "2", "--tolerance", "inf"], 2, "error:"),
+    (_P5 + ["--trials", "0"], 2, "error:"),
 ]
 
 

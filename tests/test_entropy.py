@@ -279,6 +279,18 @@ class TestSymmetrized:
         with pytest.raises(DomainError):
             conjugate_order(np.inf)
 
+    def test_conjugate_order_at_the_top_of_the_float_range(self):
+        # 2 alpha overflows above about 9e307; beta tends to 1/2
+        assert conjugate_order(1e308) == 0.5
+        assert conjugate_order(np.finfo(float).max) == 0.5
+
+    def test_conjugate_order_is_bitwise_the_textbook_form(self):
+        alphas = np.concatenate(
+            [np.linspace(0.5 + 1e-7, 10.0, 2001), np.exp(np.linspace(-0.69, 700.0, 2001))]
+        )
+        got = np.array([conjugate_order(a) for a in alphas])
+        assert np.array_equal(got, alphas / (2.0 * alphas - 1.0))
+
 
 class TestIndexOfCoincidence:
     def test_uniform(self):

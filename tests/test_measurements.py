@@ -235,7 +235,8 @@ class TestDesignBasis:
         rng = np.random.default_rng(0)
         kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
-        fake = SicPovm(kets, atol=10.0)  # bypass the overlap check on purpose
+        fake = object.__new__(SicPovm)  # bypass the SIC check on purpose
+        fake.kets, fake.dim = kets, 2
         with pytest.raises(ConstructionError):
             sic_design_basis(fake)
 
@@ -301,6 +302,24 @@ class TestStructuralInvariants:
         elems = np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
         with pytest.raises(ConstructionError):
             Povm(elems)
+
+    def test_povm_names_first_non_hermitian_element(self):
+        skew = np.array([[0.0, 0.1], [0.0, 0.0]])
+        quarter = np.eye(2) / 4
+        elems = np.array([quarter, quarter, quarter + skew, quarter - skew])
+        with pytest.raises(ConstructionError, match="element 2 is not Hermitian"):
+            Povm(elems)
+
+    def test_povm_names_first_negative_element(self):
+        quarter = np.eye(2) / 4
+        elems = np.array([quarter, quarter, np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])])
+        with pytest.raises(ConstructionError, match="element 2 has negative eigenvalue"):
+            Povm(elems)
+
+    def test_rank_one_extraction_names_first_rank_two_element(self):
+        povm = Povm(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.eye(2) / 2]))
+        with pytest.raises(PreconditionError, match="element 2 is not rank-one"):
+            povm.rank_one_kets()
 
     def test_rank_one_extraction_round_trip(self):
         basis = mub_construct(3, 2).bases[1]
