@@ -74,6 +74,11 @@ _JSON_ROW = "{" + ", ".join(
 PAIR_ROTATION_SEED = 20130416
 
 
+def _check_dimension(d: int) -> None:
+    if d < 2:
+        raise DomainError(f"dimension must be >= 2, got {d}")
+
+
 @dataclass
 class CampaignConfig:
     """Validated configuration of one verification campaign."""
@@ -90,6 +95,8 @@ class CampaignConfig:
     trials: int = 4
 
     def __post_init__(self):
+        for d in self.dims:
+            _check_dimension(d)
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         bnd.check_tolerance(self.tolerance)
@@ -347,6 +354,7 @@ def cmd_mub(args) -> int:
 
 def cmd_coincidence(args) -> int:
     d = args.dim
+    _check_dimension(d)
     if args.state is not None:
         with open(args.state, "r", encoding="utf-8") as fh:
             rho = from_json(fh.read())

@@ -30,7 +30,7 @@ from .errors import (
     NotASicError,
     PreconditionError,
 )
-from .states import DensityMatrix
+from .states import EIGENVALUE_FLOOR, DensityMatrix, positivity_failure
 
 GRAM_ATOL = 1e-10
 MUB_ATOL = 1e-10
@@ -127,9 +127,9 @@ class Povm:
         bad = np.flatnonzero(~(herm_dev <= POVM_ATOL))
         if bad.size:
             raise ConstructionError(f"element {bad[0]} is not Hermitian ({herm_dev[bad[0]]:.3e})")
-        min_eig = np.linalg.eigvalsh(elements)[:, 0]
-        bad = np.flatnonzero(~(min_eig >= -1e-10))
-        if bad.size:
+        min_eig = positivity_failure(elements)
+        if min_eig is not None:
+            bad = np.flatnonzero(~(min_eig >= EIGENVALUE_FLOOR))
             raise ConstructionError(
                 f"element {bad[0]} has negative eigenvalue {min_eig[bad[0]]:.3e}"
             )

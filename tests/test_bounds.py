@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -613,6 +615,16 @@ class TestCheckBound:
         # the conjugate order stays 1/2 where 2 alpha overflows
         mubs, rho = mub_construct(2, 3), random_mixed(2, 2, 5)
         assert check_bound(mubs, rho, "P4-mub-sym", alpha=1e308, kind="renyi").passed
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tsallis_symmetrized_order_at_the_top_of_the_float_range(self, d):
+        # (alpha - 1) ln p used to overflow here whenever some probability was below ~0.48
+        mubs = mub_construct(d, d + 1)
+        for seed in range(5):
+            rho = random_mixed(d, 1 + seed % d, seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert check_bound(mubs, rho, "P4-mub-sym", alpha=1e308).passed
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0, 100.0])

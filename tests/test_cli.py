@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mubsic import cli, maximally_mixed, random_pure, to_json
+from mubsic import DomainError, cli, maximally_mixed, random_pure, to_json
 from mubsic.cli import main
 
 
@@ -330,6 +330,10 @@ class TestVerifyCommand:
             assert np.isfinite(float(row["lhs"])) and np.isfinite(float(row["margin"]))
         assert "min_margin=inf" not in capsys.readouterr().out
 
+    def test_config_rejects_dimension_below_2(self):
+        with pytest.raises(DomainError, match=r"^dimension must be >= 2, got 1$"):
+            cli.CampaignConfig(dims=[2, 1], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0)
+
 
 class TestMeasurementBuilder:
     @staticmethod
@@ -410,7 +414,7 @@ class TestCoincidenceCommand:
 
     def test_dimension_zero_exits_2(self, capsys):
         assert main(["coincidence", "--dim", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dimension must be >= 2, got 0\n"
 
     def test_stray_value_error_exits_2(self, monkeypatch, capsys):
         def broken(args):
@@ -464,6 +468,11 @@ EXIT_CONTRACT = [
     (_P5 + ["--tolerance", "inf"], 2, "error:"),
     (["coincidence", "--dim", "2", "--tolerance", "inf"], 2, "error:"),
     (_P5 + ["--trials", "0"], 2, "error:"),
+    # dimensions below 2 are rejected before any measurement is looked up
+    (["coincidence", "--dim", "-3"], 2, "error: dimension must be >= 2, got -3\n"),
+    (_P5 + ["--dims", "0"], 2, "error: dimension must be >= 2, got 0\n"),
+    (_P5 + ["--dims", "3,1"], 2, "error: dimension must be >= 2, got 1\n"),
+    (["verify", "--dims", "0", "--props", "APXA-max"], 2, "error: dimension must be >= 2, got 0\n"),
 ]
 
 

@@ -177,6 +177,24 @@ class TestTsallis:
         with pytest.raises(DomainError):
             tsallis([1.0], np.inf)
 
+    def test_bitwise_unchanged_where_the_unclamped_product_is_finite(self):
+        # clamping alpha - 1 at 1e300 moves no value at orders up to 2.4e305, where
+        # (alpha - 1) ln p is still finite for every p >= 5e-324
+        rng = np.random.default_rng(8)
+        edge = [
+            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [5e-324, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [1e-300, 1e-20, 0.25, 0.75, 0.0, 0.0],
+            [0.5, 0.5 - 1e-16, 1e-16, 0.0, 0.0, 0.0],
+            [1.0 - 2.0**-53, 2.0**-53, 0.0, 0.0, 0.0, 0.0],
+        ]
+        p = np.vstack([edge, [_random_dist(rng, 6) for _ in range(8)]])
+        orders = [*np.geomspace(1.0 + 1e-6, 2.4e305, 400), 1e300, np.nextafter(1e300, 2e300), 2.4e305]
+        for alpha in orders:
+            lp = np.log(np.maximum(p, 5e-324))
+            unclamped = (p * np.expm1((alpha - 1.0) * lp)).sum(axis=-1) / (1.0 - alpha)
+            assert tsallis(p, alpha).tobytes() == unclamped.tobytes(), alpha
+
 
 class TestAlphaLog:
     def test_rejects_nan(self):

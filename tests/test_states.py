@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mubsic import (
+    ConstructionError,
     DensityMatrix,
     DomainError,
+    Povm,
     bloch_vector,
     from_bloch,
     from_json,
@@ -14,8 +16,11 @@ from mubsic import (
     random_mixed,
     random_pure,
     stream,
+    mub_construct,
+    sic_from_fiducial,
     to_json,
 )
+from mubsic.states import EIGENVALUE_FLOOR
 
 
 class TestValidation:
@@ -49,6 +54,84 @@ class TestValidation:
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 7.0
+
+
+# smallest eigenvalues on both sides of the Cholesky shift (-5e-11) and of the floor (-1e-10)
+EDGE_EIGENVALUES = (0.0, -1e-16, -4.9e-11, -5.1e-11, -1e-10 * (1 - 1e-6), -1e-10 * (1 + 1e-6), -1e-9)
+
+
+def _hermitian(eigenvalues, seed):
+    """U diag(eigenvalues) U^dag for a seeded random unitary U, exactly Hermitian."""
+    d = len(eigenvalues)
+    rng = stream(seed, d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def _edge_state(d, lam, seed):
+    """A Hermitian trace-1 matrix whose smallest eigenvalue is lam."""
+    rest = stream(seed, d, 1).uniform(0.5, 1.5, d - 1)
+    return _hermitian([lam, *(rest * (1.0 - lam) / rest.sum())], seed)
+
+
+class TestPositivity:
+    """The shifted-Cholesky test accepts and rejects exactly what eigvalsh does."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_density_matrix_agrees_with_eigvalsh(self, d):
+        for seed, lam in enumerate(EDGE_EIGENVALUES * 4):
+            mat = _edge_state(d, lam, seed)
+            min_eig = np.linalg.eigvalsh(mat).min()
+            if min_eig >= EIGENVALUE_FLOOR:
+                DensityMatrix(mat)
+            else:
+                with pytest.raises(DomainError) as err:
+                    DensityMatrix(mat)
+                assert str(err.value) == f"matrix has negative eigenvalue {min_eig:.3e}"
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_povm_agrees_with_eigvalsh(self, d):
+        # {A, I - A}: A's smallest eigenvalue is lam, I - A's is -mu
+        for seed, (lam, mu) in enumerate(zip(EDGE_EIGENVALUES * 7, EDGE_EIGENVALUES[::-1] * 7)):
+            middle = stream(seed, d, 2).uniform(0.1, 0.9, d - 2)
+            a = _hermitian([lam, *middle, 1.0 + mu], seed)
+            elements = np.array([a, np.eye(d) - a])
+            min_eig = np.linalg.eigvalsh(elements)[:, 0]
+            bad = np.flatnonzero(~(min_eig >= EIGENVALUE_FLOOR))
+            if not bad.size:
+                Povm(elements)
+            else:
+                with pytest.raises(ConstructionError) as err:
+                    Povm(elements)
+                k = bad[0]
+                assert str(err.value) == f"element {k} has negative eigenvalue {min_eig[k]:.3e}"
+
+    def test_one_bad_state_in_a_stack(self):
+        n, d = 25, 5
+        ranks = 1 + np.arange(n) % d
+        mats = np.array(random_mixed(d, ranks, normals=stream(4, 0).standard_normal((n, 2, d, d))).mat)
+        mats[13] = _edge_state(d, -1e-9, 13)
+        with pytest.raises(DomainError) as err:
+            DensityMatrix(mats)
+        assert str(err.value) == "matrix has negative eigenvalue -1.000e-09"
+
+    def test_valid_states_never_reach_eigvalsh(self, monkeypatch):
+        n, d = 70, 7
+        normals = stream(5, 0).standard_normal((n, 2, d, d))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a valid stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rho = random_mixed(d, 1 + np.arange(n) % d, normals=normals)
+        assert rho.mat.shape == (n, d, d)
+        for rank in range(1, d + 1):
+            random_mixed(d, rank, rank)
+        random_pure(d, 0)
+        maximally_mixed(d)
+        mub_construct(d, d + 1).bases[-1].to_povm()
+        sic_from_fiducial(3).to_povm()
 
 
 class TestPurity:
