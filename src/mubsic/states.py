@@ -78,11 +78,10 @@ class DensityMatrix:
     ``mat`` has shape (d, d) for one state or (N, d, d) for a stack of N
     states of dimension ``dim``.  Construction checks hermiticity and trace
     to 1e-12 and eigenvalues >= -1e-10 (one shifted Cholesky factorization
-    of the stack, with a batched eigenvalue call deciding only when it
-    fails; see :func:`positivity_failure`; NaN fails every check) and
-    freezes the underlying array.  Callers that need
-    a matrix function of the state, such as its square root, decompose
-    ``mat`` themselves.
+    of the stack, and a batched eigenvalue call only when that fails: see
+    :func:`positivity_failure`; NaN fails every check) and freezes the
+    underlying array.  Callers that need a matrix function of the state,
+    such as its square root, decompose ``mat`` themselves.
     """
 
     __slots__ = ("mat", "dim")
