@@ -618,7 +618,7 @@ class TestCheckBound:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_tsallis_symmetrized_order_at_the_top_of_the_float_range(self, d):
-        # (alpha - 1) ln p used to overflow here whenever some probability was below ~0.48
+        # unclamped, (alpha - 1) ln p overflows here for any probability below e^-1.8 ~ 0.17
         mubs = mub_construct(d, d + 1)
         for seed in range(5):
             rho = random_mixed(d, 1 + seed % d, seed)
