@@ -16,7 +16,13 @@ import numpy as np
 
 from .errors import ConstructionError, DimensionMismatchError, DomainError
 from .linalg import kron
-from .measurements import SicPovm, _identity_deviation, expectations
+from .measurements import (
+    SicPovm,
+    _identity_deviation,
+    _projectors,
+    apply_design,
+    design_matrix,
+)
 from .states import DensityMatrix
 
 
@@ -81,19 +87,22 @@ def joint_probabilities(povm: BipartitePovm, rho: DensityMatrix) -> np.ndarray:
     if rho.dim != d * d:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {d * d}")
     w = np.einsum("ik,jl->ijkl", povm.kets_a, povm.kets_b).reshape(d**4, d * d)
-    p = expectations(w, rho.mat) / d**2
+    p = apply_design(design_matrix(_projectors(w) / d**2), rho.mat)
     return p.reshape(p.shape[:-1] + (d * d, d * d))
 
 
 def correlation_G(povm: BipartitePovm, rho: DensityMatrix):
     """Sum of the d^2 diagonal probabilities P(j, j); linear in the state.
 
+    G = tr(W rho) for the one operator W = (1/d^2) sum_j |w_j><w_j|, with
+    w_j = phi_j (x) phi_j*, so a single design column serves every state.
     A float, or an (N,) array for a stack of N states.
     """
     d = povm.dim
     if rho.dim != d * d:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {d * d}")
-    w = np.einsum("jk,jl->jkl", povm.kets_a, povm.kets_b).reshape(d * d, d * d)
-    g = (expectations(w, rho.mat) / d**2).sum(axis=-1)
+    w = (povm.kets_a[:, :, None] * povm.kets_b[:, None, :]).reshape(d * d, d * d)
+    op = w.T @ w.conj() / d**2
+    g = apply_design(design_matrix(op[None]), rho.mat)[..., 0]
     return float(g) if rho.mat.ndim == 2 else g
 

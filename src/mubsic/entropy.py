@@ -97,12 +97,14 @@ def _power_excess(p: np.ndarray, alpha: float):
     """sum (p^alpha - p) along the last axis for finite alpha != 1, without cancellation.
 
     Terms are p expm1((alpha - 1) ln p) above order 1 and -p^alpha expm1((1 - alpha) ln p)
-    below it; the expm1 argument is never positive, so no term overflows.  The factor
+    below it.  ln p is clamped at 0, so the expm1 argument is never positive and no term
+    overflows: ln p <= 0 already for p in [0, 1], and an entry that rounded above 1 (within
+    the sum tolerance) contributes 0 instead of overflowing at large orders.  The factor
     alpha - 1 is clamped at 1e300, because (alpha - 1) ln p overflows above order 2.4e305
     (ln p >= -745).  |ln p| is 0 or at least 1.1e-16, so past the clamp the product is 0 or
     beyond 1e284 in size, and expm1 gives the same value as without the clamp.
     """
-    lp = _log(p)
+    lp = np.minimum(_log(p), 0.0)
     if alpha > 1.0:
         return (p * np.expm1(min(alpha - 1.0, 1e300) * lp)).sum(axis=-1)
     return -(p**alpha * np.expm1((1.0 - alpha) * lp)).sum(axis=-1)

@@ -14,15 +14,17 @@ from .errors import DimensionMismatchError
 def kron(a, b) -> np.ndarray:
     """Kronecker product with row index i_a * rows_b + i_b.
 
-    Two stacks of matrices (N, ra, ca) and (N, rb, cb) give the stack of the
-    N products, (N, ra rb, ca cb).
+    Two matrices give their product and two stacks of matrices (N, ra, ca)
+    and (N, rb, cb) the stack of the N products, (N, ra rb, ca cb), both as
+    one broadcast multiply: the same products as ``np.kron``, without its
+    per-call overhead.  Vectors go to ``np.kron``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim < 3 and b.ndim < 3:
+    if a.ndim < 2 or b.ndim < 2:
         return np.kron(a, b)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim > 3 or a.shape[:-2] != b.shape[:-2]:
         raise DimensionMismatchError(f"cannot pair stacks of shapes {a.shape} and {b.shape}")
-    n, ra, ca = a.shape
-    rb, cb = b.shape[1:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(a.shape[:-2] + (ra * rb, ca * cb))

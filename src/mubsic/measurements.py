@@ -43,10 +43,46 @@ def _identity_deviation(m) -> float:
     return float(np.max(np.abs(m - np.eye(m.shape[-1]))))
 
 
-class OrthonormalBasis:
-    """d unit vectors of dimension d with Gram matrix equal to identity."""
+def _projectors(kets) -> np.ndarray:
+    """The (K, d, d) stack of |k_j><k_j| for ket rows k_j of a (K, d) array."""
+    return np.einsum("ji,jk->jik", kets, kets.conj())
 
-    __slots__ = ("vectors", "dim")
+
+def design_matrix(elements) -> np.ndarray:
+    """Real (2n^2, K) matrix D of the linear maps A -> tr(E_j A), read-only.
+
+    Column j is vec(E_j^H), row-major, viewed as interleaved (re, im)
+    floats.  With x = vec(A) viewed the same way, x @ D is exactly
+    Re sum_ab A_ab (E_j^T)_ab = Re tr(E_j A), with no Hermiticity assumed
+    of E_j or A; for a projector E_j = |k_j><k_j| it is <k_j|A|k_j>.
+    """
+    elements = np.asarray(elements, dtype=complex)
+    columns = elements.conj().swapaxes(-1, -2).reshape(elements.shape[0], -1)
+    design = columns.view(np.float64).T
+    design.setflags(write=False)
+    return design
+
+
+def apply_design(design, mat) -> np.ndarray:
+    """Re tr(E_j A) for every column j of ``design`` and matrix A of a (n, n) or (N, n, n) stack.
+
+    The result is (K,) or (N, K).  One real matmul per matrix, so row n
+    depends on mat[n] alone, bit for bit, whatever N is: a single
+    (N, 2n^2) @ (2n^2, K) product would be faster, but BLAS may block its
+    rows differently for different N.  The float view of ``mat`` is taken
+    after a reshape, which copies any matrix that is not row-major.
+    """
+    x = mat.reshape(mat.shape[:-2] + (1, -1)).view(np.float64)
+    return np.matmul(x, design)[..., 0, :]
+
+
+class OrthonormalBasis:
+    """d unit vectors of dimension d with Gram matrix equal to identity.
+
+    ``design`` is the :func:`design_matrix` of the projectors |b_j><b_j|.
+    """
+
+    __slots__ = ("vectors", "dim", "design")
 
     def __init__(self, vectors):
         vectors = np.array(vectors, dtype=complex)
@@ -58,11 +94,11 @@ class OrthonormalBasis:
         vectors.setflags(write=False)
         self.vectors = vectors
         self.dim = vectors.shape[0]
+        self.design = design_matrix(_projectors(vectors))
 
     def to_povm(self) -> "Povm":
         """The projective measurement |b_j><b_j|."""
-        elems = np.einsum("ji,jk->jik", self.vectors, self.vectors.conj())
-        return Povm(elems)
+        return Povm(_projectors(self.vectors))
 
 
 class MubSet:
@@ -71,10 +107,11 @@ class MubSet:
     ``vectors`` stacks the bases as an (M, d, d) array, row j of slice m
     being the j-th vector of basis m; ``max_deviation`` is the largest
     | |<a_i|b_j>|^2 - 1/d | over all pairs of distinct bases found by the
-    construction check.
+    construction check.  ``design`` is the :func:`design_matrix` of all
+    M d projectors, basis by basis.
     """
 
-    __slots__ = ("bases", "dim", "count", "vectors", "max_deviation")
+    __slots__ = ("bases", "dim", "count", "vectors", "max_deviation", "design")
 
     def __init__(self, bases):
         bases = tuple(
@@ -103,6 +140,7 @@ class MubSet:
         self.count = len(bases)
         self.vectors = vectors
         self.max_deviation = float(devs.max(initial=0.0))
+        self.design = design_matrix(_projectors(vectors.reshape(-1, d)))
 
     def __iter__(self):
         return iter(self.bases)
@@ -112,9 +150,9 @@ class MubSet:
 
 
 class Povm:
-    """Positive operators summing to the identity."""
+    """Positive operators summing to the identity; ``design`` is their :func:`design_matrix`."""
 
-    __slots__ = ("elements", "dim")
+    __slots__ = ("elements", "dim", "design")
 
     def __init__(self, elements):
         elements = np.array(elements, dtype=complex)
@@ -136,6 +174,7 @@ class Povm:
         elements.setflags(write=False)
         self.elements = elements
         self.dim = elements.shape[1]
+        self.design = design_matrix(elements)
 
     def __len__(self):
         return self.elements.shape[0]
@@ -158,9 +197,12 @@ class Povm:
 
 
 class SicPovm:
-    """d^2 unit kets whose weighted projectors (1/d)|phi_j><phi_j| form a POVM."""
+    """d^2 unit kets whose weighted projectors (1/d)|phi_j><phi_j| form a POVM.
 
-    __slots__ = ("kets", "dim")
+    ``design`` is the :func:`design_matrix` of those POVM elements.
+    """
+
+    __slots__ = ("kets", "dim", "design")
 
     def __init__(self, kets):
         kets = np.array(kets, dtype=complex)
@@ -184,35 +226,31 @@ class SicPovm:
         kets.setflags(write=False)
         self.kets = kets
         self.dim = d
+        self.design = design_matrix(self.elements())
 
     def __len__(self):
         return self.kets.shape[0]
 
     def elements(self) -> np.ndarray:
         """The POVM elements (1/d)|phi_j><phi_j| as an (d^2, d, d) array."""
-        return np.einsum("ji,jk->jik", self.kets, self.kets.conj()) / self.dim
+        return _projectors(self.kets) / self.dim
 
     def to_povm(self) -> Povm:
         return Povm(self.elements())
 
 
-def expectations(kets, mats) -> np.ndarray:
-    """<k_j|A|k_j> for every ket row k_j and matrix A of a stack, real part.
-
-    ``kets`` is (K, d) and ``mats`` is (d, d) or (N, d, d); the result is
-    (K,) or (N, K).  One matmul per matrix and one sum along the last axis,
-    so row n of the result depends on mats[n] alone, whatever N is.
-    """
-    return (np.matmul(kets.conj(), mats) * kets).sum(axis=-1).real
-
-
 def probabilities(meas, rho: DensityMatrix) -> ProbDist:
-    """Outcome probabilities of a measurement on a state or a stack of states.
+    """Outcome probabilities p_j = tr(E_j rho) of a measurement on a state or a stack.
 
-    p_j = <b_j|rho|b_j> for a basis, tr(M_j rho) for a POVM, and
-    (1/d)<phi_j|rho|phi_j> for a SIC ket family.  A :class:`MubSet` gives
-    every basis at once, with shape (M, d).  A stack of N states puts N in
-    front of that shape.
+    E_j is |b_j><b_j| for a basis, the element M_j for a POVM, and
+    (1/d)|phi_j><phi_j| for a SIC ket family.  Every measurement class
+    carries the :func:`design_matrix` of its elements, built once at
+    construction, so the probabilities are one real matmul x @ D per state
+    (:func:`apply_design`), with x = vec(rho) as interleaved (re, im)
+    floats; x @ D equals Re tr(E_j rho) exactly in exact arithmetic.  The
+    matmul stays per state so that row n of a stack is bitwise the
+    single-state result.  A :class:`MubSet` gives every basis at once,
+    with shape (M, d).  A stack of N states puts N in front of that shape.
     """
     if not isinstance(meas, (MubSet, OrthonormalBasis, SicPovm, Povm)):
         raise DomainError(f"unsupported measurement type {type(meas).__name__}")
@@ -220,16 +258,9 @@ def probabilities(meas, rho: DensityMatrix) -> ProbDist:
         raise DimensionMismatchError(
             f"{type(meas).__name__} dim {meas.dim} vs state dim {rho.dim}"
         )
-    batch = rho.mat.shape[:-2]
+    p = apply_design(meas.design, rho.mat)
     if isinstance(meas, MubSet):
-        p = expectations(meas.vectors.reshape(-1, meas.dim), rho.mat)
-        p = p.reshape(batch + meas.vectors.shape[:2])
-    elif isinstance(meas, OrthonormalBasis):
-        p = expectations(meas.vectors, rho.mat)
-    elif isinstance(meas, SicPovm):
-        p = expectations(meas.kets, rho.mat) / meas.dim
-    else:
-        p = np.einsum("jkl,...lk->...j", meas.elements, rho.mat).real
+        p = p.reshape(p.shape[:-1] + (meas.count, meas.dim))
     return ProbDist(p)
 
 

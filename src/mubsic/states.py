@@ -80,14 +80,15 @@ class DensityMatrix:
     to 1e-12 and eigenvalues >= -1e-10 (one shifted Cholesky factorization
     of the stack, and a batched eigenvalue call only when that fails: see
     :func:`positivity_failure`; NaN fails every check) and freezes the
-    underlying array.  Callers that need a matrix function of the state,
-    such as its square root, decompose ``mat`` themselves.
+    underlying array, stored row-major whatever the input's layout.
+    Callers that need a matrix function of the state, such as its square
+    root, decompose ``mat`` themselves.
     """
 
     __slots__ = ("mat", "dim")
 
     def __init__(self, mat):
-        mat = np.array(mat, dtype=complex)
+        mat = np.array(mat, dtype=complex, order="C")
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
             raise DomainError(f"density matrix must be square and non-empty, got shape {mat.shape}")
         herm_dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()

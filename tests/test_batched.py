@@ -195,17 +195,37 @@ def _cells(path):
     return cells
 
 
+def _assert_prefix(tmp_path, args, n_short, n_cells):
+    """Each cell of an n_short-sample campaign is the start of the same cell at 25 samples."""
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    assert main(args + ["--samples", str(n_short), "--out", str(short)]) == 0
+    assert main(args + ["--samples", "25", "--out", str(long)]) == 0
+    short_cells, long_cells = _cells(short), _cells(long)
+    assert short_cells.keys() == long_cells.keys() and len(short_cells) == n_cells
+    for key, lines in short_cells.items():
+        assert len(lines) == n_short and len(long_cells[key]) == 25
+        assert long_cells[key][:n_short] == lines, key
+
+
 def test_rows_are_a_prefix_of_longer_campaigns(tmp_path):
     # the replay property: row i depends only on its cell key and i
     args = ["verify", "--dims", "2,3", "--props", "all", "--alphas", "2", "--seed", "5"]
-    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
-    assert main(args + ["--samples", "5", "--out", str(short)]) == 0
-    assert main(args + ["--samples", "25", "--out", str(long)]) == 0
-    short_cells, long_cells = _cells(short), _cells(long)
-    assert short_cells.keys() == long_cells.keys() and len(short_cells) == 26
-    for key, lines in short_cells.items():
-        assert len(lines) == 5 and len(long_cells[key]) == 25
-        assert long_cells[key][:5] == lines, key
+    _assert_prefix(tmp_path, args, 5, 26)
+
+
+@pytest.mark.parametrize(
+    "props,alphas,n_cells",
+    [
+        ("P1-mub-tsallis", "0.5,1,2", 6),
+        ("P2-mub-renyi", "2,3,inf", 6),
+        ("P4-mub-sym", "1,2,4", 6),
+        ("P3-mub-minent,LWBM-sum", "2", 4),
+    ],
+)
+def test_one_row_campaigns_are_a_prefix_at_dims_5_and_7(tmp_path, props, alphas, n_cells):
+    # the mub-orders benchmark's labels; a one-state cell pins the single-state path
+    args = ["verify", "--dims", "5,7", "--props", props, "--alphas", alphas, "--seed", "5"]
+    _assert_prefix(tmp_path, args, 1, n_cells)
 
 
 def test_trials_widen_rows_but_keep_row_zero_and_the_prefix(tmp_path):

@@ -1,4 +1,5 @@
 import decimal
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mubsic import (
     symmetrized,
     tsallis,
 )
+from mubsic.entropy import _power_excess
 
 
 def _random_dist(rng, n):
@@ -194,6 +196,30 @@ class TestTsallis:
             lp = np.log(np.maximum(p, 5e-324))
             unclamped = (p * np.expm1((alpha - 1.0) * lp)).sum(axis=-1) / (1.0 - alpha)
             assert tsallis(p, alpha).tobytes() == unclamped.tobytes(), alpha
+
+
+    @pytest.mark.parametrize("fn", [tsallis, symmetrized])
+    def test_entry_rounded_above_one_contributes_zero(self, fn):
+        # the sum is within tolerance of 1, so the distribution is valid; ln p > 0
+        # of the first entry used to overflow expm1 at large orders and give -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn([1.0000000000000002, 0.0], 1e20) == 0.0
+
+    def test_log_clamp_leaves_every_probability_in_the_unit_interval_bitwise(self):
+        p = np.concatenate([
+            [0.0, 5e-324, 1e-300, 1e-20, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0],
+            np.linspace(0.0, 1.0, 101),
+            np.geomspace(1e-300, 1.0, 101),
+        ])[:, None]
+        orders = [*np.geomspace(0.5, 1e300, 300), 1.0 - 1e-6, 1.0 + 1e-6, 2.4e305]
+        for alpha in orders:
+            lp = np.log(np.maximum(p, 5e-324))
+            if alpha > 1.0:
+                old = (p * np.expm1(min(alpha - 1.0, 1e300) * lp)).sum(axis=-1)
+            else:
+                old = -(p**alpha * np.expm1((1.0 - alpha) * lp)).sum(axis=-1)
+            assert _power_excess(p, alpha).tobytes() == old.tobytes(), alpha
 
 
 class TestAlphaLog:

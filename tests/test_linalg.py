@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mubsic import kron, sic_from_fiducial
+from mubsic import DimensionMismatchError, kron, sic_from_fiducial
 
 
 def _rng(seed=0):
@@ -54,6 +54,16 @@ class TestKron:
         assert out.shape == (4, 6, 6)
         for i in range(4):
             assert np.array_equal(out[i], np.kron(a[i], b[i]))
+
+    def test_matrices_match_numpy_bitwise(self):
+        rng = _rng(5)
+        for shape_a, shape_b in (((2, 2), (3, 3)), ((2, 3), (4, 1)), ((1, 5), (3, 2))):
+            a, b = _random_complex(rng, shape_a), _random_complex(rng, shape_b)
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    def test_rejects_a_matrix_paired_with_a_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            kron(np.eye(2), np.eye(2)[None])
 
 
 class TestQnorm:

@@ -5,6 +5,7 @@ import pytest
 
 from mubsic import (
     ConstructionError,
+    DensityMatrix,
     DimensionMismatchError,
     DomainError,
     MubSet,
@@ -180,6 +181,90 @@ class TestProbabilities:
             rho = random_mixed(2, 1 + seed % 2, seed)
             p = probabilities(sic_from_fiducial(2), rho).p
             assert p.max() <= 0.5 + 1e-14
+
+
+# Weyl-Heisenberg SIC fiducials for the dimensions without a builtin, found by a
+# least-squares fit to the overlap conditions (residual below 1e-15)
+_FIDUCIALS = {
+    5: np.array(
+        [0.19993636214633706, 0.04884669956661706, 0.6483220181641406,
+         -0.09348065941601345, -0.39520446790534686]
+    ) + 1j * np.array(
+        [0.0, 0.23669126770086601, 0.2690414456618804,
+         -0.40546486079001337, -0.2821081311028974]
+    ),
+    7: np.array(
+        [0.3705859758052572, 0.06312790048691702, -0.3966430021304859, -0.2936947465257769,
+         0.1394171672160043, -0.6401627684780191, -0.2609504366026522]
+    ) + 1j * np.array(
+        [0.0, -0.03322553741647954, -0.00813220442686655, -0.014617138474063991,
+         0.10848345805270301, 0.01602792572940528, -0.32303048698331494]
+    ),
+}
+KERNEL_DIMS = (2, 3, 5, 7)
+
+
+def _kernel_cases(d):
+    """(measurement, its (K, d, d) elements, output shape) for every measurement class.
+
+    The POVM with elements (|a_j><a_j| + |b_j><b_j|)/2 over two unbiased bases
+    has rank-two elements.
+    """
+    mubs = mub_construct(d, d + 1)
+    fiducial = _FIDUCIALS.get(d)
+    sic = sic_from_fiducial(d, None if fiducial is None else fiducial / np.linalg.norm(fiducial))
+
+    def projectors(kets):
+        return np.einsum("ji,jk->jik", kets, kets.conj())
+
+    mixed = Povm(0.5 * (projectors(mubs.vectors[0]) + projectors(mubs.vectors[1])))
+    with pytest.raises(PreconditionError):
+        mixed.rank_one_kets()
+    return [
+        (mubs.bases[1], projectors(mubs.vectors[1]), (d,)),
+        (mubs, projectors(mubs.vectors.reshape(-1, d)), (d + 1, d)),
+        (sic, sic.elements(), (d * d,)),
+        (sic.to_povm(), sic.elements(), (d * d,)),
+        (mixed, mixed.elements, (d,)),
+    ]
+
+
+def _kernel_states(d, n):
+    """n random states of every rank, as a (n, d, d) array."""
+    ranks = 1 + np.arange(n) % d
+    return random_mixed(d, ranks, normals=np.random.default_rng(d).standard_normal((n, 2, d, d))).mat
+
+
+class TestProbabilityKernel:
+    @pytest.mark.parametrize("d", KERNEL_DIMS)
+    def test_matches_trace_state_by_state(self, d):
+        mats = _kernel_states(d, 2 * d)
+        for meas, elements, shape in _kernel_cases(d):
+            p = probabilities(meas, DensityMatrix(mats)).p
+            assert p.shape == (len(mats),) + shape
+            for row, mat in zip(p, mats):
+                want = [np.trace(e @ mat).real for e in elements]
+                assert np.max(np.abs(row.ravel() - want)) <= 1e-15, type(meas).__name__
+
+    @pytest.mark.parametrize("d", KERNEL_DIMS)
+    def test_stack_rows_are_single_state_results(self, d):
+        mats = _kernel_states(d, 8)
+        for meas, _, _ in _kernel_cases(d):
+            for n in range(1, 9):
+                for layout in (lambda m: m, lambda m: m.swapaxes(-1, -2)):
+                    stack = probabilities(meas, DensityMatrix(layout(mats[:n]))).p
+                    for i in range(n):
+                        for single in (layout(mats[i]), np.asfortranarray(layout(mats[i]))):
+                            got = probabilities(meas, DensityMatrix(single)).p
+                            assert np.array_equal(stack[i], got), (type(meas).__name__, n, i)
+
+    @pytest.mark.parametrize("d", KERNEL_DIMS)
+    def test_design_is_read_only(self, d):
+        for meas, elements, _ in _kernel_cases(d):
+            assert meas.design.shape == (2 * d * d, len(elements))
+            assert not meas.design.flags.writeable
+            with pytest.raises(ValueError):
+                meas.design[0, 0] = 1.0
 
 
 class TestSicConsequences:
