@@ -22,12 +22,10 @@ from .bounds import (
     mub_renyi_bound,
     mub_symmetrized_bound,
     mub_tsallis_bound,
-    mub_tsallis_bound_inefficiency,
     separable_bound,
     sic_minentropy_bound,
     sic_renyi_bound,
     sic_tsallis_bound,
-    sic_tsallis_bound_inefficiency,
     simple_bounds,
 )
 from .entanglement import (
@@ -65,14 +63,12 @@ from .measurements import (
     load_fiducial,
     mub_construct,
     probabilities,
-    sic_consequences_check,
     sic_design_basis,
     sic_from_fiducial,
     weyl_heisenberg_orbit,
 )
 from .states import (
     DensityMatrix,
-    bloch_vector,
     from_bloch,
     from_json,
     generator,

@@ -67,7 +67,7 @@ from .measurements import (
     distort,
     probabilities,
 )
-from .states import DensityMatrix, purity
+from .states import DensityMatrix, check_dimension, check_integer, purity
 
 DEFAULT_TOLERANCE = 1e-10
 ZERO_PROB_THRESHOLD = 1e-14
@@ -128,16 +128,6 @@ def _check_purity(d: int, value):
     return np.minimum(np.maximum(value, lo), 1.0)
 
 
-def _check_counts(d, m) -> tuple[int, int]:
-    d = int(d)
-    m = int(m)
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    if m < 1:
-        raise DomainError(f"basis count must be >= 1, got {m}")
-    return d, m
-
-
 def _tsallis_order(alpha) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
@@ -158,13 +148,15 @@ def _renyi_order(alpha) -> float:
 
 def _mub_cap(d, m, state_purity):
     """C = (d tr(rho^2) + M - 1)/(M d), the cap on the MUB-averaged index of coincidence."""
+    d = check_dimension(d)
+    m = check_integer(m, "basis count", 1)
     p2 = _check_purity(d, state_purity)
     return (d * p2 + m - 1.0) / (m * d)
 
 
 def _sic_cap(d, state_purity):
     """C = (tr(rho^2) + 1)/(d(d+1)), the index of coincidence of any SIC (P5)."""
-    d, _ = _check_counts(d, 1)
+    d = check_dimension(d)
     p2 = _check_purity(d, state_purity)
     return (p2 + 1.0) / (d * (d + 1.0))
 
@@ -176,26 +168,18 @@ def _renyi_from_cap(alpha, cap):
 
 
 def _with_inefficiency(base, alpha, eta):
-    """h_alpha(eta), which checks eta, plus eta^alpha times a clean Tsallis bound."""
-    return binary_tsallis(eta, alpha) + float(eta) ** float(alpha) * base
+    """A clean Tsallis bound as is for eta None, else h_alpha(eta) + eta^alpha times it."""
+    return base if eta is None else binary_tsallis(eta, alpha) + float(eta) ** float(alpha) * base
 
 
 def mub_tsallis_bound(d, m, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the MUB-averaged Tsallis entropy, order in (0, 2]."""
-    d, m = _check_counts(d, m)
     alpha = _tsallis_order(alpha)
     return alpha_log(1.0 / _mub_cap(d, m, state_purity), alpha)
 
 
-def mub_tsallis_bound_inefficiency(d, m, alpha, state_purity, eta):
-    """Inefficiency-model variant: eta^alpha times the clean bound plus h_alpha(eta)."""
-    base = mub_tsallis_bound(d, m, alpha, state_purity)
-    return _with_inefficiency(base, alpha, eta)
-
-
 def mub_renyi_bound(d, m, alpha, state_purity):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
-    d, m = _check_counts(d, m)
     alpha = _renyi_order(alpha)
     return _renyi_from_cap(alpha, _mub_cap(d, m, state_purity))
 
@@ -205,13 +189,12 @@ def mub_minentropy_bound(d, m, state_purity):
 
     Improves the alpha = inf Renyi form.
     """
-    d, m = _check_counts(d, m)
     return _result(-np.log(max_prob_bound(d, _mub_cap(d, m, state_purity))))
 
 
 def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
     """Lower bound on the MUB-averaged symmetrized entropy, larger order alpha in [1, inf)."""
-    d, _ = _check_counts(d, 1)
+    d = check_dimension(d)
     alpha = _sym_order(alpha)
     if kind == "tsallis":
         return 0.5 * alpha_log(d, alpha)
@@ -224,12 +207,6 @@ def sic_tsallis_bound(d, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
     alpha = _tsallis_order(alpha)
     return alpha_log(1.0 / _sic_cap(d, state_purity), alpha)
-
-
-def sic_tsallis_bound_inefficiency(d, alpha, state_purity, eta):
-    """Inefficiency-model variant of the single-SIC Tsallis bound."""
-    base = sic_tsallis_bound(d, alpha, state_purity)
-    return _with_inefficiency(base, alpha, eta)
 
 
 def sic_renyi_bound(d, alpha, state_purity):
@@ -261,7 +238,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
     """
     check_tolerance(tolerance)
     p = as_probabilities(p).ravel()
-    d = int(d)
+    d = check_dimension(d)
     pmax = float(p.max())
     if pmax > 1.0 / d + 1e-12:
         raise PreconditionError(
@@ -432,9 +409,8 @@ def _statistics(meas, rho, eta=None):
 
 
 def _p1(mubs, rho, a):
-    rhs = mub_tsallis_bound(mubs.dim, mubs.count, a.alpha, purity(rho))
-    if a.eta is not None:
-        rhs = _with_inefficiency(rhs, a.alpha, a.eta)
+    base = mub_tsallis_bound(mubs.dim, mubs.count, a.alpha, purity(rho))
+    rhs = _with_inefficiency(base, a.alpha, a.eta)
     return tsallis(_statistics(mubs, rho, a.eta), a.alpha).mean(axis=-1), rhs
 
 
@@ -458,9 +434,7 @@ def _p5(sic, rho, a):
 
 
 def _p6(sic, rho, a):
-    rhs = sic_tsallis_bound(sic.dim, a.alpha, purity(rho))
-    if a.eta is not None:
-        rhs = _with_inefficiency(rhs, a.alpha, a.eta)
+    rhs = _with_inefficiency(sic_tsallis_bound(sic.dim, a.alpha, purity(rho)), a.alpha, a.eta)
     return tsallis(_statistics(sic, rho, a.eta), a.alpha), rhs
 
 

@@ -33,6 +33,8 @@ from .linalg import kron
 from .measurements import SicPovm, load_fiducial, mub_construct, sic_from_fiducial
 from .states import (
     DensityMatrix,
+    check_dimension,
+    check_integer,
     from_json,
     maximally_mixed,
     purity,
@@ -74,11 +76,6 @@ _JSON_ROW = "{" + ", ".join(
 PAIR_ROTATION_SEED = 20130416
 
 
-def _check_dimension(d: int) -> None:
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-
-
 @dataclass
 class CampaignConfig:
     """Validated configuration of one verification campaign."""
@@ -96,9 +93,8 @@ class CampaignConfig:
 
     def __post_init__(self):
         for d in self.dims:
-            _check_dimension(d)
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
+            check_dimension(d)
+        check_integer(self.samples, "samples", 1)
         bnd.check_tolerance(self.tolerance)
         for a in self.alphas:
             if not a > 0.0:
@@ -108,8 +104,7 @@ class CampaignConfig:
                 raise DomainError(f"unknown proposition label {p!r}")
         if self.eta is not None and not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"efficiency must lie in [0, 1], got {self.eta}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        check_integer(self.trials, "trials", 1)
 
 
 def _parse_alpha(text: str) -> float:
@@ -353,8 +348,7 @@ def cmd_mub(args) -> int:
 
 
 def cmd_coincidence(args) -> int:
-    d = args.dim
-    _check_dimension(d)
+    d = check_dimension(args.dim)
     if args.state is not None:
         with open(args.state, "r", encoding="utf-8") as fh:
             rho = from_json(fh.read())

@@ -12,6 +12,8 @@ check of :mod:`mubsic.bounds` (``separable_bound``,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConstructionError, DimensionMismatchError, DomainError
@@ -23,7 +25,7 @@ from .measurements import (
     apply_design,
     design_matrix,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, check_dimension
 
 
 class BipartitePovm:
@@ -55,25 +57,20 @@ class BipartitePovm:
         self.kets_b = kets_b
         self.dim = d
 
-    def __len__(self):
-        return self.kets_a.shape[0] ** 2
 
-    def element(self, i: int, j: int) -> np.ndarray:
-        """The PSD matrix (1/d^2)|phi_i phi_j*><phi_i phi_j*| on H (x) H."""
-        w = kron(self.kets_a[i], self.kets_b[j])
-        return np.outer(w, w.conj()) / self.dim**2
-
-
+@functools.lru_cache
 def product_sic_povm(sic: SicPovm) -> BipartitePovm:
-    """Product POVM with SIC kets on party A and their conjugates on party B."""
+    """Product POVM with SIC kets on party A and their conjugates on party B.
+
+    Memoized per SIC object (the 128 most recent): ENT-G checks on one SIC
+    build and verify it once.  Its arrays are read-only.
+    """
     return BipartitePovm(sic.kets, sic.kets.conj())
 
 
 def maximally_entangled(d: int) -> DensityMatrix:
     """The projector onto d^(-1/2) sum_n |n> (x) |n>."""
-    d = int(d)
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = check_dimension(d)
     ket = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
     return DensityMatrix(np.outer(ket, ket.conj()))
 

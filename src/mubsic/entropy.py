@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .states import check_integer
 
 PROB_CLAMP = 1e-14
 PROB_SUM_ATOL = 1e-12
@@ -222,9 +223,7 @@ def max_prob_bound(n: int, b2):
     feasible; a 1e-12 slack absorbs rounding in computed coincidences.
     ``b2`` may be an array.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = check_integer(n, "outcome count", 1)
     b2 = np.asarray(b2, dtype=float)
     if not (b2.min() >= 1.0 / n - 1e-12 and b2.max() <= 1.0 + 1e-12):
         raise DomainError(f"sum of squares {b2!r} infeasible for n = {n}")

@@ -18,7 +18,7 @@ vectors loaded from published numerical data are themselves inexact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,7 +30,13 @@ from .errors import (
     NotASicError,
     PreconditionError,
 )
-from .states import EIGENVALUE_FLOOR, DensityMatrix, positivity_failure
+from .states import (
+    EIGENVALUE_FLOOR,
+    DensityMatrix,
+    check_dimension,
+    check_integer,
+    positivity_failure,
+)
 
 GRAM_ATOL = 1e-10
 MUB_ATOL = 1e-10
@@ -86,7 +92,7 @@ class OrthonormalBasis:
 
     def __init__(self, vectors):
         vectors = np.array(vectors, dtype=complex)
-        if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
+        if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
             raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
         dev = _identity_deviation(vectors.conj() @ vectors.T)
         if not dev <= GRAM_ATOL:
@@ -95,10 +101,6 @@ class OrthonormalBasis:
         self.vectors = vectors
         self.dim = vectors.shape[0]
         self.design = design_matrix(_projectors(vectors))
-
-    def to_povm(self) -> "Povm":
-        """The projective measurement |b_j><b_j|."""
-        return Povm(_projectors(self.vectors))
 
 
 class MubSet:
@@ -156,7 +158,7 @@ class Povm:
 
     def __init__(self, elements):
         elements = np.array(elements, dtype=complex)
-        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
+        if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.size == 0:
             raise DomainError(f"expected N square matrices, got shape {elements.shape}")
         dev = _identity_deviation(elements.sum(axis=0))
         if not dev <= POVM_ATOL:
@@ -207,7 +209,7 @@ class SicPovm:
     def __init__(self, kets):
         kets = np.array(kets, dtype=complex)
         d = kets.shape[1] if kets.ndim == 2 else 0
-        if kets.ndim != 2 or kets.shape[0] != d * d:
+        if d == 0 or kets.shape[0] != d * d:
             raise DomainError(f"expected d^2 kets of dimension d, got shape {kets.shape}")
         overlap2 = np.abs(kets.conj() @ kets.T) ** 2
         off = overlap2 - 1.0 / (d + 1.0)
@@ -235,9 +237,6 @@ class SicPovm:
         """The POVM elements (1/d)|phi_j><phi_j| as an (d^2, d, d) array."""
         return _projectors(self.kets) / self.dim
 
-    def to_povm(self) -> Povm:
-        return Povm(self.elements())
-
 
 def probabilities(meas, rho: DensityMatrix) -> ProbDist:
     """Outcome probabilities p_j = tr(E_j rho) of a measurement on a state or a stack.
@@ -264,17 +263,6 @@ def probabilities(meas, rho: DensityMatrix) -> ProbDist:
     return ProbDist(p)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 _PAULI_EIGENBASES = (
     # sigma_z, sigma_x, sigma_y eigenbases
     np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
@@ -292,11 +280,12 @@ def mub_construct(d: int, count: int) -> MubSet:
     exp(2 pi i / d); the first ``count`` of those d+1 bases are returned.
     The unbiasedness invariant is re-verified on construction.
     """
-    d = int(d)
-    count = int(count)
-    if d != 2 and not (_is_prime(d) and d % 2 == 1):
+    d = check_dimension(d)
+    count = check_integer(count, "basis count", 2)
+    odd_prime = d % 2 == 1 and all(d % f for f in range(3, math.isqrt(d) + 1, 2))
+    if d != 2 and not odd_prime:
         raise DomainError(f"unsupported dimension {d}: construction needs d = 2 or an odd prime")
-    if not 2 <= count <= d + 1:
+    if count > d + 1:
         raise DomainError(f"basis count must lie in [2, {d + 1}], got {count}")
     if d == 2:
         return MubSet(_PAULI_EIGENBASES[:count])
@@ -340,6 +329,8 @@ def weyl_heisenberg_orbit(fiducial) -> np.ndarray:
     mod d.
     """
     f = np.asarray(fiducial, dtype=complex).ravel()
+    if f.size == 0:
+        raise DomainError(f"fiducial ket must be non-empty, got shape {np.shape(fiducial)}")
     d = f.size
     omega = np.exp(2j * np.pi / d)
     a, b, k = np.ix_(*(np.arange(d),) * 3)
@@ -358,7 +349,7 @@ def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
     Raises :class:`~mubsic.errors.NotASicError` with the worst pairwise
     deviation if the orbit fails the SIC conditions.
     """
-    d = int(d)
+    d = check_dimension(d)
     if fiducial is None:
         if d == 2:
             kets = np.array([_ket_from_bloch(s) for s in _TETRAHEDRON_BLOCH])
@@ -373,40 +364,6 @@ def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
     if not norm_dev <= 1e-10:
         raise DomainError(f"fiducial is not unit norm (deviation {norm_dev:.3e})")
     return SicPovm(weyl_heisenberg_orbit(f))
-
-
-@dataclass(frozen=True)
-class SicConsequences:
-    """Deviations from the two completeness-relation identities."""
-
-    trace_identity_dev: float
-    reconstruction_dev: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.trace_identity_dev, self.reconstruction_dev) <= self.tolerance
-
-
-def sic_consequences_check(sic: SicPovm, a, psi, tolerance: float = 1e-10) -> SicConsequences:
-    """Check (1/d^2) sum_ij <phi_i|A|phi_j><phi_j|phi_i> = tr A and ket reconstruction.
-
-    Both identities follow from completeness; the report carries the
-    maximal deviations.
-    """
-    a = np.asarray(a, dtype=complex)
-    psi = np.asarray(psi, dtype=complex).ravel()
-    d = sic.dim
-    if a.shape != (d, d) or psi.size != d:
-        raise DimensionMismatchError("operator or ket dimension does not match the SIC")
-    kets = sic.kets
-    cross = kets.conj() @ kets.T  # cross[i, j] = <phi_i|phi_j>
-    amat = np.einsum("ik,kl,jl->ij", kets.conj(), a, kets)  # <phi_i|A|phi_j>
-    double_sum = np.einsum("ij,ji->", amat, cross) / d**2
-    trace_dev = abs(double_sum - np.trace(a))
-    rebuilt = (kets.T * (kets.conj() @ psi)).sum(axis=1) / d
-    rec_dev = float(np.max(np.abs(rebuilt - psi)))
-    return SicConsequences(float(trace_dev), rec_dev, tolerance)
 
 
 def sic_design_basis(sic: SicPovm) -> np.ndarray:
@@ -460,7 +417,7 @@ def load_fiducial(path) -> tuple[np.ndarray, float]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
-        d = int(obj["dim"])
+        d = check_dimension(obj["dim"])
         vec = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed fiducial JSON: {exc}") from exc

@@ -14,16 +14,29 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+
+def check_integer(value, what: str, least: int) -> int:
+    """``value`` as an int, which must be integral (4.0 passes, 4.5 does not) and >= ``least``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if n < least:
+        raise DomainError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
+def check_dimension(d) -> int:
+    """The package's one dimension rule: d as an int, which must be an integer >= 2."""
+    return check_integer(d, "dimension", 2)
 
 
 @functools.cache
@@ -89,7 +102,7 @@ class DensityMatrix:
 
     def __init__(self, mat):
         mat = np.array(mat, dtype=complex, order="C")
-        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
             raise DomainError(f"density matrix must be square and non-empty, got shape {mat.shape}")
         herm_dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()
         if not herm_dev <= HERMITICITY_ATOL:
@@ -122,6 +135,7 @@ def purity(rho: DensityMatrix):
 
 def maximally_mixed(d: int) -> DensityMatrix:
     """The state I/d."""
+    d = check_dimension(d)
     return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
@@ -140,13 +154,6 @@ def from_bloch(s) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """Read back the Bloch vector of a qubit state via Pauli expectations."""
-    if rho.dim != 2:
-        raise DimensionMismatchError("Bloch vector is defined for qubits only")
-    return np.array([np.trace(rho.mat @ p).real for p in PAULIS])
-
-
 def random_pure(d: int, seed) -> DensityMatrix:
     """Haar-random pure state |psi><psi| in dimension d.
 
@@ -154,8 +161,7 @@ def random_pure(d: int, seed) -> DensityMatrix:
     so the distribution is unitarily invariant.  Deterministic given an
     integer seed; a Generator may be passed for stream control.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = check_dimension(d)
     rng = generator(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     z /= np.linalg.norm(z)
@@ -172,11 +178,11 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     as N integers, the result is the stack of N states, state i built from
     normals[i] alone.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = check_dimension(d)
     rank = np.asarray(rank)
-    if not (rank.min() >= 1 and rank.max() <= d):
-        raise DomainError(f"rank must lie in [1, {d}], got {rank}")
+    integral = rank.dtype.kind in "iu" or (rank % 1 == 0).all()
+    if not (integral and rank.min() >= 1 and rank.max() <= d):
+        raise DomainError(f"rank must be an integer in [1, {d}], got {rank}")
     if normals is None:
         normals = generator(seed).standard_normal((2, d, d))
     normals = np.asarray(normals, dtype=float)
@@ -207,7 +213,7 @@ def from_json(text: str) -> DensityMatrix:
     """Parse the JSON wire format produced by :func:`to_json`."""
     obj = json.loads(text)
     try:
-        d = int(obj["dim"])
+        d = check_dimension(obj["dim"])
         mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed density-matrix JSON: {exc}") from exc

@@ -27,7 +27,6 @@ from mubsic import (
     mub_renyi_bound,
     mub_symmetrized_bound,
     mub_tsallis_bound,
-    mub_tsallis_bound_inefficiency,
     probabilities,
     random_mixed,
     random_pure,
@@ -37,7 +36,6 @@ from mubsic import (
     sic_minentropy_bound,
     sic_renyi_bound,
     sic_tsallis_bound,
-    sic_tsallis_bound_inefficiency,
     simple_bounds,
     stream,
     binary_tsallis,
@@ -56,6 +54,17 @@ def _haar_basis(d, seed):
     from mubsic import OrthonormalBasis
 
     return OrthonormalBasis(q.T)
+
+
+def _state_with_purity(d, p2):
+    """diag(p, 1 - p, 0, ...) with p^2 + (1 - p)^2 = p2, for p2 in [1/2, 1]."""
+    p = 0.5 * (1.0 + np.sqrt(2.0 * p2 - 1.0))
+    return DensityMatrix(np.diag([p, 1.0 - p] + [0.0] * (d - 2)))
+
+
+def _inefficiency_rhs(meas, which, alpha, p2, eta):
+    """The rhs of a P1/P6 check at efficiency eta on a state of purity p2."""
+    return check_bound(meas, _state_with_purity(meas.dim, p2), which, alpha=alpha, eta=eta).rhs
 
 
 def _rotated_sic(d, seed=0):
@@ -109,18 +118,18 @@ class TestMubTsallisBound:
 
 class TestMubTsallisInefficiency:
     def test_full_efficiency_reduces_to_clean_bound(self):
-        assert mub_tsallis_bound_inefficiency(3, 4, 1.5, 0.8, 1.0) == pytest.approx(
-            mub_tsallis_bound(3, 4, 1.5, 0.8), abs=1e-14
+        assert _inefficiency_rhs(mub_construct(3, 4), "P1-mub-tsallis", 1.5, 0.8, 1.0) == (
+            pytest.approx(mub_tsallis_bound(3, 4, 1.5, 0.8), abs=1e-14)
         )
 
     def test_zero_efficiency_gives_zero(self):
-        assert mub_tsallis_bound_inefficiency(3, 4, 1.5, 0.8, 0.0) == pytest.approx(
-            0.0, abs=1e-14
+        assert _inefficiency_rhs(mub_construct(3, 4), "P1-mub-tsallis", 1.5, 0.8, 0.0) == (
+            pytest.approx(0.0, abs=1e-14)
         )
 
     def test_shannon_case_adds_binary_entropy(self):
         for eta in (0.3, 0.8):
-            val = mub_tsallis_bound_inefficiency(2, 3, 1.0, 1.0, eta)
+            val = _inefficiency_rhs(mub_construct(2, 3), "P1-mub-tsallis", 1.0, 1.0, eta)
             expected = mub_tsallis_bound(2, 3, 1.0, 1.0) * eta + binary_tsallis(eta, 1.0)
             assert val == pytest.approx(expected, abs=1e-13)
 
@@ -245,10 +254,11 @@ class TestSicBounds:
             sic_tsallis_bound(2, 2.1, 1.0)
 
     def test_inefficiency_reduces_to_clean_bound(self):
-        assert sic_tsallis_bound_inefficiency(3, 0.5, 0.6, 1.0) == pytest.approx(
+        sic = sic_from_fiducial(3)
+        assert _inefficiency_rhs(sic, "P6-sic-tsallis", 0.5, 0.6, 1.0) == pytest.approx(
             sic_tsallis_bound(3, 0.5, 0.6), abs=1e-14
         )
-        val = sic_tsallis_bound_inefficiency(3, 1.0, 0.6, 0.4)
+        val = _inefficiency_rhs(sic, "P6-sic-tsallis", 1.0, 0.6, 0.4)
         expected = 0.4 * sic_tsallis_bound(3, 1.0, 0.6) + binary_tsallis(0.4, 1.0)
         assert val == pytest.approx(expected, abs=1e-13)
 
@@ -301,10 +311,11 @@ SIC_BOUNDS = {
     "renyi": lambda d: sic_renyi_bound(d, 2.0, 1.0),
     "minentropy": lambda d: sic_minentropy_bound(d, 1.0),
     "separable": lambda d: separable_bound(d, 1.0, 1.0),
+    "simple": lambda d: simple_bounds([1.0], d, 2.0),
 }
 
 
-@pytest.mark.parametrize("d", (0, 1, -2))
+@pytest.mark.parametrize("d", (0, 1, -2, 2.5))
 @pytest.mark.parametrize("bound", SIC_BOUNDS)
 def test_sic_bounds_reject_dimension_below_two(bound, d):
     with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mubsic import DomainError, cli, maximally_mixed, random_pure, to_json
+from mubsic import DomainError, cli, entanglement, maximally_mixed, random_pure, to_json
 from mubsic.cli import main
 
 
@@ -363,6 +363,23 @@ class TestMeasurementBuilder:
         assert [a[0] for a in sics] == [2, 3]
         assert [a[0] for a in mubs] == [2, 3]
         assert first[1] == second[1]
+
+    def test_product_povm_built_once_per_sic(self, monkeypatch):
+        cli.measurement.cache_clear()
+        entanglement.product_sic_povm.cache_clear()
+        built = []
+        original = entanglement.BipartitePovm
+
+        def counted(kets_a, kets_b):
+            built.append(kets_a.shape[1])
+            return original(kets_a, kets_b)
+
+        monkeypatch.setattr(entanglement, "BipartitePovm", counted)
+        config = cli.CampaignConfig(dims=[2, 3], props=["ENT-G"], alphas=[2.0], samples=1, seed=1)
+        rows = [cli.run_campaign(config)[1] for _ in range(3)]
+        # each one-row campaign reuses the product POVM of its dimension's SIC
+        assert built == [2, 3]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_failed_construction_is_not_memoized(self, capsys):
         args = ["verify", "--dims", "5", "--props", "P5-sic-ic", "--samples", "2"]

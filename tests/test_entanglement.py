@@ -32,6 +32,12 @@ def _product_state(d, seed):
     return rho_a, rho_b, DensityMatrix(kron(rho_a.mat, rho_b.mat))
 
 
+def _element(povm, i, j):
+    """The product element (1/d^2)|phi_i phi_j*><phi_i phi_j*| on H (x) H, from the party kets."""
+    w = np.kron(povm.kets_a[i], povm.kets_b[j])
+    return np.outer(w, w.conj()) / povm.dim**2
+
+
 class TestProductPovm:
     def test_qubit_elements_sum_to_identity(self):
         # oracle: direct sum over all 16 elements
@@ -39,13 +45,13 @@ class TestProductPovm:
         total = np.zeros((4, 4), dtype=complex)
         for i in range(4):
             for j in range(4):
-                total += povm.element(i, j)
+                total += _element(povm, i, j)
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
     def test_element_trace(self):
         for d in (2, 3):
             povm = product_sic_povm(sic_from_fiducial(d))
-            assert np.trace(povm.element(1, 2)).real == pytest.approx(
+            assert np.trace(_element(povm, 1, 2)).real == pytest.approx(
                 1.0 / d**2, abs=1e-13
             )
 

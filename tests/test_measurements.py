@@ -22,14 +22,31 @@ from mubsic import (
     probabilities,
     random_mixed,
     random_pure,
-    sic_consequences_check,
     sic_design_basis,
     sic_from_fiducial,
+    weyl_heisenberg_orbit,
 )
 
 
 def _overlap2(basis_a, basis_b):
     return np.abs(basis_a.vectors.conj() @ basis_b.vectors.T) ** 2
+
+
+# each constructor given an empty array, and the shape its message must name
+EMPTY_INPUTS = {
+    "weyl_heisenberg_orbit": (lambda: weyl_heisenberg_orbit([]), "(0,)"),
+    "SicPovm": (lambda: SicPovm(np.zeros((0, 0))), "(0, 0)"),
+    "OrthonormalBasis": (lambda: OrthonormalBasis(np.zeros((0, 0))), "(0, 0)"),
+    "Povm-no-elements": (lambda: Povm(np.zeros((0, 2, 2))), "(0, 2, 2)"),
+    "Povm-empty-elements": (lambda: Povm(np.zeros((0, 0, 0))), "(0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("build, shape", EMPTY_INPUTS.values(), ids=EMPTY_INPUTS.keys())
+def test_empty_input_is_a_domain_error_naming_its_shape(build, shape):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert f"shape {shape}" in str(info.value)
 
 
 class TestMubConstruct:
@@ -152,7 +169,7 @@ class TestProbabilities:
         sic = sic_from_fiducial(3)
         rho = random_mixed(3, 2, 8)
         via_kets = probabilities(sic, rho).p
-        via_povm = probabilities(sic.to_povm(), rho).p
+        via_povm = probabilities(Povm(sic.elements()), rho).p
         assert np.max(np.abs(via_kets - via_povm)) < 1e-13
 
     def test_dimension_mismatch(self):
@@ -224,7 +241,7 @@ def _kernel_cases(d):
         (mubs.bases[1], projectors(mubs.vectors[1]), (d,)),
         (mubs, projectors(mubs.vectors.reshape(-1, d)), (d + 1, d)),
         (sic, sic.elements(), (d * d,)),
-        (sic.to_povm(), sic.elements(), (d * d,)),
+        (Povm(sic.elements()), sic.elements(), (d * d,)),
         (mixed, mixed.elements, (d,)),
     ]
 
@@ -265,34 +282,6 @@ class TestProbabilityKernel:
             assert not meas.design.flags.writeable
             with pytest.raises(ValueError):
                 meas.design[0, 0] = 1.0
-
-
-class TestSicConsequences:
-    def test_identity_operator(self):
-        sic = sic_from_fiducial(3)
-        rep = sic_consequences_check(sic, np.eye(3), sic.kets[0])
-        assert rep.trace_identity_dev < 1e-12
-        assert rep.passed
-
-    def test_random_operator_matches_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        sic = sic_from_fiducial(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rep = sic_consequences_check(sic, a, sic.kets[4])
-        assert rep.trace_identity_dev < 1e-10
-        # oracle: direct double loop
-        total = 0.0
-        for i in range(9):
-            for j in range(9):
-                total += (
-                    sic.kets[i].conj() @ a @ sic.kets[j]
-                ) * (sic.kets[j].conj() @ sic.kets[i])
-        assert abs(total / 9 - np.trace(a)) < 1e-12
-
-    def test_ket_reconstruction(self):
-        sic = sic_from_fiducial(2)
-        rep = sic_consequences_check(sic, np.eye(2), sic.kets[2])
-        assert rep.reconstruction_dev < 1e-12
 
 
 class TestDesignBasis:
@@ -407,10 +396,11 @@ class TestStructuralInvariants:
             povm.rank_one_kets()
 
     def test_rank_one_extraction_round_trip(self):
-        basis = mub_construct(3, 2).bases[1]
-        kets = basis.to_povm().rank_one_kets()
+        vectors = mub_construct(3, 2).bases[1].vectors
+        povm = Povm(np.einsum("ji,jk->jik", vectors, vectors.conj()))
+        kets = povm.rank_one_kets()
         rebuilt = np.einsum("ji,jk->jik", kets, kets.conj())
-        assert np.max(np.abs(rebuilt - basis.to_povm().elements)) < 1e-12
+        assert np.max(np.abs(rebuilt - povm.elements)) < 1e-12
 
     def test_rank_one_extraction_rejects_rank_two(self):
         povm = Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
@@ -436,6 +426,14 @@ class TestFiducialLoader:
         path.write_text(json.dumps({"dim": 4, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
         with pytest.raises(DomainError):
             load_fiducial(path)
+
+    def test_rejects_non_integral_dim(self, tmp_path):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"dim": 2.5, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+        with pytest.raises(DomainError, match="dimension must be an integer, got 2.5"):
+            load_fiducial(path)
+        path.write_text(json.dumps({"dim": 2.0, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+        assert load_fiducial(path)[0].shape == (2,)
 
     def test_rejects_nan_component(self, tmp_path):
         path = tmp_path / "fid.json"

@@ -8,7 +8,10 @@ from mubsic import (
     DensityMatrix,
     DomainError,
     Povm,
-    bloch_vector,
+    cli,
+    maximally_entangled,
+    max_prob_bound,
+    mub_tsallis_bound,
     from_bloch,
     from_json,
     maximally_mixed,
@@ -20,7 +23,54 @@ from mubsic import (
     sic_from_fiducial,
     to_json,
 )
-from mubsic.states import EIGENVALUE_FLOOR
+from mubsic.states import EIGENVALUE_FLOOR, check_dimension
+
+
+# every call takes a dimension or a count that is not an integer
+NON_INTEGRAL = {
+    "random_mixed-rank": lambda: random_mixed(2, 1.5, 0),
+    "random_mixed-dim": lambda: random_mixed(2.5, 1, 0),
+    "random_pure-dim": lambda: random_pure(2.5, 0),
+    "maximally_mixed-dim": lambda: maximally_mixed(2.5),
+    "from_json-dim": lambda: from_json(json.dumps({"dim": 2.5, "re": [[1.0]], "im": [[0.0]]})),
+    "mub_construct-count": lambda: mub_construct(3, 4.5),
+    "mub_construct-dim": lambda: mub_construct(3.5, 2),
+    "maximally_entangled-dim": lambda: maximally_entangled(2.5),
+    "mub_tsallis_bound-count": lambda: mub_tsallis_bound(3, 2.5, 1.5, 0.5),
+    "mub_tsallis_bound-dim": lambda: mub_tsallis_bound(3.5, 4, 1.5, 0.5),
+    "max_prob_bound-count": lambda: max_prob_bound(2.5, 0.5),
+    "campaign-samples": lambda: cli.CampaignConfig(
+        dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=2.5, seed=0
+    ),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("value", [2, 3.0, np.int64(5), np.float64(7.0)])
+    def test_integral_dimension_is_an_int(self, value):
+        d = check_dimension(value)
+        assert type(d) is int and d == value
+
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, "3", None])
+    def test_rejects_non_integral_dimension(self, value):
+        with pytest.raises(DomainError, match="^dimension must be an integer, got "):
+            check_dimension(value)
+
+    @pytest.mark.parametrize("value", [1, 0, -1, 1.0])
+    def test_rejects_dimension_below_2(self, value):
+        with pytest.raises(DomainError, match=r"^dimension must be >= 2, got -?\d+$"):
+            check_dimension(value)
+
+    @pytest.mark.parametrize("call", NON_INTEGRAL.values(), ids=NON_INTEGRAL.keys())
+    def test_rejects_non_integral_counts(self, call):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+    def test_integral_floats_still_work(self):
+        assert np.array_equal(random_mixed(3.0, 2.0, 4).mat, random_mixed(3, 2, 4).mat)
+        assert np.array_equal(random_pure(3.0, 4).mat, random_pure(3, 4).mat)
+        assert mub_construct(3.0, 4.0).count == 4
+        assert mub_tsallis_bound(3.0, 4.0, 1.5, 0.5) == mub_tsallis_bound(3, 4, 1.5, 0.5)
 
 
 class TestValidation:
@@ -33,6 +83,8 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.zeros((0, 0)))
+        with pytest.raises(DomainError, match=r"got shape \(0, 2, 2\)$"):
+            DensityMatrix(np.zeros((0, 2, 2)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="Hermitian"):
@@ -130,8 +182,9 @@ class TestPositivity:
             random_mixed(d, rank, rank)
         random_pure(d, 0)
         maximally_mixed(d)
-        mub_construct(d, d + 1).bases[-1].to_povm()
-        sic_from_fiducial(3).to_povm()
+        vectors = mub_construct(d, d + 1).bases[-1].vectors
+        Povm(np.einsum("ji,jk->jik", vectors, vectors.conj()))
+        Povm(sic_from_fiducial(3).elements())
 
 
 class TestPurity:
@@ -171,13 +224,16 @@ class TestBloch:
             from_bloch([0.8, 0.8, 0.8])
 
     def test_round_trip(self):
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = rng.uniform(-1.0, 1.0, size=3)
             norm = np.linalg.norm(s)
             if norm > 1.0:
                 s /= norm * 1.01
-            assert np.max(np.abs(bloch_vector(from_bloch(s)) - s)) < 1e-13
+            # the Pauli expectations tr(rho sigma_k) read the Bloch vector back
+            read = np.trace(paulis @ from_bloch(s).mat, axis1=1, axis2=2).real
+            assert np.max(np.abs(read - s)) < 1e-13
 
 
 class TestRandomStates:
