@@ -5,8 +5,10 @@ uncertainty relation, for one purity or an array of them;
 :func:`check_bound` pairs it with the directly computed entropy quantity
 and wraps the comparison in a :class:`BoundReport`.  Every labelled check
 is one :class:`Proposition` entry in :data:`PROPOSITIONS`, whose evaluator
-works on a single state and on a stack of states alike.  The implemented
-relations are labeled
+reads the :class:`Inputs` it is given (outcome probabilities and purity,
+or the state itself) of a single state or a stack of states alike, so
+:func:`check_bound` and campaigns share it.  The implemented relations
+are labeled
 
 * ``P1-mub-tsallis``  -- averaged Tsallis entropy over a MUB set,
   order in (0, 2], state-dependent via tr(rho^2), with a detector
@@ -45,6 +47,7 @@ import numpy as np
 
 from . import entanglement
 from .entropy import (
+    ProbDist,
     _entropy_fn,
     _result,
     _sym_order,
@@ -92,10 +95,11 @@ class BoundReport(NamedTuple):
     sense: str = ">="
 
 
+# the pass rule of each sense, over a list of margins
 _PASSES = {
-    ">=": lambda margin, tolerance: margin >= -tolerance,
-    "<=": lambda margin, tolerance: margin <= tolerance,
-    "==": lambda margin, tolerance: abs(margin) <= tolerance,
+    ">=": lambda margins, tolerance: [m >= -tolerance for m in margins],
+    "<=": lambda margins, tolerance: [m <= tolerance for m in margins],
+    "==": lambda margins, tolerance: [abs(m) <= tolerance for m in margins],
 }
 
 
@@ -105,19 +109,37 @@ def check_tolerance(tolerance) -> None:
         raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance}")
 
 
-def _reports(label, lhs, rhs, tolerance, sense) -> list[BoundReport]:
-    """One report per entry of lhs; rhs is an array like lhs or one value for all."""
-    passes = _PASSES[sense]
+class Columns(NamedTuple):
+    """The per-state results of one check, as lists in stack order.
+
+    ``margin`` is lhs - rhs; ``saturated`` and ``passed`` apply the pass
+    rule of the label's sense at the tolerance.  :func:`reports` turns them
+    into :class:`BoundReport` objects.
+    """
+
+    lhs: list
+    rhs: list
+    margin: list
+    saturated: list
+    passed: list
+
+
+def _columns(lhs, rhs, tolerance, sense) -> Columns:
+    """The one pass rule, over each entry of lhs; rhs is an array like lhs or one value for all."""
     lhs = np.asarray(lhs, dtype=float).ravel().tolist()
     rhs = np.asarray(rhs, dtype=float)
     rhs = rhs.ravel().tolist() if rhs.size == len(lhs) else [float(rhs)] * len(lhs)
-    reports = []
-    for left, right in zip(lhs, rhs):
-        margin = left - right
-        saturated = abs(margin) <= tolerance
-        passed = passes(margin, tolerance)
-        reports.append(BoundReport(label, left, right, margin, tolerance, saturated, passed, sense))
-    return reports
+    margin = [left - right for left, right in zip(lhs, rhs)]
+    saturated = [abs(m) <= tolerance for m in margin]
+    return Columns(lhs, rhs, margin, saturated, _PASSES[sense](margin, tolerance))
+
+
+def reports(label: str, columns: Columns, tolerance: float, sense: str) -> list[BoundReport]:
+    """One :class:`BoundReport` per state of a check's :class:`Columns`."""
+    return [
+        BoundReport(label, lhs, rhs, margin, tolerance, saturated, passed, sense)
+        for lhs, rhs, margin, saturated, passed in zip(*columns)
+    ]
 
 
 def _check_purity(d: int, value):
@@ -262,7 +284,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
         raise ConstructionError(
             f"intermediate bound {rhs!r} fell below its floor {floor!r}"
         )
-    return _reports(label, lhs, rhs, tolerance, ">=")[0]
+    return reports(label, _columns(lhs, rhs, tolerance, ">="), tolerance, ">=")[0]
 
 
 def _rank_one_kets(meas) -> np.ndarray:
@@ -391,8 +413,8 @@ class Proposition(NamedTuple):
     from ("tsallis": (0, 2], "renyi": [2, inf], "symmetrized": the larger
     order alpha in [1, inf) of a conjugate pair) and is None for the
     order-free checks.
-    ``evaluate(meas, rho, args)`` returns the lhs and rhs arrays over the
-    states of ``rho``.
+    ``evaluate(meas, inputs, args)`` returns the lhs and rhs arrays over the
+    states of an :class:`Inputs`.
     """
 
     measurement: str
@@ -401,79 +423,109 @@ class Proposition(NamedTuple):
     efficiency: bool
     evaluate: Callable
 
+    @property
+    def statistical(self) -> bool:
+        """True when the check reads only the outcome statistics and purity of its states."""
+        return self.measurement in ("mubs", "sic", "any")
 
-def _statistics(meas, rho, eta=None):
-    """Outcome probabilities, with the no-click outcome appended when eta is given."""
-    p = probabilities(meas, rho)
+
+class Inputs(NamedTuple):
+    """What an evaluator reads of a state or a stack of states.
+
+    ``p`` is the label's measurement's :class:`ProbDist` for a
+    :attr:`Proposition.statistical` label and None for the pair and
+    product labels, which read ``rho`` itself; ``purity`` is tr(rho^2).
+    :func:`inputs` builds them for one state or stack; a campaign builds
+    them once for a run of cells on one measurement and gives each cell
+    its :meth:`part`.
+    """
+
+    rho: DensityMatrix
+    p: ProbDist | None
+    purity: float | np.ndarray
+
+    def part(self, rows: slice) -> Inputs:
+        """The inputs of the states ``rows`` of a stack."""
+        p = None if self.p is None else self.p[rows]
+        return Inputs(self.rho[rows], p, self.purity[rows])
+
+
+def inputs(which: str, meas, rho: DensityMatrix) -> Inputs:
+    """The :class:`Inputs` of a labelled check: its outcome probabilities and the purity."""
+    p = probabilities(meas, rho) if PROPOSITIONS[which].statistical else None
+    return Inputs(rho, p, purity(rho))
+
+
+def _distorted(p, eta):
+    """The outcome probabilities, with the no-click outcome appended when eta is given."""
     return p if eta is None else distort(p, eta)
 
 
-def _p1(mubs, rho, a):
-    base = mub_tsallis_bound(mubs.dim, mubs.count, a.alpha, purity(rho))
+def _p1(mubs, x, a):
+    base = mub_tsallis_bound(mubs.dim, mubs.count, a.alpha, x.purity)
     rhs = _with_inefficiency(base, a.alpha, a.eta)
-    return tsallis(_statistics(mubs, rho, a.eta), a.alpha).mean(axis=-1), rhs
+    return tsallis(_distorted(x.p, a.eta), a.alpha).mean(axis=-1), rhs
 
 
-def _p2(mubs, rho, a):
-    lhs = renyi(_statistics(mubs, rho), a.alpha).mean(axis=-1)
-    return lhs, mub_renyi_bound(mubs.dim, mubs.count, a.alpha, purity(rho))
+def _p2(mubs, x, a):
+    lhs = renyi(x.p, a.alpha).mean(axis=-1)
+    return lhs, mub_renyi_bound(mubs.dim, mubs.count, a.alpha, x.purity)
 
 
-def _p3(mubs, rho, a):
-    lhs = renyi(_statistics(mubs, rho), np.inf).mean(axis=-1)
-    return lhs, mub_minentropy_bound(mubs.dim, mubs.count, purity(rho))
+def _p3(mubs, x, a):
+    lhs = renyi(x.p, np.inf).mean(axis=-1)
+    return lhs, mub_minentropy_bound(mubs.dim, mubs.count, x.purity)
 
 
-def _p4(mubs, rho, a):
-    lhs = symmetrized(_statistics(mubs, rho), a.alpha, a.kind).mean(axis=-1)
+def _p4(mubs, x, a):
+    lhs = symmetrized(x.p, a.alpha, a.kind).mean(axis=-1)
     return lhs, mub_symmetrized_bound(mubs.dim, a.alpha, a.kind)
 
 
-def _p5(sic, rho, a):
-    return index_of_coincidence(_statistics(sic, rho)), _sic_cap(sic.dim, purity(rho))
+def _p5(sic, x, a):
+    return index_of_coincidence(x.p), _sic_cap(sic.dim, x.purity)
 
 
-def _p6(sic, rho, a):
-    rhs = _with_inefficiency(sic_tsallis_bound(sic.dim, a.alpha, purity(rho)), a.alpha, a.eta)
-    return tsallis(_statistics(sic, rho, a.eta), a.alpha), rhs
+def _p6(sic, x, a):
+    rhs = _with_inefficiency(sic_tsallis_bound(sic.dim, a.alpha, x.purity), a.alpha, a.eta)
+    return tsallis(_distorted(x.p, a.eta), a.alpha), rhs
 
 
-def _p7(sic, rho, a):
-    return renyi(_statistics(sic, rho), a.alpha), sic_renyi_bound(sic.dim, a.alpha, purity(rho))
+def _p7(sic, x, a):
+    return renyi(x.p, a.alpha), sic_renyi_bound(sic.dim, a.alpha, x.purity)
 
 
-def _p8(sic, rho, a):
-    return renyi(_statistics(sic, rho), np.inf), sic_minentropy_bound(sic.dim, purity(rho))
+def _p8(sic, x, a):
+    return renyi(x.p, np.inf), sic_minentropy_bound(sic.dim, x.purity)
 
 
-def _p9(pair, rho, a):
+def _p9(pair, x, a):
     """H_a(M) + H_b(N) >= ln_a(g^-2) (Tsallis) or R_a(M) + R_b(N) >= -2 ln g (Renyi)."""
-    g = mu_g_factor(*pair, rho)
-    pm = probabilities(pair[0], rho)
-    pn = probabilities(pair[1], rho)
+    g = mu_g_factor(*pair, x.rho)
+    pm = probabilities(pair[0], x.rho)
+    pn = probabilities(pair[1], x.rho)
     beta = conjugate_order(a.alpha)
     if a.kind == "tsallis":
         return tsallis(pm, a.alpha) + tsallis(pn, beta), alpha_log(np.power(g, -2.0), a.alpha)
     return renyi(pm, a.alpha) + renyi(pn, beta), -2.0 * np.log(g)
 
 
-def _lwbm(mubs, rho, a):
-    lhs = index_of_coincidence(_statistics(mubs, rho)).sum(axis=-1)
-    return lhs, mubs.count * _mub_cap(mubs.dim, mubs.count, purity(rho))
+def _lwbm(mubs, x, a):
+    lhs = index_of_coincidence(x.p).sum(axis=-1)
+    return lhs, mubs.count * _mub_cap(mubs.dim, mubs.count, x.purity)
 
 
-def _apxa(meas, rho, a):
-    p = _statistics(meas, rho)
-    return p.p.max(axis=-1), max_prob_bound(len(p), index_of_coincidence(p))
+def _apxa(meas, x, a):
+    return x.p.p.max(axis=-1), max_prob_bound(len(x.p), index_of_coincidence(x.p))
 
 
-def _apxb(pair, rho, a):
-    t = _overlap_transform(*_pair_kets(*pair, rho.dim), rho)
+def _apxb(pair, x, a):
+    t = _overlap_transform(*_pair_kets(*pair, x.rho.dim), x.rho)
     return _riesz_sides(t, a.u)
 
 
-def _ent_g(sic, rho, a):
-    g = entanglement.correlation_G(entanglement.product_sic_povm(sic), rho)
+def _ent_g(sic, x, a):
+    g = entanglement.correlation_G(entanglement.product_sic_povm(sic), x.rho)
     return g, _sic_cap(sic.dim, 1.0)
 
 
@@ -570,9 +622,20 @@ def check_bound(
         raise DomainError(
             f"{which} expects a {prop.measurement} measurement, got {type(meas).__name__}"
         )
-    lhs, rhs = prop.evaluate(meas, rho, args._replace(u=u))
-    reports = _reports(which, lhs, rhs, tolerance, prop.sense)
-    return reports if rho.mat.ndim == 3 else reports[0]
+    columns = evaluate(which, meas, inputs(which, meas, rho), args._replace(u=u), tolerance)
+    result = reports(which, columns, tolerance, prop.sense)
+    return result if rho.mat.ndim == 3 else result[0]
+
+
+def evaluate(which: str, meas, x: Inputs, args: CheckArguments, tolerance: float) -> Columns:
+    """The label's evaluator on validated inputs, then the one pass rule on each state.
+
+    :func:`check_bound` validates its arguments and calls this; a campaign
+    validates its plan once and calls it per cell.
+    """
+    prop = PROPOSITIONS[which]
+    lhs, rhs = prop.evaluate(meas, x, args)
+    return _columns(lhs, rhs, tolerance, prop.sense)
 
 
 def detect_entanglement(

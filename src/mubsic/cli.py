@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 unsupported
 or out-of-domain input, 3 I/O failure.  Campaigns with identical
 configuration and seed produce bitwise-identical reports.  A campaign
-validates its whole plan first, then evaluates each (dim, label, order)
-cell as one stack of states drawn from the cell's own stream.
+validates its whole plan first, then evaluates each run of consecutive
+(dim, label, order) cells on one measurement as one stack of states, each
+cell's states drawn from the cell's own stream.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .states import (
     check_integer,
     from_json,
     maximally_mixed,
-    purity,
+    purity,  # noqa: F401  (bench/tracer.py counts the calls of cli.purity)
     random_mixed,
     stream,
 )
@@ -94,7 +95,8 @@ class CampaignConfig:
     def __post_init__(self):
         for d in self.dims:
             check_dimension(d)
-        check_integer(self.samples, "samples", 1)
+        self.samples = check_integer(self.samples, "samples", 1)
+        self.seed = check_integer(self.seed, "seed", 0)
         bnd.check_tolerance(self.tolerance)
         for a in self.alphas:
             if not a > 0.0:
@@ -104,7 +106,7 @@ class CampaignConfig:
                 raise DomainError(f"unknown proposition label {p!r}")
         if self.eta is not None and not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"efficiency must lie in [0, 1], got {self.eta}")
-        check_integer(self.trials, "trials", 1)
+        self.trials = check_integer(self.trials, "trials", 1)
 
 
 def _parse_alpha(text: str) -> float:
@@ -168,10 +170,17 @@ class _Cell(NamedTuple):
     key: tuple  # (di, pi, ai): the cell's stream id under the campaign seed
     d: int
     prop: str
-    alpha: float | None
-    eta: float | None
+    args: bnd.CheckArguments  # the validated order and efficiency
     meas: object
     outcomes: int  # the M column
+
+
+class CellResult(NamedTuple):
+    """One cell's purity column and its :class:`~mubsic.bounds.Columns`, in sample order."""
+
+    cell: _Cell
+    purity: list
+    columns: bnd.Columns
 
 
 def _plan(config: CampaignConfig) -> list[_Cell]:
@@ -192,28 +201,53 @@ def _plan(config: CampaignConfig) -> list[_Cell]:
                 meas = measurement("pair" if entry.measurement == "pair" else "sic", d, None, ket)
                 outcomes = d**4 if entry.measurement == "product" else d * d
             for ai, alpha in enumerate(config.alphas if entry.order else [None]):
-                bnd.check_arguments(prop, alpha=alpha, eta=eta)
-                cells.append(_Cell((di, pi, ai), d, prop, alpha, eta, meas, outcomes))
+                args = bnd.check_arguments(prop, alpha=alpha, eta=eta)
+                cells.append(_Cell((di, pi, ai), d, prop, args, meas, outcomes))
     return cells
 
 
-def _run_cell(cell: _Cell, config: CampaignConfig):
-    """Evaluate every sample of one cell as one stack of states.
+def _groups(cells):
+    """The plan as runs of consecutive cells that one stack of states serves.
 
-    The cell's stream (seed, di, pi, ai) gives one (N, K) block of standard
-    normals: row i holds all K numbers sample i needs, so a row depends
-    only on the cell key and i.  Row layout: the Ginibre block (2, d, d) of
-    the state; for ENT-G, a second one for party B; for APXB-riesz,
-    (trials, 2, d^2) for the input vectors.
+    A run shares one measurement object, so one d, and holds only labels
+    that read outcome statistics and purity; every other cell is a run of
+    its own.
     """
+    group = []
+    for cell in cells:
+        if group and not _fuses(group[-1], cell):
+            yield group
+            group = []
+        group.append(cell)
+    if group:
+        yield group
+
+
+def _fuses(prev: _Cell, cell: _Cell) -> bool:
+    """True when ``cell`` joins the run that ends with ``prev``."""
+    statistical = all(bnd.PROPOSITIONS[c.prop].statistical for c in (prev, cell))
+    return statistical and cell.meas is prev.meas
+
+
+def _states(group, config: CampaignConfig):
+    """The stack of every sample of a run of cells, in cell order, and APXB's input vectors.
+
+    Each cell's stream (seed, di, pi, ai) gives one (N, K) block of standard
+    normals: row i holds all K numbers sample i needs, so a row depends only
+    on its cell key and i.  Row layout: the Ginibre block (2, d, d) of the
+    state; for ENT-G, a second one for party B; for APXB-riesz,
+    (trials, 2, d^2) for the input vectors.  ENT-G and APXB cells run alone.
+    """
+    cell = group[0]
     d, n = cell.d, config.samples
     block = 2 * d * d
     product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
     trials = config.trials if cell.prop == "APXB-riesz" else 0
     width = block * (2 if product else 1) + 2 * trials * d * d
-    draws = stream(config.seed, *cell.key).standard_normal((n, width))
-    samples = np.arange(n)
-    rho = random_mixed(d, 1 + samples % d, normals=draws[:, :block].reshape(n, 2, d, d))
+    draws = [stream(config.seed, *c.key).standard_normal((n, width)) for c in group]
+    draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    samples = np.arange(len(group) * n) % n  # each cell's sample index
+    rho = random_mixed(d, 1 + samples % d, normals=draws[:, :block].reshape(-1, 2, d, d))
     if product:
         rho_b = random_mixed(
             d, 1 + (samples // d) % d, normals=draws[:, block : 2 * block].reshape(n, 2, d, d)
@@ -223,36 +257,61 @@ def _run_cell(cell: _Cell, config: CampaignConfig):
     if trials:
         z = draws[:, block:].reshape(n, trials, 2, d * d)
         u = z[:, :, 0] + 1j * z[:, :, 1]
-    reports = bnd.check_bound(
-        cell.meas,
-        rho,
-        cell.prop,
-        alpha=cell.alpha,
-        eta=cell.eta,
-        u=u,
-        tolerance=config.tolerance,
-    )
+    return rho, u
+
+
+def _run_group(group, config: CampaignConfig) -> list[CellResult]:
+    """Evaluate a run of cells on one stack: one sampling, validation, purity and probability pass.
+
+    Cell k reads rows k N ... (k + 1) N - 1 of the stack, drawn from its own
+    stream, so its results are bitwise those of the cell run alone.
+    """
+    rho, u = _states(group, config)
+    x = bnd.inputs(group[0].prop, group[0].meas, rho)
+    n = config.samples
+    p2 = x.purity.tolist()
+    results = []
+    for k, cell in enumerate(group):
+        rows = slice(k * n, (k + 1) * n)
+        part = x if len(group) == 1 else x.part(rows)
+        args = cell.args if u is None else cell.args._replace(u=u)
+        columns = bnd.evaluate(cell.prop, cell.meas, part, args, config.tolerance)
+        results.append(CellResult(cell, p2[rows], columns))
+    return results
+
+
+def _results(config: CampaignConfig):
+    """The :class:`CellResult` of every cell, in plan order; the plan is validated first."""
+    for group in _groups(_plan(config)):
+        yield from _run_group(group, config)
+
+
+def _rows(result: CellResult, config: CampaignConfig) -> list[dict]:
+    """A cell's report rows, dicts keyed by CSV_COLUMNS."""
+    cell = result.cell
     fixed = {
         "prop": cell.prop,
-        "dim": d,
+        "dim": cell.d,
         "M": cell.outcomes,
-        "alpha": _format_alpha(cell.alpha),
-        "eta": "" if cell.eta is None else repr(float(cell.eta)),
+        "alpha": _format_alpha(cell.args.alpha),
+        "eta": "" if cell.args.eta is None else repr(float(cell.args.eta)),
         "seed": config.seed,
     }
-    rows = [
+    lhs, rhs, margin, saturated, _ = result.columns
+    return [
         {
             **fixed,
             "sample": sample,
             "purity": repr(p2),
-            "lhs": repr(report.lhs),
-            "rhs": repr(report.rhs),
-            "margin": repr(report.margin),
-            "saturated": "true" if report.saturated else "false",
+            "lhs": repr(left),
+            "rhs": repr(right),
+            "margin": repr(m),
+            "saturated": "true" if sat else "false",
         }
-        for sample, p2, report in zip(range(n), purity(rho).tolist(), reports)
+        for sample, p2, left, right, m, sat in zip(
+            range(config.samples), result.purity, lhs, rhs, margin, saturated
+        )
     ]
-    return reports, rows
 
 
 def run_campaign(config: CampaignConfig):
@@ -261,13 +320,12 @@ def run_campaign(config: CampaignConfig):
     The whole plan (every measurement and every order range) is validated
     before any state is sampled.
     """
-    cells = _plan(config)
     reports = []
     rows = []
-    for cell in cells:
-        cell_reports, cell_rows = _run_cell(cell, config)
-        reports += cell_reports
-        rows += cell_rows
+    for result in _results(config):
+        prop = result.cell.prop
+        reports += bnd.reports(prop, result.columns, config.tolerance, bnd.PROPOSITIONS[prop].sense)
+        rows += _rows(result, config)
     return reports, rows
 
 
@@ -307,22 +365,29 @@ def cmd_verify(args) -> int:
         fiducial_path=args.fiducial,
         trials=args.trials,
     )
-    reports, rows = run_campaign(config)
-    if not reports:
+    rows = []
+    checks = n_failed = n_saturated = 0
+    min_margin = None
+    for result in _results(config):
+        rows += _rows(result, config)
+        margin = result.columns.margin
+        checks += len(margin)
+        n_failed += result.columns.passed.count(False)
+        n_saturated += result.columns.saturated.count(True)
+        # Python's min, continued over the cells: the first minimum, so a zero keeps its sign
+        min_margin = min(margin) if min_margin is None else min(min_margin, *margin)
+    if not checks:
         raise DomainError("campaign is empty: no (dim, proposition, order) cells to run")
-    min_margin = min(r.margin for r in reports)
-    n_saturated = sum(r.saturated for r in reports)
-    n_failed = sum(not r.passed for r in reports)
     summary = {
-        "checks": len(reports),
+        "checks": checks,
         "failed": n_failed,
         "min_margin": min_margin,
         "saturated": n_saturated,
     }
     _write_report(rows, summary, args.out, args.format)
     print(
-        f"checks={len(reports)} failed={n_failed} "
-        f"min_margin={min_margin!r} saturated={n_saturated}/{len(reports)}"
+        f"checks={checks} failed={n_failed} "
+        f"min_margin={min_margin!r} saturated={n_saturated}/{checks}"
     )
     return EXIT_VIOLATION if n_failed else EXIT_OK
 

@@ -94,6 +94,7 @@ class OrthonormalBasis:
         vectors = np.array(vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
             raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
+        check_dimension(vectors.shape[0])
         dev = _identity_deviation(vectors.conj() @ vectors.T)
         if not dev <= GRAM_ATOL:
             raise ConstructionError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
@@ -160,6 +161,7 @@ class Povm:
         elements = np.array(elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.size == 0:
             raise DomainError(f"expected N square matrices, got shape {elements.shape}")
+        check_dimension(elements.shape[1])
         dev = _identity_deviation(elements.sum(axis=0))
         if not dev <= POVM_ATOL:
             raise ConstructionError(f"POVM completeness fails (deviation {dev:.3e})")
@@ -211,6 +213,7 @@ class SicPovm:
         d = kets.shape[1] if kets.ndim == 2 else 0
         if d == 0 or kets.shape[0] != d * d:
             raise DomainError(f"expected d^2 kets of dimension d, got shape {kets.shape}")
+        check_dimension(d)
         overlap2 = np.abs(kets.conj() @ kets.T) ** 2
         off = overlap2 - 1.0 / (d + 1.0)
         np.fill_diagonal(off, 0.0)

@@ -4,13 +4,17 @@ Every labelled check evaluates a whole (N, d, d) stack of states at once.
 Its lhs must equal the public ``renyi``/``tsallis``/``symmetrized``/
 ``index_of_coincidence`` applied to each basis's ``probabilities`` of each
 state on its own, and a campaign row must depend only on its cell and
-sample index.
+sample index, whether the cell runs alone or fused with its neighbours
+into one group.
 """
 
 import csv
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from test_measurements import _FIDUCIALS
 
 from mubsic import (
     DensityMatrix,
@@ -32,6 +36,7 @@ from mubsic import (
     symmetrized,
     tsallis,
 )
+from mubsic import bounds, cli
 from mubsic.cli import CSV_COLUMNS, _fixed_rotation, main
 from mubsic.measurements import SicPovm
 
@@ -176,6 +181,20 @@ class TestStacks:
             assert np.array_equal(stack.mat[i], single.mat)
             assert np.linalg.matrix_rank(single.mat, tol=1e-10) == ranks[i]
 
+    def test_slices_of_a_stack_are_its_rows(self):
+        # a fused campaign group hands each cell a slice of its stack and its statistics
+        stack = _stack(_singles(3, 11))
+        p = probabilities(mub_construct(3, 4), stack)
+        assert np.array_equal(stack[2:5].mat, stack.mat[2:5]) and stack[2:5].dim == 3
+        assert np.array_equal(p[2:5].p, p.p[2:5])
+        for bad in (stack, p):
+            for index in (slice(4, 4), 0, (slice(None), 0)):
+                with pytest.raises(DomainError, match="non-empty slice"):
+                    bad[index]
+        assert stack[0:1][0:1].mat.shape == (1, 3, 3)
+        with pytest.raises(DomainError, match="non-empty slice"):
+            random_mixed(3, 2, 1)[0:1]  # a single state is not a stack
+
     def test_single_state_gives_one_report_and_stack_a_list(self):
         sic = sic_from_fiducial(2)
         singles = _singles(2, 10)
@@ -244,3 +263,69 @@ def test_trials_widen_rows_but_keep_row_zero_and_the_prefix(tmp_path):
         assert next(csv.reader([one[0]]))[col] == next(csv.reader([three[0]]))[col], key
         assert long[:5] == three, key
     assert all(list(cells) == keys for cells in runs.values())
+
+
+SIC_LABELS = "P5-sic-ic,P6-sic-tsallis,P7-sic-renyi,P8-sic-minent"
+# (label, its campaign alone, the campaign that fuses it into a group, orders);
+# the label's cell has the same stream key (di, pi, ai) in both campaigns.  A
+# leading P9 cell runs alone, so LWBM and P6 at pi = 1 are groups of one.
+FUSED = [
+    ("P1-mub-tsallis", "P1-mub-tsallis", "0.5", "P1-mub-tsallis", "0.5,1,2"),
+    ("P3-mub-minent", "P3-mub-minent", "2", "P3-mub-minent,LWBM-sum", "2"),
+    ("LWBM-sum", "P9-mu-pair,LWBM-sum", "2", "P3-mub-minent,LWBM-sum", "2"),
+    ("P5-sic-ic", "P5-sic-ic", "2", SIC_LABELS, "2"),
+    ("P6-sic-tsallis", "P9-mu-pair,P6-sic-tsallis", "2", SIC_LABELS, "2"),
+]
+
+
+def _fiducial_args(tmp_path, d):
+    """--fiducial for the dimensions without a builtin SIC."""
+    if d not in _FIDUCIALS:
+        return []
+    ket = _FIDUCIALS[d] / np.linalg.norm(_FIDUCIALS[d])
+    path = tmp_path / f"fiducial{d}.json"
+    path.write_text(json.dumps({"dim": d, "re": ket.real.tolist(), "im": ket.imag.tolist()}))
+    return ["--fiducial", str(path)]
+
+
+@pytest.mark.parametrize("eta", [None, "0.8"])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("label, alone, alone_alphas, group, group_alphas", FUSED)
+def test_a_cell_gives_the_same_rows_alone_and_in_a_group(
+    tmp_path, label, alone, alone_alphas, group, group_alphas, d, eta
+):
+    args = ["verify", "--dims", str(d), "--samples", "7", "--seed", "11"]
+    args += _fiducial_args(tmp_path, d) + ([] if eta is None else ["--eta", eta])
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    assert main(args + ["--props", alone, "--alphas", alone_alphas, "--out", str(one)]) == 0
+    assert main(args + ["--props", group, "--alphas", group_alphas, "--out", str(many)]) == 0
+    alone_cells = {key: lines for key, lines in _cells(one).items() if key[0] == label}
+    group_cells = _cells(many)
+    assert len(alone_cells) == 1
+    for key, lines in alone_cells.items():
+        assert len(lines) == 7 and group_cells[key] == lines, key
+
+
+@pytest.mark.parametrize(
+    "argv, groups",
+    [
+        (["--dims", "5,7", "--props", "P1-mub-tsallis", "--alphas", "0.5,1,2"], 2),
+        (["--dims", "5,7", "--props", "P3-mub-minent,LWBM-sum"], 2),
+        (["--dims", "2,3", "--props", SIC_LABELS + ",APXA-max", "--alphas", "2"], 2),
+        # the SIC cell between them splits the MUB cells into two groups
+        (["--dims", "2", "--props", "P2-mub-renyi,P5-sic-ic,LWBM-sum", "--alphas", "2,3"], 3),
+    ],
+)
+def test_purity_and_probabilities_run_once_per_group(monkeypatch, capsys, argv, groups):
+    calls = Counter()
+    for module, name in ((bounds, "purity"), (cli, "purity"), (bounds, "probabilities")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["verify", "--samples", "3", "--out", "", *argv]) == 0
+    assert "failed=0" in capsys.readouterr().out
+    assert calls == {"purity": groups, "probabilities": groups}

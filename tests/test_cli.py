@@ -334,6 +334,24 @@ class TestVerifyCommand:
         with pytest.raises(DomainError, match=r"^dimension must be >= 2, got 1$"):
             cli.CampaignConfig(dims=[2, 1], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(2.5, r"^seed must be an integer, got 2\.5$"), (-1, r"^seed must be >= 0, got -1$")],
+    )
+    def test_config_applies_the_seed_rule(self, seed, message):
+        # a fractional seed used to draw the states of its integer part
+        with pytest.raises(DomainError, match=message):
+            cli.CampaignConfig(dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=seed)
+
+    def test_integral_float_counts_run_as_ints(self):
+        def rows(samples, seed):
+            config = cli.CampaignConfig(
+                dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=samples, seed=seed
+            )
+            return cli.run_campaign(config)[1]
+
+        assert rows(2.0, 3.0) == rows(2, 3)
+
 
 class TestMeasurementBuilder:
     @staticmethod
@@ -490,6 +508,7 @@ EXIT_CONTRACT = [
     (_P5 + ["--dims", "0"], 2, "error: dimension must be >= 2, got 0\n"),
     (_P5 + ["--dims", "3,1"], 2, "error: dimension must be >= 2, got 1\n"),
     (["verify", "--dims", "0", "--props", "APXA-max"], 2, "error: dimension must be >= 2, got 0\n"),
+    (_P5 + ["--seed", "-1"], 2, "error: seed must be >= 0, got -1\n"),
 ]
 
 
@@ -566,3 +585,21 @@ def test_parser_reuse_keeps_no_state_between_calls(tmp_path, capsys):
     assert text.startswith(",".join(cli.CSV_COLUMNS) + "\n")
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 2 and {row["eta"] for row in rows} == {""}
+
+
+@pytest.mark.parametrize("margins", [(0.0, -0.0), (-0.0, 0.0)])
+def test_summary_keeps_the_first_minimum_margin(monkeypatch, capsys, tmp_path, margins):
+    # two cells whose margins are zeros of either sign: Python's min keeps the first
+    left = list(margins)
+
+    def evaluate(which, meas, x, args, tolerance):
+        margin = [left.pop(0)]
+        return cli.bnd.Columns([0.5], [0.5], margin, [True], [True])
+
+    monkeypatch.setattr(cli.bnd, "evaluate", evaluate)
+    out = tmp_path / "report.json"
+    args = ["verify", "--dims", "2", "--props", "P1-mub-tsallis", "--alphas", "0.5,1"]
+    assert main(args + ["--samples", "1", "--format", "json", "--out", str(out)]) == 0
+    assert f"min_margin={margins[0]!r} saturated=2/2" in capsys.readouterr().out
+    summary = json.loads(out.read_text())["summary"]
+    assert repr(summary["min_margin"]) == repr(margins[0]) and summary["checks"] == 2

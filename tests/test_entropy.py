@@ -368,18 +368,18 @@ class TestMaxProbBound:
     def test_grid_search_oracle(self):
         # 2-parameter family (m, t, u, u): the closed form must dominate
         # every feasible point, and the constrained max at coincidence
-        # 1/3 must approach the closed-form value 1/2
+        # 1/3 must approach the closed-form value 1/2; the 751 x 301 grid is
+        # evaluated as one array, row k of t being linspace(0, 1 - m_k, 301)
         band = 2e-3
-        best = 0.0
-        for m in np.linspace(0.25, 1.0, 751):
-            for t in np.linspace(0.0, 1.0 - m, 301):
-                u = (1.0 - m - t) / 2.0
-                if u < -1e-12:
-                    continue
-                c = m * m + t * t + 2.0 * u * u
-                assert max(m, t, u) <= max_prob_bound(4, c) + 1e-12
-                if abs(c - 1.0 / 3.0) < band:
-                    best = max(best, m)
+        m = np.linspace(0.25, 1.0, 751)
+        t = np.array([np.linspace(0.0, 1.0 - mk, 301) for mk in m])
+        m = np.broadcast_to(m[:, None], t.shape)
+        u = (1.0 - m - t) / 2.0
+        feasible = u >= -1e-12
+        m, t, u = m[feasible], t[feasible], u[feasible]
+        c = m * m + t * t + 2.0 * u * u
+        assert np.all(np.maximum(np.maximum(m, t), u) <= max_prob_bound(4, c) + 1e-12)
+        best = m[np.abs(c - 1.0 / 3.0) < band].max(initial=0.0)
         assert best <= max_prob_bound(4, 1.0 / 3.0 + band) + 1e-12
         assert best == pytest.approx(max_prob_bound(4, 1.0 / 3.0), abs=5e-3)
 

@@ -49,6 +49,21 @@ def test_empty_input_is_a_domain_error_naming_its_shape(build, shape):
     assert f"shape {shape}" in str(info.value)
 
 
+# each measurement class given an otherwise valid measurement of dimension 1
+DIMENSION_ONE = {
+    "SicPovm": lambda: SicPovm([[1.0]]),
+    "OrthonormalBasis": lambda: OrthonormalBasis([[1.0]]),
+    "MubSet": lambda: MubSet([[[1.0]], [[1.0]]]),
+    "Povm": lambda: Povm([[[1.0]]]),
+}
+
+
+@pytest.mark.parametrize("build", DIMENSION_ONE.values(), ids=DIMENSION_ONE.keys())
+def test_measurement_classes_apply_the_dimension_rule(build):
+    with pytest.raises(DomainError, match=r"^dimension must be >= 2, got 1$"):
+        build()
+
+
 class TestMubConstruct:
     def test_qubit_pauli_eigenbases(self):
         mubs = mub_construct(2, 3)
