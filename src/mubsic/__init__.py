@@ -71,7 +71,6 @@ from .states import (
     DensityMatrix,
     from_bloch,
     from_json,
-    generator,
     maximally_mixed,
     purity,
     random_mixed,

@@ -1,10 +1,11 @@
 """Density matrices: validation, purity, Bloch form, and random sampling.
 
 A :class:`DensityMatrix` is one state or a stack of states, validated
-together.  Random sampling is built on counter-based Philox streams so
-that Monte-Carlo campaigns can derive an independent generator per task
-from (seed, stream-id) and stay bitwise reproducible in any execution
-order.
+together.  Every random draw goes through :func:`stream`, which checks
+its key and derives a counter-based Philox generator from (seed,
+stream-id), so Monte-Carlo campaigns stay bitwise reproducible in any
+execution order.  :func:`random_mixed` is the one sampler (Ginibre-induced
+states); :func:`random_pure` is its rank-1 case.
 """
 
 from __future__ import annotations
@@ -68,20 +69,17 @@ def positivity_failure(mat):
     return None if (min_eig >= EIGENVALUE_FLOOR).all() else min_eig
 
 
-def generator(seed) -> np.random.Generator:
-    """Return a Philox generator for an integer seed (generators pass through)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def stream(seed, *stream_id) -> np.random.Generator:
+    """The Philox generator for the key (seed, stream_id): the package's one source of draws.
 
-
-def stream(seed: int, *stream_id: int) -> np.random.Generator:
-    """Independent counter-based generator for the task (seed, stream_id).
-
-    Distinct stream ids give statistically independent streams for the
-    same master seed, which is what parallel campaign drivers key on.
+    The seed and each id must be integers >= 0, so no two keys share a
+    stream; distinct ids give independent streams under one master seed.
+    A Generator passed as ``seed`` with no id is returned as it is.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in stream_id))
+    if isinstance(seed, np.random.Generator) and not stream_id:
+        return seed
+    key = tuple(check_integer(k, "stream id", 0) for k in stream_id)
+    ss = np.random.SeedSequence(entropy=check_integer(seed, "seed", 0), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -155,7 +153,7 @@ def from_bloch(s) -> DensityMatrix:
     if s.shape != (3,):
         raise DomainError(f"Bloch vector must have 3 real components, got shape {s.shape}")
     norm = float(np.linalg.norm(s))
-    if norm > 1.0 + 1e-12:
+    if not norm <= 1.0 + 1e-12:  # NaN fails here, not later as a non-Hermitian matrix
         raise DomainError(f"Bloch vector has length {norm:.12f} > 1")
     sx, sy, sz = s
     mat = 0.5 * np.array(
@@ -165,17 +163,14 @@ def from_bloch(s) -> DensityMatrix:
 
 
 def random_pure(d: int, seed) -> DensityMatrix:
-    """Haar-random pure state |psi><psi| in dimension d.
+    """Haar-random pure state |psi><psi| in dimension d: ``random_mixed(d, 1, seed)``.
 
-    The ket is a normalized vector of i.i.d. standard complex Gaussians,
-    so the distribution is unitarily invariant.  Deterministic given an
-    integer seed; a Generator may be passed for stream control.
+    The rank-1 Ginibre state is the projector on a normalized vector of
+    i.i.d. standard complex Gaussians, so its law is unitarily invariant.
+    ``seed`` is an integer key or a Generator, as for :func:`stream`.  For a
+    stack, pass ranks of ones and ``normals`` to :func:`random_mixed`.
     """
-    d = check_dimension(d)
-    rng = generator(seed)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    z /= np.linalg.norm(z)
-    return DensityMatrix(np.outer(z, z.conj()))
+    return random_mixed(d, 1, seed)
 
 
 def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
@@ -183,10 +178,11 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
 
     G is the first ``rank`` columns of X + iY, where X = normals[0] and
     Y = normals[1] are d x d matrices of standard normals.  Without
-    ``normals`` one (2, d, d) block is drawn from ``seed`` (an integer seed
-    or a Generator).  Given ``normals`` of shape (N, 2, d, d) and ``rank``
-    as N integers, the result is the stack of N states, state i built from
-    normals[i] alone.
+    ``normals`` one (2, d, d) block is drawn from ``stream(seed)``, so
+    ``seed`` is an integer >= 0 or a Generator; with neither, it raises
+    :class:`DomainError`.  Given ``normals`` of shape (N, 2, d, d) and
+    ``rank`` as N integers, the result is the stack of N states, state i
+    built from normals[i] alone.  Rank 1 is the Haar pure state.
     """
     d = check_dimension(d)
     rank = np.asarray(rank)
@@ -194,7 +190,7 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     if not (integral and rank.min() >= 1 and rank.max() <= d):
         raise DomainError(f"rank must be an integer in [1, {d}], got {rank}")
     if normals is None:
-        normals = generator(seed).standard_normal((2, d, d))
+        normals = stream(seed).standard_normal((2, d, d))
     normals = np.asarray(normals, dtype=float)
     if normals.shape[-3:] != (2, d, d) or normals.shape[:-3] != rank.shape:
         raise DomainError(f"need normals of shape {rank.shape + (2, d, d)}, got {normals.shape}")

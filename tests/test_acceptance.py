@@ -54,6 +54,23 @@ def _states(d, count, stream_id):
         yield random_mixed(d, 1 + sample % d, rng)
 
 
+def _stack(d, count, stream_id):
+    """The states of :func:`_states` as one stack, from one block of the same stream."""
+    normals = stream(MASTER_SEED, stream_id).standard_normal((count, 2, d, d))
+    return random_mixed(d, 1 + np.arange(count) % d, normals=normals)
+
+
+def _worst(reports):
+    return min(report.margin for report in reports)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stack_rows_are_the_sequential_draws(d):
+    stack = _stack(d, 4 * d, 40 + 10 * d)
+    for row, rho in zip(stack.mat, _states(d, 4 * d, 40 + 10 * d), strict=True):
+        assert np.array_equal(row, rho.mat)
+
+
 def test_criterion_01_exact_index_of_coincidence():
     worst = 0.0
     for d in (2, 3):
@@ -104,16 +121,13 @@ def test_criterion_04_mub_bound_suite():
     for d in (2, 3, 5):
         for m in range(2, d + 2):
             mubs = mub_construct(d, m)
-            for rho in _states(d, 500, 40 + 10 * d + m):
-                for alpha in TSALLIS_GRID:
-                    rep = check_bound(mubs, rho, "P1-mub-tsallis", alpha=alpha)
-                    worst = min(worst, rep.margin)
-                for alpha in RENYI_GRID:
-                    rep = check_bound(mubs, rho, "P2-mub-renyi", alpha=alpha)
-                    worst = min(worst, rep.margin)
-                rep = check_bound(mubs, rho, "P3-mub-minent")
-                worst = min(worst, rep.margin)
-                checks += len(TSALLIS_GRID) + len(RENYI_GRID) + 1
+            rho = _stack(d, 500, 40 + 10 * d + m)
+            for alpha in TSALLIS_GRID:
+                worst = min(worst, _worst(check_bound(mubs, rho, "P1-mub-tsallis", alpha=alpha)))
+            for alpha in RENYI_GRID:
+                worst = min(worst, _worst(check_bound(mubs, rho, "P2-mub-renyi", alpha=alpha)))
+            worst = min(worst, _worst(check_bound(mubs, rho, "P3-mub-minent")))
+            checks += 500 * (len(TSALLIS_GRID) + len(RENYI_GRID) + 1)
     _announce(
         "04 mub-suite",
         worst >= -1e-10,
@@ -176,24 +190,25 @@ def test_criterion_07_sic_single_measurement_suite():
     worst_identity = 0.0
     for d in (2, 3):
         sic = sic_from_fiducial(d)
-        for rho in _states(d, 500, 70 + d):
-            p = probabilities(sic, rho)
-            for alpha in TSALLIS_GRID:
-                worst = min(worst, check_bound(sic, rho, "P6-sic-tsallis", alpha=alpha).margin)
-                for eta in (0.3, 0.8):
-                    rep = check_bound(sic, rho, "P6-sic-tsallis", alpha=alpha, eta=eta)
-                    worst = min(worst, rep.margin)
-                    identity_dev = abs(
-                        tsallis(distort(p, eta), alpha)
-                        - (eta**alpha * tsallis(p, alpha) + binary_tsallis(eta, alpha))
-                    )
-                    worst_identity = max(worst_identity, identity_dev)
-            for alpha in RENYI_GRID:
-                worst = min(worst, check_bound(sic, rho, "P7-sic-renyi", alpha=alpha).margin)
-            worst = min(worst, check_bound(sic, rho, "P8-sic-minent").margin)
+        rho = _stack(d, 500, 70 + d)
+        p = probabilities(sic, rho)
+        for alpha in TSALLIS_GRID:
+            worst = min(worst, _worst(check_bound(sic, rho, "P6-sic-tsallis", alpha=alpha)))
+            for eta in (0.3, 0.8):
+                reports = check_bound(sic, rho, "P6-sic-tsallis", alpha=alpha, eta=eta)
+                worst = min(worst, _worst(reports))
+                identity_dev = np.abs(
+                    tsallis(distort(p, eta), alpha)
+                    - (eta**alpha * tsallis(p, alpha) + binary_tsallis(eta, alpha))
+                )
+                worst_identity = max(worst_identity, float(identity_dev.max()))
+        for alpha in RENYI_GRID:
+            worst = min(worst, _worst(check_bound(sic, rho, "P7-sic-renyi", alpha=alpha)))
+        worst = min(worst, _worst(check_bound(sic, rho, "P8-sic-minent")))
+        for row in p.p:
             for alpha in (0.5, 1.0, 3.0):
                 for kind in ("tsallis", "renyi"):
-                    worst = min(worst, simple_bounds(p, d, alpha, kind).margin)
+                    worst = min(worst, simple_bounds(row, d, alpha, kind).margin)
     ok = worst >= -1e-10 and worst_identity <= 1e-12
     _announce(
         "07 sic-suite",

@@ -509,6 +509,12 @@ EXIT_CONTRACT = [
     (_P5 + ["--dims", "3,1"], 2, "error: dimension must be >= 2, got 1\n"),
     (["verify", "--dims", "0", "--props", "APXA-max"], 2, "error: dimension must be >= 2, got 0\n"),
     (_P5 + ["--seed", "-1"], 2, "error: seed must be >= 0, got -1\n"),
+    # a sampled state's seed is checked like a campaign's
+    (
+        ["coincidence", "--dim", "2", "--random-rank", "1", "--seed", "-1"],
+        2,
+        "error: seed must be >= 0, got -1\n",
+    ),
 ]
 
 

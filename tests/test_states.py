@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ NON_INTEGRAL = {
 }
 
 
+# every call draws from a key that is not an integer >= 0, or from no key at all
+BAD_KEYS = {
+    "stream-id": (lambda: stream(3, 1.7), "stream id must be an integer, got 1.7"),
+    "stream-seed": (lambda: stream(2.9, 0), "seed must be an integer, got 2.9"),
+    "stream-negative": (lambda: stream(-1), "seed must be >= 0, got -1"),
+    "random_mixed-seed": (lambda: random_mixed(2, 1, 2.5), "seed must be an integer, got 2.5"),
+    "random_pure-nan": (lambda: random_pure(2, np.nan), "seed must be an integer, got nan"),
+    "random_mixed-unseeded": (lambda: random_mixed(2, 1), "seed must be an integer, got None"),
+}
+
+
 class TestIntegerRule:
     @pytest.mark.parametrize("value", [2, 3.0, np.int64(5), np.float64(7.0)])
     def test_integral_dimension_is_an_int(self, value):
@@ -64,6 +76,11 @@ class TestIntegerRule:
     @pytest.mark.parametrize("call", NON_INTEGRAL.values(), ids=NON_INTEGRAL.keys())
     def test_rejects_non_integral_counts(self, call):
         with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("call, message", BAD_KEYS.values(), ids=BAD_KEYS.keys())
+    def test_rejects_bad_stream_keys(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
 
     def test_integral_floats_still_work(self):
@@ -223,6 +240,10 @@ class TestBloch:
         with pytest.raises(DomainError):
             from_bloch([0.8, 0.8, 0.8])
 
+    def test_rejects_nan_as_a_bloch_vector(self):
+        with pytest.raises(DomainError, match="^Bloch vector has length nan"):
+            from_bloch([np.nan, 0.0, 0.0])
+
     def test_round_trip(self):
         paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
         rng = np.random.default_rng(5)
@@ -253,13 +274,23 @@ class TestRandomStates:
         # Haar mean of <e1|rho|e1> is 1/d; var of a single draw is
         # (d-1)/(d^2 (d+1)), so a 3-sigma band around 1/d must hold.
         d, n = 3, 100_000
+        normals = stream(2024, 0).standard_normal((n, 2, d, d))
+        rho = random_mixed(d, np.ones(n, dtype=int), normals=normals)
+        # the stack's rows are the states of sequential random_pure calls on the same stream
         rng = stream(2024, 0)
-        total = 0.0
-        for _ in range(n):
-            total += random_pure(d, rng).mat[0, 0].real
-        mean = total / n
+        for row in rho.mat[:1000]:
+            assert np.array_equal(row, random_pure(d, rng).mat)
+        mean = rho.mat[:, 0, 0].real.mean()
         sigma = np.sqrt((d - 1.0) / (d**2 * (d + 1.0)) / n)
         assert abs(mean - 1.0 / d) < 3.0 * sigma
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_pure_is_rank_one_mixed(self, d):
+        for seed in range(10):
+            assert np.array_equal(random_pure(d, seed).mat, random_mixed(d, 1, seed).mat)
+        shared_a, shared_b = stream(7, d), stream(7, d)
+        for _ in range(10):
+            assert np.array_equal(random_pure(d, shared_a).mat, random_mixed(d, 1, shared_b).mat)
 
     def test_mixed_rank_one_is_pure(self):
         for seed in range(10):
@@ -295,6 +326,16 @@ class TestStreams:
         a = stream(9, 1).standard_normal(4)
         b = stream(9, 2).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    def test_bare_seed_and_generator(self):
+        # an integer seed keys SeedSequence(seed) itself: the draws of coincidence --random-rank
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(7))).standard_normal(4)
+        assert np.array_equal(stream(7).standard_normal(4), want)
+        assert np.array_equal(stream(np.int64(7)).standard_normal(4), want)
+        rng = np.random.default_rng(1)
+        assert stream(rng) is rng
+        with pytest.raises(DomainError, match="^seed must be an integer, got Generator"):
+            stream(rng, 0)
 
 
 class TestJson:
