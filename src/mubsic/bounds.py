@@ -54,6 +54,7 @@ from .entropy import (
     alpha_log,
     as_probabilities,
     binary_tsallis,
+    check_efficiency,
     conjugate_order,
     index_of_coincidence,
     max_prob_bound,
@@ -218,11 +219,8 @@ def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
     """Lower bound on the MUB-averaged symmetrized entropy, larger order alpha in [1, inf)."""
     d = check_dimension(d)
     alpha = _sym_order(alpha)
-    if kind == "tsallis":
-        return 0.5 * alpha_log(d, alpha)
-    if kind == "renyi":
-        return 0.5 * math.log(d)
-    raise DomainError(f"unknown entropy kind {kind!r}")
+    _entropy_fn(kind)
+    return 0.5 * (alpha_log(d, alpha) if kind == "tsallis" else math.log(d))
 
 
 def sic_tsallis_bound(d, alpha, state_purity):
@@ -266,25 +264,20 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
         raise PreconditionError(
             f"max probability {pmax!r} exceeds 1/d = {1.0 / d!r}; not SIC statistics"
         )
+    lhs = _entropy_fn(kind)(p, alpha)
     if kind == "tsallis":
-        lhs = tsallis(p, alpha)
         rhs = alpha_log(1.0 / pmax, alpha)
         floor = alpha_log(d, alpha)
-        label = "simple-tsallis"
-    elif kind == "renyi":
-        lhs = renyi(p, alpha)
+    else:
         rhs = -math.log(pmax)
         floor = math.log(d)
-        label = "simple-renyi"
-    else:
-        raise DomainError(f"unknown entropy kind {kind!r}")
     # max p <= 1/d implies rhs >= floor; the 1e-9 slack mirrors the
     # precondition slack scaled by d
     if rhs < floor - 1e-9:
         raise ConstructionError(
             f"intermediate bound {rhs!r} fell below its floor {floor!r}"
         )
-    return reports(label, _columns(lhs, rhs, tolerance, ">="), tolerance, ">=")[0]
+    return reports(f"simple-{kind}", _columns(lhs, rhs, tolerance, ">="), tolerance, ">=")[0]
 
 
 def _rank_one_kets(meas) -> np.ndarray:
@@ -564,15 +557,17 @@ def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArgu
 
     Raises :class:`DomainError` for an unknown label, an order outside the
     label's range, an unknown entropy kind or a kind given to a label other
-    than P4/P9 (None means "tsallis" there), or an efficiency given to a
-    label without the inefficiency model (its range is checked where it
-    is used).  Order-free labels ignore ``alpha``.
+    than P4/P9 (None means "tsallis" there), or an efficiency outside
+    [0, 1] or given to a label without the inefficiency model.  Order-free
+    labels ignore ``alpha``.
     """
     prop = PROPOSITIONS.get(which)
     if prop is None:
         raise DomainError(f"unknown proposition label {which!r}")
-    if eta is not None and not prop.efficiency:
-        raise DomainError(f"inefficiency model applies to P1/P6 only, not {which}")
+    if eta is not None:
+        if not prop.efficiency:
+            raise DomainError(f"inefficiency model applies to P1/P6 only, not {which}")
+        eta = check_efficiency(eta)
     if kind is not None and prop.order != "symmetrized":
         raise DomainError(f"entropy kind applies to P4/P9 only, not {which}")
     if prop.order is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bnd
+from .entropy import check_efficiency
 from .errors import DomainError
 from .linalg import kron
 from .measurements import SicPovm, load_fiducial, mub_construct, sic_from_fiducial
@@ -104,8 +106,8 @@ class CampaignConfig:
         for p in self.props:
             if p not in bnd.PROPOSITIONS:
                 raise DomainError(f"unknown proposition label {p!r}")
-        if self.eta is not None and not 0.0 <= self.eta <= 1.0:
-            raise DomainError(f"efficiency must lie in [0, 1], got {self.eta}")
+        if self.eta is not None:
+            self.eta = check_efficiency(self.eta)
         self.trials = check_integer(self.trials, "trials", 1)
 
 
@@ -175,16 +177,11 @@ class _Cell(NamedTuple):
     outcomes: int  # the M column
 
 
-class CellResult(NamedTuple):
-    """One cell's purity column and its :class:`~mubsic.bounds.Columns`, in sample order."""
-
-    cell: _Cell
-    purity: list
-    columns: bnd.Columns
-
-
 def _plan(config: CampaignConfig) -> list[_Cell]:
-    """Every cell of the campaign, with its measurement built and its orders checked."""
+    """Every cell of the campaign, with its measurement built and its orders checked.
+
+    Raises :class:`DomainError` when the campaign has no cell.
+    """
     fiducial = _fiducial_ket(config.fiducial_path)
     cells = []
     for di, d in enumerate(config.dims):
@@ -203,30 +200,14 @@ def _plan(config: CampaignConfig) -> list[_Cell]:
             for ai, alpha in enumerate(config.alphas if entry.order else [None]):
                 args = bnd.check_arguments(prop, alpha=alpha, eta=eta)
                 cells.append(_Cell((di, pi, ai), d, prop, args, meas, outcomes))
+    if not cells:
+        raise DomainError("campaign is empty: no (dim, proposition, order) cells to run")
     return cells
 
 
-def _groups(cells):
-    """The plan as runs of consecutive cells that one stack of states serves.
-
-    A run shares one measurement object, so one d, and holds only labels
-    that read outcome statistics and purity; every other cell is a run of
-    its own.
-    """
-    group = []
-    for cell in cells:
-        if group and not _fuses(group[-1], cell):
-            yield group
-            group = []
-        group.append(cell)
-    if group:
-        yield group
-
-
-def _fuses(prev: _Cell, cell: _Cell) -> bool:
-    """True when ``cell`` joins the run that ends with ``prev``."""
-    statistical = all(bnd.PROPOSITIONS[c.prop].statistical for c in (prev, cell))
-    return statistical and cell.meas is prev.meas
+def _run_key(cell: _Cell):
+    """A statistical cell's measurement, which its run of cells shares; else the cell alone."""
+    return cell.meas if bnd.PROPOSITIONS[cell.prop].statistical else cell
 
 
 def _states(group, config: CampaignConfig):
@@ -260,44 +241,39 @@ def _states(group, config: CampaignConfig):
     return rho, u
 
 
-def _run_group(group, config: CampaignConfig) -> list[CellResult]:
-    """Evaluate a run of cells on one stack: one sampling, validation, purity and probability pass.
-
-    Cell k reads rows k N ... (k + 1) N - 1 of the stack, drawn from its own
-    stream, so its results are bitwise those of the cell run alone.
-    """
-    rho, u = _states(group, config)
-    x = bnd.inputs(group[0].prop, group[0].meas, rho)
-    n = config.samples
-    p2 = x.purity.tolist()
-    results = []
-    for k, cell in enumerate(group):
-        rows = slice(k * n, (k + 1) * n)
-        part = x if len(group) == 1 else x.part(rows)
-        args = cell.args if u is None else cell.args._replace(u=u)
-        columns = bnd.evaluate(cell.prop, cell.meas, part, args, config.tolerance)
-        results.append(CellResult(cell, p2[rows], columns))
-    return results
-
-
 def _results(config: CampaignConfig):
-    """The :class:`CellResult` of every cell, in plan order; the plan is validated first."""
-    for group in _groups(_plan(config)):
-        yield from _run_group(group, config)
+    """Every cell of the plan as (cell, purity column, Columns), in plan order.
+
+    The whole plan is validated before the first draw.  Each maximal run of
+    consecutive cells with one :func:`_run_key` is one stack: one sampling,
+    validation, purity and probability pass.  Cell k of a run reads rows
+    k N ... (k + 1) N - 1, drawn from its own stream, so its results are
+    bitwise those of the cell run alone.
+    """
+    n = config.samples
+    for _, group in itertools.groupby(_plan(config), _run_key):
+        group = list(group)
+        rho, u = _states(group, config)
+        x = bnd.inputs(group[0].prop, group[0].meas, rho)
+        p2 = x.purity.tolist()
+        for k, cell in enumerate(group):
+            rows = slice(k * n, (k + 1) * n)
+            part = x if len(group) == 1 else x.part(rows)
+            args = cell.args if u is None else cell.args._replace(u=u)
+            yield cell, p2[rows], bnd.evaluate(cell.prop, cell.meas, part, args, config.tolerance)
 
 
-def _rows(result: CellResult, config: CampaignConfig) -> list[dict]:
-    """A cell's report rows, dicts keyed by CSV_COLUMNS."""
-    cell = result.cell
+def _rows(cell: _Cell, purities: list, columns: bnd.Columns, config: CampaignConfig):
+    """A cell's report rows, dicts keyed by CSV_COLUMNS, from its purities and Columns."""
     fixed = {
         "prop": cell.prop,
         "dim": cell.d,
         "M": cell.outcomes,
         "alpha": _format_alpha(cell.args.alpha),
-        "eta": "" if cell.args.eta is None else repr(float(cell.args.eta)),
+        "eta": "" if cell.args.eta is None else repr(cell.args.eta),
         "seed": config.seed,
     }
-    lhs, rhs, margin, saturated, _ = result.columns
+    lhs, rhs, margin, saturated, _ = columns
     return [
         {
             **fixed,
@@ -309,7 +285,7 @@ def _rows(result: CellResult, config: CampaignConfig) -> list[dict]:
             "saturated": "true" if sat else "false",
         }
         for sample, p2, left, right, m, sat in zip(
-            range(config.samples), result.purity, lhs, rhs, margin, saturated
+            range(config.samples), purities, lhs, rhs, margin, saturated
         )
     ]
 
@@ -322,10 +298,10 @@ def run_campaign(config: CampaignConfig):
     """
     reports = []
     rows = []
-    for result in _results(config):
-        prop = result.cell.prop
-        reports += bnd.reports(prop, result.columns, config.tolerance, bnd.PROPOSITIONS[prop].sense)
-        rows += _rows(result, config)
+    for cell, p2, columns in _results(config):
+        sense = bnd.PROPOSITIONS[cell.prop].sense
+        reports += bnd.reports(cell.prop, columns, config.tolerance, sense)
+        rows += _rows(cell, p2, columns, config)
     return reports, rows
 
 
@@ -368,16 +344,14 @@ def cmd_verify(args) -> int:
     rows = []
     checks = n_failed = n_saturated = 0
     min_margin = None
-    for result in _results(config):
-        rows += _rows(result, config)
-        margin = result.columns.margin
+    for cell, p2, columns in _results(config):
+        rows += _rows(cell, p2, columns, config)
+        margin = columns.margin
         checks += len(margin)
-        n_failed += result.columns.passed.count(False)
-        n_saturated += result.columns.saturated.count(True)
+        n_failed += columns.passed.count(False)
+        n_saturated += columns.saturated.count(True)
         # Python's min, continued over the cells: the first minimum, so a zero keeps its sign
         min_margin = min(margin) if min_margin is None else min(min_margin, *margin)
-    if not checks:
-        raise DomainError("campaign is empty: no (dim, proposition, order) cells to run")
     summary = {
         "checks": checks,
         "failed": n_failed,

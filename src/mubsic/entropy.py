@@ -172,11 +172,20 @@ def alpha_log(x, alpha):
     return _result(np.expm1((1.0 - alpha) * np.log(x)) / (1.0 - alpha))
 
 
+def check_efficiency(eta) -> float:
+    """The package's one efficiency rule: eta as a float, which must lie in [0, 1]."""
+    try:
+        eta = float(eta)
+    except (TypeError, ValueError):  # non-numbers
+        pass
+    if not (isinstance(eta, float) and 0.0 <= eta <= 1.0):  # NaN fails here
+        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
+    return eta
+
+
 def binary_tsallis(eta, alpha) -> float:
     """Binary Tsallis entropy -eta^a ln_a(eta) - (1-eta)^a ln_a(1-eta) on [0, 1]."""
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
+    eta = check_efficiency(eta)
     return tsallis([eta, 1.0 - eta], alpha)
 
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .entropy import ProbDist, as_probabilities
+from .entropy import ProbDist, as_probabilities, check_efficiency
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -403,9 +403,7 @@ def distort(p, eta: float) -> ProbDist:
     The output has one more entry than the input along the last axis; the
     final entry is 1 - eta.
     """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
+    eta = check_efficiency(eta)
     p = as_probabilities(p)
     no_click = np.full(p.shape[:-1] + (1,), 1.0 - eta)
     return ProbDist(np.concatenate([eta * p, no_click], axis=-1))

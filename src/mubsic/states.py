@@ -177,19 +177,28 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (d, rank).
 
     G is the first ``rank`` columns of X + iY, where X = normals[0] and
-    Y = normals[1] are d x d matrices of standard normals.  Without
-    ``normals`` one (2, d, d) block is drawn from ``stream(seed)``, so
+    Y = normals[1] are d x d matrices of standard normals.  ``rank`` is one
+    integer in [1, d] or a non-empty array of them.  For one rank and no
+    ``normals``, one (2, d, d) block is drawn from ``stream(seed)``, so
     ``seed`` is an integer >= 0 or a Generator; with neither, it raises
-    :class:`DomainError`.  Given ``normals`` of shape (N, 2, d, d) and
-    ``rank`` as N integers, the result is the stack of N states, state i
-    built from normals[i] alone.  Rank 1 is the Haar pure state.
+    :class:`DomainError`.  An array of N ranks needs ``normals`` of shape
+    (N, 2, d, d), drawn by the caller; the result is the stack of N states,
+    state i built from normals[i] alone.  Rank 1 is the Haar pure state.
     """
     d = check_dimension(d)
     rank = np.asarray(rank)
-    integral = rank.dtype.kind in "iu" or (rank % 1 == 0).all()
-    if not (integral and rank.min() >= 1 and rank.max() <= d):
-        raise DomainError(f"rank must be an integer in [1, {d}], got {rank}")
+    kind = rank.dtype.kind
+    integral = kind in "biu" or (kind == "f" and (rank % 1 == 0).all())
+    if not (integral and rank.size and rank.min() >= 1 and rank.max() <= d):
+        got = repr(rank.item()) if rank.ndim == 0 else rank  # numpy abbreviates a long stack
+        raise DomainError(
+            f"rank must be an integer in [1, {d}] or a non-empty array of them, got {got}"
+        )
     if normals is None:
+        if rank.ndim:
+            raise DomainError(
+                f"a stack of ranks needs caller-drawn normals of shape {rank.shape + (2, d, d)}"
+            )
         normals = stream(seed).standard_normal((2, d, d))
     normals = np.asarray(normals, dtype=float)
     if normals.shape[-3:] != (2, d, d) or normals.shape[:-3] != rank.shape:

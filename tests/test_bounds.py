@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -40,10 +41,41 @@ from mubsic import (
     stream,
     binary_tsallis,
     check_arguments,
+    cli,
     detect_entanglement,
+    distort,
     tsallis,
 )
+from mubsic import bounds
 from mubsic.bounds import PROPOSITION_LABELS
+
+# every call passes an efficiency outside [0, 1], and the message shows it as a float
+BAD_EFFICIENCIES = {
+    "check_arguments-high": (lambda: check_arguments("P1-mub-tsallis", alpha=1.0, eta=1.5), 1.5),
+    "check_arguments-nan": (lambda: check_arguments("P6-sic-tsallis", alpha=1, eta=np.nan), "nan"),
+    "check_bound": (
+        lambda: check_bound(
+            sic_from_fiducial(2), maximally_mixed(2), "P6-sic-tsallis", alpha=1, eta=2
+        ),
+        2.0,
+    ),
+    "campaign": (
+        lambda: cli.CampaignConfig(
+            dims=[2], props=["P1-mub-tsallis"], alphas=[1.0], samples=1, seed=0, eta=-0.5
+        ),
+        -0.5,
+    ),
+    "distort": (lambda: distort([1.0], 1.5), 1.5),
+    "binary_tsallis": (lambda: binary_tsallis(np.inf, 1.0), "inf"),
+    "not-a-number": (lambda: binary_tsallis("high", 1.0), "high"),
+}
+
+# every call names an entropy kind that does not exist
+UNKNOWN_KINDS = {
+    "check_arguments": lambda: check_arguments("P4-mub-sym", alpha=2.0, kind="shannon"),
+    "mub_symmetrized_bound": lambda: mub_symmetrized_bound(3, 2.0, "shannon"),
+    "simple_bounds": lambda: simple_bounds([0.5, 0.5, 0.0, 0.0], 2, 2.0, "shannon"),
+}
 
 
 def _haar_basis(d, seed):
@@ -589,6 +621,27 @@ class TestCheckBound:
             check_bound(
                 mub_construct(2, 3), maximally_mixed(2), "P2-mub-renyi", alpha=2.0, eta=0.5
             )
+
+    @pytest.mark.parametrize("call, eta", BAD_EFFICIENCIES.values(), ids=BAD_EFFICIENCIES.keys())
+    def test_one_efficiency_rule(self, call, eta):
+        message = f"efficiency must lie in [0, 1], got {eta}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_efficiency_checked_before_probabilities(self, monkeypatch):
+        monkeypatch.setattr(bounds, "probabilities", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(DomainError, match="efficiency"):
+            check_bound(mub_construct(2, 3), maximally_mixed(2), "P1-mub-tsallis", alpha=1, eta=2)
+
+    def test_efficiency_is_a_float(self):
+        args = check_arguments("P6-sic-tsallis", alpha=1.0, eta=np.float32(0.5))
+        assert type(args.eta) is float and args.eta == 0.5
+
+    @pytest.mark.parametrize("call", UNKNOWN_KINDS.values(), ids=UNKNOWN_KINDS.keys())
+    def test_one_entropy_kind_rule(self, call):
+        message = "unknown entropy kind 'shannon' (expected 'renyi' or 'tsallis')"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_wrong_measurement_type(self):
         with pytest.raises(DomainError):

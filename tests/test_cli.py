@@ -151,6 +151,14 @@ class TestVerifyCommand:
         assert code == 2
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", ["dims", "props", "alphas"])
+    def test_library_campaign_rejects_an_empty_plan(self, monkeypatch, empty):
+        monkeypatch.setattr(cli, "stream", lambda *a: pytest.fail("sampled an empty campaign"))
+        fields = dict(dims=[2], props=["P1-mub-tsallis"], alphas=[2.0], samples=1, seed=0)
+        fields[empty] = []
+        with pytest.raises(DomainError, match="^campaign is empty: "):
+            cli.run_campaign(cli.CampaignConfig(**fields))
+
     def test_tiny_tolerance_flags_violation(self, tmp_path):
         # the exact identity holds to ~1e-16; an absurd 1e-18 tolerance
         # must trip the violation exit path

@@ -57,6 +57,23 @@ BAD_KEYS = {
 }
 
 
+# every call passes ranks that random_mixed cannot use; each message names the mistake
+BAD_RANKS = {
+    "empty-stack": (
+        lambda: random_mixed(3, np.array([]), normals=np.zeros((0, 2, 3, 3))),
+        "rank must be an integer in [1, 3] or a non-empty array of them, got []",
+    ),
+    "stack-without-normals": (
+        lambda: random_mixed(3, [1, 2], 0),
+        "a stack of ranks needs caller-drawn normals of shape (2, 2, 3, 3)",
+    ),
+    "string": (
+        lambda: random_mixed(3, "1", 0),
+        "rank must be an integer in [1, 3] or a non-empty array of them, got '1'",
+    ),
+}
+
+
 class TestIntegerRule:
     @pytest.mark.parametrize("value", [2, 3.0, np.int64(5), np.float64(7.0)])
     def test_integral_dimension_is_an_int(self, value):
@@ -80,6 +97,11 @@ class TestIntegerRule:
 
     @pytest.mark.parametrize("call, message", BAD_KEYS.values(), ids=BAD_KEYS.keys())
     def test_rejects_bad_stream_keys(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", BAD_RANKS.values(), ids=BAD_RANKS.keys())
+    def test_rejects_bad_ranks(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
 
