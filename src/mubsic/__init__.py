@@ -28,13 +28,7 @@ from .bounds import (
     sic_tsallis_bound,
     simple_bounds,
 )
-from .entanglement import (
-    BipartitePovm,
-    correlation_G,
-    joint_probabilities,
-    maximally_entangled,
-    product_sic_povm,
-)
+from .entanglement import correlation_G, maximally_entangled
 from .entropy import (
     alpha_log,
     binary_tsallis,

@@ -240,14 +240,14 @@ def sic_minentropy_bound(d, state_purity):
     return _result(-np.log(max_prob_bound(int(d) ** 2, _sic_cap(d, state_purity))))
 
 
-def separable_bound(d: int, purity_a: float, purity_b: float) -> float:
+def separable_bound(d, purity_a, purity_b):
     """Cap on the ENT-G correlation G for a product state with the given marginal purities.
 
     sqrt(C_a C_b) = sqrt(purity_a + 1) sqrt(purity_b + 1) / (d(d+1)), with
     C the SIC index of coincidence of each party's marginal; both purities
     at 1 give the universal separable cap 2/(d(d+1)).
     """
-    return float(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
+    return _result(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
 
 
 def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANCE) -> BoundReport:
@@ -518,7 +518,7 @@ def _apxb(pair, x, a):
 
 
 def _ent_g(sic, x, a):
-    g = entanglement.correlation_G(entanglement.product_sic_povm(sic), x.rho)
+    g = entanglement.correlation_G(sic, x.rho)
     return g, _sic_cap(sic.dim, 1.0)
 
 
@@ -633,13 +633,15 @@ def evaluate(which: str, meas, x: Inputs, args: CheckArguments, tolerance: float
     return _columns(lhs, rhs, tolerance, prop.sense)
 
 
-def detect_entanglement(
-    sic: SicPovm, rho: DensityMatrix, tolerance: float = 1e-12
-) -> tuple[bool, BoundReport]:
+def detect_entanglement(sic: SicPovm, rho: DensityMatrix, tolerance: float = 1e-12):
     """Flag a bipartite state as entangled when G exceeds the universal cap (ENT-G).
 
     The cap 2/(d(d+1)) is purity-independent, since G alone does not show
     the marginals.  True is sufficient for entanglement; False is inconclusive.
+    Returns the flag and the :class:`BoundReport` for a single state, and
+    the list of flags and the list of reports, in stack order, for a stack.
     """
     report = check_bound(sic, rho, "ENT-G", tolerance=tolerance)
+    if rho.mat.ndim == 3:
+        return [not r.passed for r in report], report
     return not report.passed, report

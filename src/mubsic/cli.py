@@ -95,8 +95,7 @@ class CampaignConfig:
     trials: int = 4
 
     def __post_init__(self):
-        for d in self.dims:
-            check_dimension(d)
+        self.dims = [check_dimension(d) for d in self.dims]
         self.samples = check_integer(self.samples, "samples", 1)
         self.seed = check_integer(self.seed, "seed", 0)
         bnd.check_tolerance(self.tolerance)

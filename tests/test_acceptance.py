@@ -24,7 +24,6 @@ from mubsic import (
     mub_construct,
     binary_tsallis,
     probabilities,
-    product_sic_povm,
     purity,
     random_mixed,
     random_pure,
@@ -296,8 +295,7 @@ def test_criterion_11_entanglement_sketch():
     fires = True
     for d in (2, 3):
         sic = sic_from_fiducial(d)
-        povm = product_sic_povm(sic)
-        g = correlation_G(povm, maximally_entangled(d))
+        g = correlation_G(sic, maximally_entangled(d))
         value_dev = max(value_dev, abs(g - 1.0 / d))
         flag, _ = detect_entanglement(sic, maximally_entangled(d))
         fires = fires and flag

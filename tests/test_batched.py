@@ -27,7 +27,6 @@ from mubsic import (
     kron,
     mub_construct,
     probabilities,
-    product_sic_povm,
     purity,
     random_mixed,
     renyi,
@@ -154,7 +153,7 @@ class TestBatchedMatchesScalar:
         a, b = _singles(d, 7), _singles(d, 8)[::-1]
         stack = DensityMatrix(kron(np.stack([r.mat for r in a]), np.stack([r.mat for r in b])))
         want = [
-            correlation_G(product_sic_povm(sic), DensityMatrix(kron(x.mat, y.mat)))
+            correlation_G(sic, DensityMatrix(kron(x.mat, y.mat)))
             for x, y in zip(a, b)
         ]
         _assert_lhs(check_bound(sic, stack, "ENT-G"), want)

@@ -352,13 +352,18 @@ class TestVerifyCommand:
             cli.CampaignConfig(dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=seed)
 
     def test_integral_float_counts_run_as_ints(self):
-        def rows(samples, seed):
+        # a float dimension used to reach the sampler and fail there with a TypeError
+        def rows(dims, samples, seed):
             config = cli.CampaignConfig(
-                dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=samples, seed=seed
+                dims=dims,
+                props=list(cli.bnd.PROPOSITION_LABELS),
+                alphas=[2.0],
+                samples=samples,
+                seed=seed,
             )
             return cli.run_campaign(config)[1]
 
-        assert rows(2.0, 3.0) == rows(2, 3)
+        assert rows([2.0], 2.0, 3.0) == rows([2], 2, 3)
 
 
 class TestMeasurementBuilder:
@@ -390,21 +395,14 @@ class TestMeasurementBuilder:
         assert [a[0] for a in mubs] == [2, 3]
         assert first[1] == second[1]
 
-    def test_product_povm_built_once_per_sic(self, monkeypatch):
+    def test_product_povm_built_once_per_sic(self):
         cli.measurement.cache_clear()
         entanglement.product_sic_povm.cache_clear()
-        built = []
-        original = entanglement.BipartitePovm
-
-        def counted(kets_a, kets_b):
-            built.append(kets_a.shape[1])
-            return original(kets_a, kets_b)
-
-        monkeypatch.setattr(entanglement, "BipartitePovm", counted)
         config = cli.CampaignConfig(dims=[2, 3], props=["ENT-G"], alphas=[2.0], samples=1, seed=1)
         rows = [cli.run_campaign(config)[1] for _ in range(3)]
-        # each one-row campaign reuses the product POVM of its dimension's SIC
-        assert built == [2, 3]
+        # each one-row campaign reuses the witness operator of its dimension's SIC
+        info = entanglement.product_sic_povm.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
         assert rows[0] == rows[1] == rows[2]
 
     def test_failed_construction_is_not_memoized(self, capsys):
