@@ -50,11 +50,11 @@ from .entropy import (
     ProbDist,
     _entropy_fn,
     _result,
-    _sym_order,
     alpha_log,
     as_probabilities,
     binary_tsallis,
     check_efficiency,
+    check_order,
     conjugate_order,
     index_of_coincidence,
     max_prob_bound,
@@ -104,10 +104,15 @@ _PASSES = {
 }
 
 
-def check_tolerance(tolerance) -> None:
-    """Raise :class:`DomainError` unless the pass threshold is finite and >= 0."""
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+def check_tolerance(tolerance) -> float:
+    """The package's one tolerance rule: the pass threshold as a float, finite and >= 0."""
+    try:
+        tolerance = float(tolerance)
+    except (TypeError, ValueError, OverflowError):  # non-numbers
+        pass
+    if not (isinstance(tolerance, float) and 0.0 <= tolerance < math.inf):  # NaN fails here
         raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    return tolerance
 
 
 class Columns(NamedTuple):
@@ -146,23 +151,9 @@ def reports(label: str, columns: Columns, tolerance: float, sense: str) -> list[
 def _check_purity(d: int, value):
     value = np.asarray(value, dtype=float)
     lo = 1.0 / d
-    if not (value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
+    if not (value.size and value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
         raise DomainError(f"purity {value!r} outside [{lo}, 1] for dimension {d}")
     return np.minimum(np.maximum(value, lo), 1.0)
-
-
-def _tsallis_order(alpha) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"Tsallis-type bound needs order in (0, 2], got {alpha}")
-    return alpha
-
-
-def _renyi_order(alpha) -> float:
-    alpha = float(alpha)
-    if not alpha >= 2.0:
-        raise DomainError(f"Renyi-type bound needs order in [2, inf], got {alpha}")
-    return alpha
 
 
 # Every state-dependent bound is a map of a cap C on an index of
@@ -197,13 +188,13 @@ def _with_inefficiency(base, alpha, eta):
 
 def mub_tsallis_bound(d, m, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the MUB-averaged Tsallis entropy, order in (0, 2]."""
-    alpha = _tsallis_order(alpha)
+    alpha = check_order(alpha, "tsallis")
     return alpha_log(1.0 / _mub_cap(d, m, state_purity), alpha)
 
 
 def mub_renyi_bound(d, m, alpha, state_purity):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
-    alpha = _renyi_order(alpha)
+    alpha = check_order(alpha, "renyi")
     return _renyi_from_cap(alpha, _mub_cap(d, m, state_purity))
 
 
@@ -218,20 +209,20 @@ def mub_minentropy_bound(d, m, state_purity):
 def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
     """Lower bound on the MUB-averaged symmetrized entropy, larger order alpha in [1, inf)."""
     d = check_dimension(d)
-    alpha = _sym_order(alpha)
+    alpha = check_order(alpha, "symmetrized")
     _entropy_fn(kind)
     return 0.5 * (alpha_log(d, alpha) if kind == "tsallis" else math.log(d))
 
 
 def sic_tsallis_bound(d, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
-    alpha = _tsallis_order(alpha)
+    alpha = check_order(alpha, "tsallis")
     return alpha_log(1.0 / _sic_cap(d, state_purity), alpha)
 
 
 def sic_renyi_bound(d, alpha, state_purity):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
-    alpha = _renyi_order(alpha)
+    alpha = check_order(alpha, "renyi")
     return _renyi_from_cap(alpha, _sic_cap(d, state_purity))
 
 
@@ -256,7 +247,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
     Requires max p <= 1/d (every SIC probability obeys it); violation
     raises :class:`PreconditionError`.
     """
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(tolerance)
     p = as_probabilities(p).ravel()
     d = check_dimension(d)
     pmax = float(p.max())
@@ -403,9 +394,9 @@ class Proposition(NamedTuple):
     single measurement; campaigns use the SIC), "pair" (two rank-one
     measurements) or "product" (a :class:`SicPovm`, with states on
     H (x) H).  ``order`` names the order range the check takes its order
-    from ("tsallis": (0, 2], "renyi": [2, inf], "symmetrized": the larger
-    order alpha in [1, inf) of a conjugate pair) and is None for the
-    order-free checks.
+    from, a key of ``entropy.ORDER_RANGES`` ("tsallis", "renyi", or
+    "symmetrized" for the larger order alpha of a conjugate pair), and is
+    None for the order-free checks.
     ``evaluate(meas, inputs, args)`` returns the lhs and rhs arrays over the
     states of an :class:`Inputs`.
     """
@@ -548,10 +539,6 @@ _MEASUREMENT_TYPES = {
 }
 
 
-# the range check of each Proposition.order
-_ORDER_RANGES = {"tsallis": _tsallis_order, "renyi": _renyi_order, "symmetrized": _sym_order}
-
-
 def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArguments:
     """Validate a labelled check's order arguments without a state.
 
@@ -574,7 +561,7 @@ def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArgu
         return CheckArguments()
     if alpha is None:
         raise DomainError(f"{which} needs an order alpha")
-    alpha = _ORDER_RANGES[prop.order](alpha)
+    alpha = check_order(alpha, prop.order)
     kind = "tsallis" if kind is None else kind
     _entropy_fn(kind)
     return CheckArguments(alpha, kind, eta)
@@ -608,7 +595,7 @@ def check_bound(
     Returns one :class:`BoundReport` for a single state and a list of
     them, in stack order, for a stack.
     """
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(tolerance)
     args = check_arguments(which, alpha=alpha, kind=kind, eta=eta)
     prop = PROPOSITIONS[which]
     if not isinstance(meas, _MEASUREMENT_TYPES[prop.measurement]) or (

@@ -22,7 +22,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bnd
-from .entropy import check_efficiency
+from .entropy import check_efficiency, check_order
 from .errors import DomainError
 from .linalg import kron
 from .measurements import SicPovm, load_fiducial, mub_construct, sic_from_fiducial
@@ -81,7 +80,7 @@ PAIR_ROTATION_SEED = 20130416
 
 @dataclass
 class CampaignConfig:
-    """Validated configuration of one verification campaign."""
+    """A verification campaign's configuration, each field stored as its check returns it."""
 
     dims: list[int]
     props: list[str]
@@ -98,34 +97,16 @@ class CampaignConfig:
         self.dims = [check_dimension(d) for d in self.dims]
         self.samples = check_integer(self.samples, "samples", 1)
         self.seed = check_integer(self.seed, "seed", 0)
-        bnd.check_tolerance(self.tolerance)
-        for a in self.alphas:
-            if not a > 0.0:
-                raise DomainError(f"entropy order must be positive, got {a}")
+        self.tolerance = bnd.check_tolerance(self.tolerance)
+        self.alphas = [check_order(a) for a in self.alphas]
         for p in self.props:
             if p not in bnd.PROPOSITIONS:
                 raise DomainError(f"unknown proposition label {p!r}")
         if self.eta is not None:
             self.eta = check_efficiency(self.eta)
         self.trials = check_integer(self.trials, "trials", 1)
-
-
-def _parse_alpha(text: str) -> float:
-    text = text.strip().lower()
-    if text == "inf":
-        return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse entropy order {text!r}") from exc
-
-
-def _format_alpha(alpha) -> str:
-    if alpha is None:
-        return ""
-    if math.isinf(alpha):
-        return "inf"
-    return repr(float(alpha))
+        if self.count is not None:  # the cap d + 1 is checked per dimension, on construction
+            self.count = check_integer(self.count, "basis count", 2)
 
 
 def _fixed_rotation(d: int) -> np.ndarray:
@@ -268,7 +249,7 @@ def _rows(cell: _Cell, purities: list, columns: bnd.Columns, config: CampaignCon
         "prop": cell.prop,
         "dim": cell.d,
         "M": cell.outcomes,
-        "alpha": _format_alpha(cell.args.alpha),
+        "alpha": "" if cell.args.alpha is None else repr(cell.args.alpha),
         "eta": "" if cell.args.eta is None else repr(cell.args.eta),
         "seed": config.seed,
     }
@@ -331,7 +312,7 @@ def cmd_verify(args) -> int:
             if args.props.strip().lower() == "all"
             else [x.strip() for x in args.props.split(",") if x.strip()]
         ),
-        alphas=[_parse_alpha(x) for x in args.alphas.split(",") if x.strip()],
+        alphas=[x for x in args.alphas.split(",") if x.strip()],
         samples=args.samples,
         seed=args.seed,
         eta=args.eta,

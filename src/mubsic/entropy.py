@@ -9,7 +9,8 @@ All entropies are in nats.  Order alpha = 1 and alpha = inf dispatch to
 the Shannon and min-entropy closed forms.  Other finite orders go
 through sum (p^alpha - p) in an expm1 form that does not cancel near
 order 1, and ln_alpha(x) is expm1((1 - alpha) ln x)/(1 - alpha); Renyi
-entropies above order 2 factor out max p instead.
+entropies above order 2 factor out max p instead.  Every order is checked
+by :func:`check_order` against one named range of :data:`ORDER_RANGES`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,26 @@ PROB_CLAMP = 1e-14
 PROB_SUM_ATOL = 1e-12
 
 
-def _check_order(alpha) -> float:
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"entropy order must be positive, got {alpha}")
+# name -> (interval, test): every entropic order range, written once; NaN fails each test
+ORDER_RANGES = {
+    "positive": ("(0, inf]", lambda a: a > 0.0),
+    "finite": ("(0, inf)", lambda a: 0.0 < a < math.inf),
+    "conjugate": ("(1/2, inf)", lambda a: 0.5 < a < math.inf),
+    "tsallis": ("(0, 2]", lambda a: 0.0 < a <= 2.0),
+    "renyi": ("[2, inf]", lambda a: a >= 2.0),
+    "symmetrized": ("[1, inf)", lambda a: 1.0 <= a < math.inf),
+}
+
+
+def check_order(alpha, name: str = "positive") -> float:
+    """The package's one order rule: alpha as a float in the range ``ORDER_RANGES[name]``."""
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError, OverflowError):  # non-numbers
+        pass
+    interval, test = ORDER_RANGES[name]
+    if not (isinstance(alpha, float) and test(alpha)):
+        raise DomainError(f"{name} order must lie in {interval}, got {alpha!r}")
     return alpha
 
 
@@ -51,8 +68,8 @@ class ProbDist:
 
     def __init__(self, p):
         p = np.array(p, dtype=float, ndmin=1)
-        if p.shape[-1] == 0:
-            raise DomainError("empty probability vector")
+        if not p.size:
+            raise DomainError(f"empty probability vector or stack, shape {p.shape}")
         worst = p.min()
         if not worst >= -PROB_CLAMP:
             raise DomainError(f"negative or undefined probability {worst:.3e}")
@@ -128,7 +145,7 @@ def renyi(p, alpha):
     along the last axis: a float for one distribution, an array for a stack.
     """
     p = as_probabilities(p)
-    alpha = _check_order(alpha)
+    alpha = check_order(alpha)
     if math.isinf(alpha):
         return _result(-np.log(p.max(axis=-1)))
     if alpha == 1.0:
@@ -148,9 +165,7 @@ def tsallis(p, alpha):
     Reduces along the last axis like :func:`renyi`.
     """
     p = as_probabilities(p)
-    alpha = _check_order(alpha)
-    if math.isinf(alpha):
-        raise DomainError("Tsallis entropy is defined for finite positive order")
+    alpha = check_order(alpha, "finite")
     if alpha == 1.0:
         return _result(_shannon(p))
     return _result(_power_excess(p, alpha) / (1.0 - alpha))
@@ -162,11 +177,9 @@ def alpha_log(x, alpha):
     Continuous in alpha at 1, where it equals ln x.  ``x`` may be an array.
     """
     x = np.asarray(x, dtype=float)
-    if not x.min() > 0.0:
+    if not (x.size and x.min() > 0.0):
         raise DomainError(f"alpha-logarithm needs x > 0, got {x}")
-    alpha = _check_order(alpha)
-    if math.isinf(alpha):
-        raise DomainError("alpha-logarithm is defined for finite positive order")
+    alpha = check_order(alpha, "finite")
     if alpha == 1.0:
         return _result(np.log(x))
     return _result(np.expm1((1.0 - alpha) * np.log(x)) / (1.0 - alpha))
@@ -176,7 +189,7 @@ def check_efficiency(eta) -> float:
     """The package's one efficiency rule: eta as a float, which must lie in [0, 1]."""
     try:
         eta = float(eta)
-    except (TypeError, ValueError):  # non-numbers
+    except (TypeError, ValueError, OverflowError):  # non-numbers
         pass
     if not (isinstance(eta, float) and 0.0 <= eta <= 1.0):  # NaN fails here
         raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
@@ -190,22 +203,10 @@ def binary_tsallis(eta, alpha) -> float:
 
 
 def conjugate_order(alpha) -> float:
-    """The order beta with 1/alpha + 1/beta = 2; requires alpha > 1/2."""
-    alpha = _check_order(alpha)
-    if np.isinf(alpha) or alpha <= 0.5:
-        raise DomainError(f"conjugate order needs finite alpha > 1/2, got {alpha}")
+    """The order beta with 1/alpha + 1/beta = 2; requires finite alpha > 1/2."""
+    alpha = check_order(alpha, "conjugate")
     # alpha/(2 alpha - 1) in a form whose denominator cannot overflow
     return (0.5 * alpha) / (alpha - 0.5)
-
-
-def _sym_order(alpha) -> float:
-    """The larger order alpha = max(alpha, beta) of a symmetrized pair, in [1, inf)."""
-    alpha = float(alpha)
-    if not 1.0 <= alpha < math.inf:
-        raise DomainError(
-            f"symmetrized orders need 1 <= alpha < inf (alpha is max of the pair), got {alpha}"
-        )
-    return alpha
 
 
 def symmetrized(p, alpha, kind: str = "tsallis"):
@@ -215,7 +216,7 @@ def symmetrized(p, alpha, kind: str = "tsallis"):
     :func:`conjugate_order`; ``kind`` selects "renyi" or "tsallis".
     Reduces along the last axis.
     """
-    alpha = _sym_order(alpha)
+    alpha = check_order(alpha, "symmetrized")
     fn = _entropy_fn(kind)
     return 0.5 * (fn(p, alpha) + fn(p, conjugate_order(alpha)))
 
@@ -243,7 +244,7 @@ def max_prob_bound(n: int, b2):
     """
     n = check_integer(n, "outcome count", 1)
     b2 = np.asarray(b2, dtype=float)
-    if not (b2.min() >= 1.0 / n - 1e-12 and b2.max() <= 1.0 + 1e-12):
+    if not (b2.size and b2.min() >= 1.0 / n - 1e-12 and b2.max() <= 1.0 + 1e-12):
         raise DomainError(f"sum of squares {b2!r} infeasible for n = {n}")
     radicand = np.maximum(n * b2 - 1.0, 0.0)
     return _result((1.0 + np.sqrt(n - 1.0) * np.sqrt(radicand)) / n)

@@ -416,12 +416,12 @@ def load_fiducial(path) -> tuple[np.ndarray, float]:
     is returned alongside it.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        d = check_dimension(obj["dim"])
-        vec = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed fiducial JSON: {exc}") from exc
+        try:
+            obj = json.load(fh)
+            d = check_dimension(obj["dim"])
+            vec = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed fiducial JSON: {exc}") from exc
     vec = vec.ravel()
     if vec.size != d:
         raise DomainError(f"fiducial JSON dim {d} does not match {vec.size} components")

@@ -226,8 +226,8 @@ def to_json(rho: DensityMatrix) -> str:
 
 def from_json(text: str) -> DensityMatrix:
     """Parse the JSON wire format produced by :func:`to_json`."""
-    obj = json.loads(text)
     try:
+        obj = json.loads(text)
         d = check_dimension(obj["dim"])
         mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

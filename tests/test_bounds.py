@@ -14,6 +14,7 @@ from mubsic import (
     PROPOSITIONS,
     MubSet,
     PreconditionError,
+    ProbDist,
     SicPovm,
     alpha_log,
     check_bound,
@@ -68,6 +69,7 @@ BAD_EFFICIENCIES = {
     "distort": (lambda: distort([1.0], 1.5), 1.5),
     "binary_tsallis": (lambda: binary_tsallis(np.inf, 1.0), "inf"),
     "not-a-number": (lambda: binary_tsallis("high", 1.0), "high"),
+    "too-large-for-a-float": (lambda: binary_tsallis(10**400, 1.0), 10**400),
 }
 
 # every call names an entropy kind that does not exist
@@ -76,6 +78,40 @@ UNKNOWN_KINDS = {
     "mub_symmetrized_bound": lambda: mub_symmetrized_bound(3, 2.0, "shannon"),
     "simple_bounds": lambda: simple_bounds([0.5, 0.5, 0.0, 0.0], 2, 2.0, "shannon"),
 }
+
+# every entry point that takes a pass threshold
+TOLERANCE_ENTRY_POINTS = {
+    "check_tolerance": bounds.check_tolerance,
+    "check_bound": lambda t: check_bound(
+        sic_from_fiducial(2), maximally_mixed(2), "P5-sic-ic", tolerance=t
+    ),
+    "simple_bounds": lambda t: simple_bounds(np.ones(4) / 4, 2, 2.0, tolerance=t),
+    "campaign": lambda t: cli.CampaignConfig(
+        dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0, tolerance=t
+    ),
+}
+
+# every call reaches an empty stack, which used to fail in numpy's .min()
+EMPTY_STACKS = {
+    "ProbDist": lambda: ProbDist(np.zeros((0, 3))),
+    "renyi": lambda: renyi(np.zeros((0, 3)), 2.0),
+    "tsallis": lambda: tsallis(np.zeros((0, 3)), 2.0),
+    "alpha_log": lambda: alpha_log([], 2.0),
+    "max_prob_bound": lambda: max_prob_bound(3, []),
+    "mub_tsallis_bound": lambda: mub_tsallis_bound(3, 4, 2.0, []),
+    "mub_renyi_bound": lambda: mub_renyi_bound(3, 4, 2.0, []),
+    "mub_minentropy_bound": lambda: mub_minentropy_bound(3, 4, []),
+    "sic_tsallis_bound": lambda: sic_tsallis_bound(3, 2.0, []),
+    "sic_renyi_bound": lambda: sic_renyi_bound(3, 2.0, []),
+    "sic_minentropy_bound": lambda: sic_minentropy_bound(3, []),
+    "separable_bound": lambda: separable_bound(3, [], 1.0),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_STACKS.values(), ids=EMPTY_STACKS.keys())
+def test_empty_stack_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def _haar_basis(d, seed):
@@ -759,6 +795,28 @@ class TestReportInvariants:
             detect_entanglement(sic, maximally_mixed(4), tolerance=tolerance)
         with pytest.raises(DomainError):
             simple_bounds(np.ones(4) / 4, 2, 2.0, tolerance=tolerance)
+
+    @pytest.mark.parametrize(
+        "tolerance",
+        ["x", None, [1e-10], 10**400, np.nan, -1e-12],
+        ids=("x", "None", "list", "10**400", "nan", "negative"),
+    )
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+    def test_one_tolerance_rule(self, entry, tolerance):
+        # a non-number used to raise a bare TypeError from math.isfinite
+        message = f"tolerance must be finite and nonnegative, got {tolerance}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            TOLERANCE_ENTRY_POINTS[entry](tolerance)
+
+    @pytest.mark.parametrize("tolerance", ["1e-9", 0, np.float64(1e-9)], ids=repr)
+    def test_tolerance_is_stored_as_a_float(self, tolerance):
+        assert type(bounds.check_tolerance(tolerance)) is float
+        rep = check_bound(sic_from_fiducial(2), maximally_mixed(2), "P5-sic-ic", tolerance=tolerance)
+        assert type(rep.tolerance) is float and rep.tolerance == float(tolerance)
+        config = cli.CampaignConfig(
+            dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0, tolerance=tolerance
+        )
+        assert type(config.tolerance) is float
 
     def test_report_fields_default_sense_and_immutability(self):
         fields = ("label", "lhs", "rhs", "margin", "tolerance", "saturated", "passed", "sense")

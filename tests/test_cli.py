@@ -351,6 +351,27 @@ class TestVerifyCommand:
         with pytest.raises(DomainError, match=message):
             cli.CampaignConfig(dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=seed)
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (2.5, r"^basis count must be an integer, got 2\.5$"),
+            (1, r"^basis count must be >= 2, got 1$"),
+            ("3", r"^basis count must be an integer, got '3'$"),
+        ],
+        ids=("fraction", "below-2", "string"),
+    )
+    def test_config_applies_the_count_rule(self, count, message):
+        # the count used to be checked only when a MUB set was built
+        with pytest.raises(DomainError, match=message):
+            cli.CampaignConfig(
+                dims=[3], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0, count=count
+            )
+
+    def test_count_checked_without_a_mub_label(self, capsys):
+        args = ["verify", "--dims", "2", "--props", "P5-sic-ic", "--samples", "2", "--count", "1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: basis count must be >= 2, got 1\n"
+
     def test_integral_float_counts_run_as_ints(self):
         # a float dimension used to reach the sampler and fail there with a TypeError
         def rows(dims, samples, seed):

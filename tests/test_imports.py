@@ -2,7 +2,9 @@
 
 ``__init__.py`` re-exports its imports and is skipped.  An import whose
 line carries ``# noqa: F401`` is kept on purpose (a seam for code outside
-the package) and is allowed.
+the package) and is allowed.  Every private module-level name (one
+leading underscore, not a dunder) is referenced somewhere in the package
+outside its own definition.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mubsic"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def _unused_imports(path):
@@ -37,3 +40,47 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _defined(statement):
+    """The names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else []
+    if isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def _referenced(statement):
+    """The names a statement reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_name_is_referenced():
+    references = [(s, _referenced(s)) for tree in TREES.values() for s in tree.body]
+    private = [
+        (module, statement, name)
+        for module, tree in TREES.items()
+        for statement in tree.body
+        for name in filter(_private, _defined(statement))
+    ]
+    unreferenced = [
+        f"{module}: {name}"
+        for module, statement, name in private
+        if not any(name in names for s, names in references if s is not statement)
+    ]
+    assert private
+    assert unreferenced == []

@@ -456,6 +456,13 @@ class TestFiducialLoader:
         with pytest.raises(DomainError):
             load_fiducial(path)
 
+    def test_rejects_a_file_that_is_not_json(self, tmp_path):
+        # the parse used to run outside the check and raise json.JSONDecodeError
+        path = tmp_path / "fid.json"
+        path.write_text('{"dim": 3, "re": [0, 1')
+        with pytest.raises(DomainError, match="^malformed fiducial JSON: "):
+            load_fiducial(path)
+
     def test_rejects_zero_vector(self, tmp_path):
         path = tmp_path / "fid.json"
         path.write_text(json.dumps({"dim": 2, "re": [0.0, 0.0], "im": [0.0, 0.0]}))

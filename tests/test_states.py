@@ -377,6 +377,12 @@ class TestJson:
         assert obj["re"] == [[0.5, 0.0], [0.0, 0.5]]
         assert obj["im"] == [[0.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize("text", ["{", "", "[1, 2", "not json"])
+    def test_rejects_text_that_is_not_json(self, text):
+        # the parse used to run outside the check and raise json.JSONDecodeError
+        with pytest.raises(DomainError, match="^malformed density-matrix JSON: "):
+            from_json(text)
+
     def test_rejects_malformed(self):
         with pytest.raises(DomainError):
             from_json(json.dumps({"dim": 2, "re": [[1.0]]}))
