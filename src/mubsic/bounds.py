@@ -150,8 +150,10 @@ def reports(label: str, columns: Columns, tolerance: float, sense: str) -> list[
 
 def _check_purity(d: int, value):
     value = np.asarray(value, dtype=float)
+    if not value.size:
+        raise DomainError(f"empty purity array, shape {value.shape}")
     lo = 1.0 / d
-    if not (value.size and value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
+    if not (value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
         raise DomainError(f"purity {value!r} outside [{lo}, 1] for dimension {d}")
     return np.minimum(np.maximum(value, lo), 1.0)
 

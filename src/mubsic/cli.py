@@ -22,6 +22,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,13 +66,15 @@ CSV_COLUMNS = (
 )
 
 # Report rows hold registry labels, ints, float reprs, "" and "true"/"false"
-# only, so neither format needs quoting or escaping: one %-template per row
+# only, so neither format needs quoting or escaping: one positional
+# %-template per row, filled with the row's values read by column name,
 # renders exactly what json.dumps and csv.DictWriter would.
 _INT_COLUMNS = ("dim", "M", "seed", "sample")
+_ROW_VALUES = operator.itemgetter(*CSV_COLUMNS)
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
-_CSV_ROW = ",".join(f"%({c})s" for c in CSV_COLUMNS) + "\n"
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
 _JSON_ROW = "{" + ", ".join(
-    f'"{c}": %({c})d' if c in _INT_COLUMNS else f'"{c}": "%({c})s"' for c in CSV_COLUMNS
+    f'"{c}": %s' if c in _INT_COLUMNS else f'"{c}": "%s"' for c in CSV_COLUMNS
 ) + "}"
 
 # seed of the fixed unitary that rotates the builtin SIC for pair checks
@@ -94,6 +97,10 @@ class CampaignConfig:
     trials: int = 4
 
     def __post_init__(self):
+        for name in ("dims", "props", "alphas"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise DomainError(f"{name} must be a list or tuple, got {value!r}")
         self.dims = [check_dimension(d) for d in self.dims]
         self.samples = check_integer(self.samples, "samples", 1)
         self.seed = check_integer(self.seed, "seed", 0)
@@ -245,27 +252,32 @@ def _results(config: CampaignConfig):
 
 def _rows(cell: _Cell, purities: list, columns: bnd.Columns, config: CampaignConfig):
     """A cell's report rows, dicts keyed by CSV_COLUMNS, from its purities and Columns."""
-    fixed = {
-        "prop": cell.prop,
-        "dim": cell.d,
-        "M": cell.outcomes,
-        "alpha": "" if cell.args.alpha is None else repr(cell.args.alpha),
-        "eta": "" if cell.args.eta is None else repr(cell.args.eta),
-        "seed": config.seed,
-    }
+    prop, d, m, seed = cell.prop, cell.d, cell.outcomes, config.seed
+    alpha = "" if cell.args.alpha is None else repr(cell.args.alpha)
+    eta = "" if cell.args.eta is None else repr(cell.args.eta)
     lhs, rhs, margin, saturated, _ = columns
     return [
         {
-            **fixed,
+            "prop": prop,
+            "dim": d,
+            "M": m,
+            "alpha": alpha,
+            "eta": eta,
+            "seed": seed,
             "sample": sample,
-            "purity": repr(p2),
-            "lhs": repr(left),
-            "rhs": repr(right),
-            "margin": repr(m),
+            "purity": p2,
+            "lhs": left,
+            "rhs": right,
+            "margin": diff,
             "saturated": "true" if sat else "false",
         }
-        for sample, p2, left, right, m, sat in zip(
-            range(config.samples), purities, lhs, rhs, margin, saturated
+        for sample, p2, left, right, diff, sat in zip(
+            range(config.samples),
+            map(repr, purities),
+            map(repr, lhs),
+            map(repr, rhs),
+            map(repr, margin),
+            saturated,
         )
     ]
 
@@ -288,19 +300,20 @@ def run_campaign(config: CampaignConfig):
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is None or empty."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # one binary write of the bytes a UTF-8 text file with newline="" would hold
+        with open(out, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
 
 def _write_report(rows, summary, out, fmt):
-    """Write the report rows (dicts keyed by CSV_COLUMNS) as CSV or one JSON row per line."""
+    """Write the report rows (dicts read by CSV_COLUMNS name) as CSV or one JSON row per line."""
     if fmt == "json":
-        lines = ",\n".join(map(_JSON_ROW.__mod__, rows))
+        lines = ",\n".join(map(_JSON_ROW.__mod__, map(_ROW_VALUES, rows)))
         text = f'{{"rows": [\n{lines}\n],\n"summary": {json.dumps(summary)}}}\n'
     else:
-        text = _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows))
+        text = _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, map(_ROW_VALUES, rows)))
     _emit(text, out)
 
 

@@ -114,6 +114,13 @@ def test_empty_stack_is_a_domain_error(call):
         call()
 
 
+def test_empty_purity_is_named_with_its_shape():
+    with pytest.raises(DomainError, match=r"^empty purity array, shape \(0,\)$"):
+        mub_tsallis_bound(3, 4, 2.0, [])
+    with pytest.raises(DomainError, match=r"^empty purity array, shape \(2, 0\)$"):
+        sic_renyi_bound(3, 2.0, np.zeros((2, 0)))
+
+
 def _haar_basis(d, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

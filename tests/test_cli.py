@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,16 @@ class TestVerifyCommand:
         fields[empty] = []
         with pytest.raises(DomainError, match="^campaign is empty: "):
             cli.run_campaign(cli.CampaignConfig(**fields))
+
+    @pytest.mark.parametrize(
+        "field, value", [("dims", 3), ("props", "P5-sic-ic"), ("alphas", None)]
+    )
+    def test_library_campaign_list_fields_must_be_lists(self, field, value):
+        # a string would be read letter by letter, a scalar or None is not iterable
+        fields = dict(dims=[2], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0)
+        fields[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be a list or tuple, got "):
+            cli.CampaignConfig(**fields)
 
     def test_tiny_tolerance_flags_violation(self, tmp_path):
         # the exact identity holds to ~1e-16; an absurd 1e-18 tolerance
@@ -562,9 +576,9 @@ def test_exit_code_contract(argv, code, start, tmp_path, capsys):
 
 
 def _stdlib_report(rows, summary, fmt):
-    """The report as json.dumps per row and csv.DictWriter would write it."""
+    """The report as csv.DictWriter, or json.dumps of each row in CSV_COLUMNS order, writes it."""
     if fmt == "json":
-        lines = ",\n".join(map(json.dumps, rows))
+        lines = ",\n".join(json.dumps({c: row[c] for c in cli.CSV_COLUMNS}) for row in rows)
         return f'{{"rows": [\n{lines}\n],\n"summary": {json.dumps(summary)}}}\n'
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=cli.CSV_COLUMNS, lineterminator="\n")
@@ -594,6 +608,8 @@ def test_report_writer_matches_stdlib_writers(fmt, tmp_path):
     flipped["margin"] = repr(-float(flipped["margin"]))
     zero = next(r for r in rows if r["margin"] == "0.0")
     zero["margin"] = repr(-0.0)
+    # the writer reads fields by name: a row with its keys in another order renders the same
+    rows.append(dict(reversed(flipped.items())))
     values = {v for row in rows for v in row.values()}
     assert {"inf", "-0.0", "0.8", "1.000001", ""} <= values
     assert any("e-" in str(v) for v in values)
@@ -605,6 +621,37 @@ def test_report_writer_matches_stdlib_writers(fmt, tmp_path):
         text = fh.read()
     assert text == _stdlib_report(rows, summary, fmt)
     assert flipped["margin"] in text and "-0.0" in text
+
+
+def _console(args, cwd):
+    """The ``mubsic`` console entry run in a fresh interpreter, with its real stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from mubsic.cli import entry; entry()", *args],
+        capture_output=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--dims", "2,3", "--props", "all", "--samples", "3", "--seed", "7"],
+        ["verify", "--dims", "2,3", "--props", "all", "--samples", "3", "--format", "json"],
+        ["mub", "--dim", "5", "--count", "6"],
+    ],
+    ids=["verify-csv", "verify-json", "mub"],
+)
+def test_out_file_holds_the_bytes_stdout_gets(args, tmp_path):
+    to_file = _console(args + ["--out", "report"], tmp_path)
+    to_stdout = _console(args, tmp_path)
+    assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+    assert to_file.stderr == to_stdout.stderr
+    # verify prints its summary line after the report; mub prints its own to stderr
+    assert to_stdout.stdout == (tmp_path / "report").read_bytes() + to_file.stdout
 
 
 def test_parser_reuse_keeps_no_state_between_calls(tmp_path, capsys):
