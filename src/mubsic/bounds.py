@@ -541,6 +541,14 @@ _MEASUREMENT_TYPES = {
 }
 
 
+def check_label(which) -> Proposition:
+    """The registry entry of a label; :class:`DomainError` for anything else, unhashable too."""
+    try:
+        return PROPOSITIONS[which]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown proposition label {which!r}") from None
+
+
 def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArguments:
     """Validate a labelled check's order arguments without a state.
 
@@ -550,9 +558,7 @@ def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArgu
     [0, 1] or given to a label without the inefficiency model.  Order-free
     labels ignore ``alpha``.
     """
-    prop = PROPOSITIONS.get(which)
-    if prop is None:
-        raise DomainError(f"unknown proposition label {which!r}")
+    prop = check_label(which)
     if eta is not None:
         if not prop.efficiency:
             raise DomainError(f"inefficiency model applies to P1/P6 only, not {which}")

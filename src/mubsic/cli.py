@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +34,13 @@ from . import bounds as bnd
 from .entropy import check_efficiency, check_order
 from .errors import DomainError
 from .linalg import kron
-from .measurements import SicPovm, load_fiducial, mub_construct, sic_from_fiducial
+from .measurements import (
+    SicPovm,
+    check_fiducial_path,
+    load_fiducial,
+    mub_construct,
+    sic_from_fiducial,
+)
 from .states import (
     DensityMatrix,
     check_dimension,
@@ -93,7 +100,7 @@ class CampaignConfig:
     eta: float | None = None
     tolerance: float = bnd.DEFAULT_TOLERANCE
     count: int | None = None
-    fiducial_path: str | None = None
+    fiducial_path: str | os.PathLike | None = None
     trials: int = 4
 
     def __post_init__(self):
@@ -107,13 +114,14 @@ class CampaignConfig:
         self.tolerance = bnd.check_tolerance(self.tolerance)
         self.alphas = [check_order(a) for a in self.alphas]
         for p in self.props:
-            if p not in bnd.PROPOSITIONS:
-                raise DomainError(f"unknown proposition label {p!r}")
+            bnd.check_label(p)
         if self.eta is not None:
             self.eta = check_efficiency(self.eta)
         self.trials = check_integer(self.trials, "trials", 1)
         if self.count is not None:  # the cap d + 1 is checked per dimension, on construction
             self.count = check_integer(self.count, "basis count", 2)
+        if self.fiducial_path is not None:
+            self.fiducial_path = check_fiducial_path(self.fiducial_path)
 
 
 def _fixed_rotation(d: int) -> np.ndarray:
@@ -200,11 +208,12 @@ def _run_key(cell: _Cell):
 def _states(group, config: CampaignConfig):
     """The stack of every sample of a run of cells, in cell order, and APXB's input vectors.
 
-    Each cell's stream (seed, di, pi, ai) gives one (N, K) block of standard
-    normals: row i holds all K numbers sample i needs, so a row depends only
-    on its cell key and i.  Row layout: the Ginibre block (2, d, d) of the
-    state; for ENT-G, a second one for party B; for APXB-riesz,
-    (trials, 2, d^2) for the input vectors.  ENT-G and APXB cells run alone.
+    Each cell's stream (seed, di, pi, ai) fills its (N, K) slice of one
+    buffer with standard normals: row i holds all K numbers sample i needs,
+    so a row depends only on its cell key and i.  Row layout: the Ginibre
+    block (2, d, d) of the state; for ENT-G, a second one for party B; for
+    APXB-riesz, (trials, 2, d^2) for the input vectors.  ENT-G and APXB
+    cells run alone.
     """
     cell = group[0]
     d, n = cell.d, config.samples
@@ -212,8 +221,9 @@ def _states(group, config: CampaignConfig):
     product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
     trials = config.trials if cell.prop == "APXB-riesz" else 0
     width = block * (2 if product else 1) + 2 * trials * d * d
-    draws = [stream(config.seed, *c.key).standard_normal((n, width)) for c in group]
-    draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    draws = np.empty((len(group) * n, width))
+    for k, c in enumerate(group):
+        stream(config.seed, *c.key).standard_normal(out=draws[k * n : (k + 1) * n])
     samples = np.arange(len(group) * n) % n  # each cell's sample index
     rho = random_mixed(d, 1 + samples % d, normals=draws[:, :block].reshape(-1, 2, d, d))
     if product:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -409,13 +410,20 @@ def distort(p, eta: float) -> ProbDist:
     return ProbDist(np.concatenate([eta * p, no_click], axis=-1))
 
 
+def check_fiducial_path(path):
+    """``path`` itself, which must be a str or an os.PathLike: ``open`` takes an int as a descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"fiducial path must be a str or os.PathLike, got {path!r}")
+    return path
+
+
 def load_fiducial(path) -> tuple[np.ndarray, float]:
     """Load a fiducial ket from JSON {"dim": d, "re": [...], "im": [...]}.
 
-    The vector is normalized to unit norm; the applied rescaling factor
-    is returned alongside it.
+    ``path`` must be a str or an os.PathLike.  The vector is normalized to
+    unit norm; the applied rescaling factor is returned alongside it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(check_fiducial_path(path), "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
             d = check_dimension(obj["dim"])

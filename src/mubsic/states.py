@@ -2,9 +2,10 @@
 
 A :class:`DensityMatrix` is one state or a stack of states, validated
 together.  Every random draw goes through :func:`stream`, which checks
-its key and derives a counter-based Philox generator from (seed,
-stream-id), so Monte-Carlo campaigns stay bitwise reproducible in any
-execution order.  :func:`random_mixed` is the one sampler (Ginibre-induced
+its key and returns a fresh counter-based Philox generator whose key is
+the seed and whose counter holds the stream ids (Salmon et al., SC'11),
+so Monte-Carlo campaigns stay bitwise reproducible in any execution
+order.  :func:`random_mixed` is the one sampler (Ginibre-induced
 states); :func:`random_pure` is its rank-1 case.
 """
 
@@ -20,6 +21,8 @@ from .errors import DomainError
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# the largest stream id: id + 1 must fit one 64-bit counter word
+_MAX_STREAM_ID = 2**64 - 2
 
 
 def check_integer(value, what: str, least: int) -> int:
@@ -69,18 +72,63 @@ def positivity_failure(mat):
     return None if (min_eig >= EIGENVALUE_FLOOR).all() else min_eig
 
 
+@functools.cache
+def _key_type() -> type:
+    """The 128-bit key that :func:`stream` hands to ``Philox`` as it is.
+
+    A subclass of numpy's documented seed hook
+    ``numpy.random.bit_generator.ISeedSequence``, built on the first draw so
+    that ``import mubsic`` does not load ``numpy.random``.  ``Philox(key=…)``
+    would seed a throwaway ``SeedSequence`` from OS entropy on every call.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("seed",)
+
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            """The seed as ``n_words`` little-endian words of ``dtype``, which must make 128 bits."""
+            dtype = np.dtype(dtype)
+            if dtype.kind != "u" or n_words * dtype.itemsize != 16:
+                raise DomainError(f"a Philox key is 128 bits, not {n_words} words of {dtype}")
+            words = np.frombuffer(self.seed.to_bytes(16, "little"), dtype.newbyteorder("<"))
+            return words.astype(dtype)
+
+    return PhiloxKey
+
+
 def stream(seed, *stream_id) -> np.random.Generator:
     """The Philox generator for the key (seed, stream_id): the package's one source of draws.
 
-    The seed and each id must be integers >= 0, so no two keys share a
-    stream; distinct ids give independent streams under one master seed.
-    A Generator passed as ``seed`` with no id is returned as it is.
+    Counter-based, as in Salmon et al., SC'11: the seed is the 128-bit
+    Philox key [seed mod 2^64, seed >> 64] and the ids go in the counter,
+    [0, id_1 + 1, id_2 + 1, id_3 + 1], a missing id giving 0, so
+    ``stream(s)``, ``stream(s, 0)`` and ``stream(s, 0, 0)`` differ.  Word 0
+    is the block counter that draws advance, so the streams of one seed
+    never share a block while each draws fewer than 2^64 blocks of four
+    64-bit words.
+    The seed must be an integer in [0, 2^128) and each of at most 3 ids an
+    integer in [0, 2^64 - 2]; else :class:`DomainError`.  Every call returns
+    a fresh generator.  A Generator passed as ``seed`` with no id is
+    returned as it is.
     """
     if isinstance(seed, np.random.Generator) and not stream_id:
         return seed
-    key = tuple(check_integer(k, "stream id", 0) for k in stream_id)
-    ss = np.random.SeedSequence(entropy=check_integer(seed, "seed", 0), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    seed = check_integer(seed, "seed", 0)
+    if seed >> 128:
+        raise DomainError(f"seed must be < 2**128, got {seed}")
+    if len(stream_id) > 3:
+        raise DomainError(f"a stream takes at most 3 ids, got {len(stream_id)}")
+    counter = np.zeros(4, dtype=np.uint64)  # numpy reads a list with a word >= 2**63 as floats
+    for i, k in enumerate(stream_id, 1):
+        k = check_integer(k, "stream id", 0)
+        if k > _MAX_STREAM_ID:
+            raise DomainError(f"stream id must be <= 2**64 - 2, got {k}")
+        counter[i] = k + 1
+    return np.random.Generator(np.random.Philox(_key_type()(seed), counter=counter))
 
 
 class DensityMatrix:

@@ -79,6 +79,17 @@ UNKNOWN_KINDS = {
     "simple_bounds": lambda: simple_bounds([0.5, 0.5, 0.0, 0.0], 2, 2.0, "shannon"),
 }
 
+# every entry point that looks up a proposition label, each given something that is not one
+UNKNOWN_LABELS = {
+    "campaign": lambda label: cli.CampaignConfig(
+        dims=[2], props=[label], alphas=[2.0], samples=1, seed=0
+    ),
+    "check_arguments": lambda label: check_arguments(label, alpha=2.0),
+    "check_bound": lambda label: check_bound(
+        mub_construct(2, 3), maximally_mixed(2), label, alpha=2.0
+    ),
+}
+
 # every entry point that takes a pass threshold
 TOLERANCE_ENTRY_POINTS = {
     "check_tolerance": bounds.check_tolerance,
@@ -658,6 +669,14 @@ class TestCheckBound:
     def test_unknown_label(self):
         with pytest.raises(DomainError):
             check_bound(sic_from_fiducial(2), maximally_mixed(2), "P99-unknown")
+
+    @pytest.mark.parametrize("entry", UNKNOWN_LABELS)
+    @pytest.mark.parametrize("label", [["P1-mub-tsallis"], "P99-unknown"], ids=("list", "str"))
+    def test_one_label_rule(self, entry, label):
+        # an unhashable label used to raise a bare TypeError: unhashable type
+        message = f"unknown proposition label {label!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            UNKNOWN_LABELS[entry](label)
 
     def test_eta_restricted_to_tsallis_props(self):
         with pytest.raises(DomainError):

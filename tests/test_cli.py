@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -460,6 +461,24 @@ class TestMeasurementBuilder:
         fid.write_text(json.dumps({"dim": 3, "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}))
         assert main(args) == 2
         assert "SIC conditions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [5, 0, 3.5, b"fid.json"], ids=repr)
+    def test_config_takes_only_a_str_or_path_fiducial(self, monkeypatch, path):
+        # an int used to be opened as a file descriptor: 0 read stdin and closed it
+        monkeypatch.setattr(cli, "load_fiducial", lambda p: pytest.fail("opened"))
+        message = f"fiducial path must be a str or os.PathLike, got {path!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cli.CampaignConfig(
+                dims=[3], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0, fiducial_path=path
+            )
+
+    def test_library_campaign_reads_a_path_fiducial(self, tmp_path):
+        fid = tmp_path / "fid.json"
+        fid.write_text(json.dumps({"dim": 3, "re": [0.0, 1.0, -1.0], "im": [0.0, 0.0, 0.0]}))
+        fields = dict(dims=[3], props=["P5-sic-ic"], alphas=[2.0], samples=2, seed=0)
+        by_path = cli.run_campaign(cli.CampaignConfig(**fields, fiducial_path=fid))
+        assert by_path == cli.run_campaign(cli.CampaignConfig(**fields, fiducial_path=str(fid)))
+        assert by_path == cli.run_campaign(cli.CampaignConfig(**fields))
 
 
 class TestCoincidenceCommand:

@@ -4,10 +4,14 @@
 line carries ``# noqa: F401`` is kept on purpose (a seam for code outside
 the package) and is allowed.  Every private module-level name (one
 leading underscore, not a dunder) is referenced somewhere in the package
-outside its own definition.
+outside its own definition.  ``import mubsic`` loads no ``numpy.random``:
+it is imported on the first draw.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,21 @@ def test_every_private_name_is_referenced():
     ]
     assert private
     assert unreferenced == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # a fresh interpreter, so no other test has drawn; the first draw loads it
+    probe = (
+        "import sys, mubsic; before = 'numpy.random' in sys.modules; mubsic.stream(1); "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    assert out.stdout.split() == ["False", "True"], out.stderr

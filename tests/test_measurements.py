@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,19 @@ class TestFiducialLoader:
         path.write_text(json.dumps({"dim": 2, "re": [0.0, 0.0], "im": [0.0, 0.0]}))
         with pytest.raises(DomainError):
             load_fiducial(path)
+
+    @pytest.mark.parametrize("path", [0, 3, 3.5, b"fid.json", None], ids=repr)
+    def test_rejects_a_path_that_is_not_a_str_or_path(self, path):
+        # an int was opened as a file descriptor (0 read stdin, then closed it); 3.5 raised TypeError
+        message = f"fiducial path must be a str or os.PathLike, got {path!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            load_fiducial(path)
+
+    def test_reads_a_str_path(self, tmp_path):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"dim": 2, "re": [3.0, 4.0], "im": [0.0, 0.0]}))
+        loaded, scale = load_fiducial(str(path))
+        assert loaded == pytest.approx([0.6, 0.8], abs=1e-15) and scale == pytest.approx(0.2)
 
 
 class TestPureStateSicStatistics:

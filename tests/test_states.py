@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -46,11 +47,18 @@ NON_INTEGRAL = {
 }
 
 
-# every call draws from a key that is not an integer >= 0, or from no key at all
+# every call draws from a key outside the stream rule (integers >= 0, seed < 2**128,
+# at most 3 ids, each <= 2**64 - 2), or from no key at all
 BAD_KEYS = {
     "stream-id": (lambda: stream(3, 1.7), "stream id must be an integer, got 1.7"),
     "stream-seed": (lambda: stream(2.9, 0), "seed must be an integer, got 2.9"),
     "stream-negative": (lambda: stream(-1), "seed must be >= 0, got -1"),
+    "stream-wide-seed": (lambda: stream(2**128, 0), f"seed must be < 2**128, got {2**128}"),
+    "stream-four-ids": (lambda: stream(3, 0, 0, 0, 0), "a stream takes at most 3 ids, got 4"),
+    "stream-wide-id": (
+        lambda: stream(3, 1, 2**64 - 1),
+        f"stream id must be <= 2**64 - 2, got {2**64 - 1}",
+    ),
     "random_mixed-seed": (lambda: random_mixed(2, 1, 2.5), "seed must be an integer, got 2.5"),
     "random_pure-nan": (lambda: random_pure(2, np.nan), "seed must be an integer, got nan"),
     "random_mixed-unseeded": (lambda: random_mixed(2, 1), "seed must be an integer, got None"),
@@ -350,14 +358,84 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
     def test_bare_seed_and_generator(self):
-        # an integer seed keys SeedSequence(seed) itself: the draws of coincidence --random-rank
-        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(7))).standard_normal(4)
-        assert np.array_equal(stream(7).standard_normal(4), want)
-        assert np.array_equal(stream(np.int64(7)).standard_normal(4), want)
+        # the seed is the Philox key, counter 0: the draws of coincidence --random-rank
+        want = np.random.Generator(np.random.Philox(key=[7, 0], counter=0))
+        state = stream(7).bit_generator.state["state"]
+        assert state["key"].tolist() == [7, 0] and state["counter"].tolist() == [0, 0, 0, 0]
+        assert np.array_equal(stream(7).standard_normal(4), want.standard_normal(4))
+        assert np.array_equal(stream(np.int64(7)).standard_normal(4), stream(7).standard_normal(4))
         rng = np.random.default_rng(1)
         assert stream(rng) is rng
         with pytest.raises(DomainError, match="^seed must be an integer, got Generator"):
             stream(rng, 0)
+
+    @pytest.mark.parametrize(
+        "key, words, counter",
+        [
+            ((7, 2), [7, 0], [0, 3, 0, 0]),
+            ((7, 1, 2, 0), [7, 0], [0, 2, 3, 1]),
+            ((2**64 + 5, 0, 2**64 - 2), [5, 1], [0, 1, 2**64 - 1, 0]),
+            ((2**128 - 1,), [2**64 - 1, 2**64 - 1], [0, 0, 0, 0]),
+        ],
+    )
+    def test_seed_is_the_key_and_ids_are_the_counter(self, key, words, counter):
+        state = stream(*key).bit_generator.state["state"]
+        assert state["key"].tolist() == words and state["counter"].tolist() == counter
+        words, counter = (np.array(w, dtype=np.uint64) for w in (words, counter))
+        want = np.random.Generator(np.random.Philox(key=words, counter=counter))
+        assert np.array_equal(stream(*key).standard_normal(9), want.standard_normal(9))
+
+    def test_arities_differ(self):
+        draws = [stream(7, *[0] * k).standard_normal(4) for k in range(4)]
+        for i in range(4):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j]), (i, j)
+
+    def test_key_rejects_uneven_words(self):
+        key = stream(7).bit_generator.seed_seq
+        assert key.generate_state(4).tolist() == [7, 0, 0, 0]
+        with pytest.raises(DomainError, match="^a Philox key is 128 bits, not 3 words of uint64$"):
+            key.generate_state(3, np.uint64)
+
+    def test_interleaved_draws_equal_separate_draws(self):
+        a, b = stream(5, 1), stream(5, 2)
+        mixed = [g.standard_normal(7) for _ in range(3) for g in (a, b)]
+        alone = [stream(5, k).standard_normal(21).reshape(3, 7) for k in (1, 2)]
+        assert np.array_equal(np.array(mixed[0::2]), alone[0])
+        assert np.array_equal(np.array(mixed[1::2]), alone[1])
+
+    def test_streams_in_threads_equal_serial_draws(self):
+        keys = [(5, k) for k in range(4)]
+        out = {}
+
+        def draw(key):
+            out[key] = stream(*key).standard_normal(20_000)
+
+        threads = [threading.Thread(target=draw, args=(key,)) for key in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for key in keys:
+            assert np.array_equal(out[key], stream(*key).standard_normal(20_000)), key
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((7,), (8,)),
+            ((2**64 - 1,), (2**64,)),
+            ((7, 1, 2, 0), (7, 1, 2, 1)),
+            ((7, 1, 2, 0), (7, 1, 3, 0)),
+            ((7, 1, 2, 0), (7, 2, 2, 0)),
+            ((7,), (7, 0)),
+            ((7, 0, 0), (7, 1)),
+        ],
+    )
+    def test_neighbouring_keys_give_uncorrelated_normals(self, a, b):
+        n = 40_000
+        r = np.corrcoef(stream(*a).standard_normal(n), stream(*b).standard_normal(n))[0, 1]
+        assert abs(r) < 5 / np.sqrt(n), r
 
 
 class TestJson:
