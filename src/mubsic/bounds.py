@@ -28,7 +28,7 @@ are labeled
   sum_m C_m <= tr(rho^2) + (M-1)/d underlying P1-P3,
 * ``APXA-max``        -- max probability vs. the coincidence cap,
 * ``APXB-riesz``      -- the 2-norm contraction property of the
-  overlap transformation used by P9,
+  overlap transformation used by P9, checked as its operator norm,
 * ``ENT-G``           -- the separable-state cap on the diagonal
   correlation measure of a product SIC-POVM; :func:`detect_entanglement`
   reads it as an entanglement witness.
@@ -352,40 +352,12 @@ def mu_f_bar(meas_m, meas_n) -> float:
     return float(np.max(np.abs(kets_m.conj() @ kets_n.T)))
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """2-norms of complex vectors along the last axis."""
-    return np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=-1))
-
-
-def _riesz_sides(t: np.ndarray, u):
-    """Worst ||t v||_2 and its ||v||_2 over the input vectors v of each state.
-
-    ``u`` holds the inputs: one vector (n,), several (T, n), or several
-    per state (N, T, n).
-    """
-    if u is None:
-        raise DomainError("APXB-riesz needs input vectors u")
-    n = t.shape[-1]
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-1:] != (n,):
-        raise DomainError(f"input vectors need shape (..., {n}), got {u.shape}")
-    u = u.reshape(1, n) if u.ndim == 1 else u
-    if u.shape[-2] == 0:
-        raise DomainError("APXB-riesz needs at least one input vector")
-    nu = _norms(u)
-    nv = _norms(np.matmul(u, t.swapaxes(-1, -2)))
-    nu = nu if nu.shape == nv.shape else np.broadcast_to(nu, nv.shape)
-    worst = np.arange(nv.shape[-1]) == (nv - nu).argmax(axis=-1)[..., None]
-    return nv[worst], nu[worst]
-
-
 class CheckArguments(NamedTuple):
     """The validated arguments of one labelled check (see :func:`check_arguments`)."""
 
     alpha: float | None = None
     kind: str = "tsallis"
     eta: float | None = None
-    u: object = None
 
 
 class Proposition(NamedTuple):
@@ -506,8 +478,14 @@ def _apxa(meas, x, a):
 
 
 def _apxb(pair, x, a):
+    """The largest singular value of t against 1: ||t u||_2 <= ||u||_2 for every u at once.
+
+    It is 1 up to rounding: t maps the unit vector sqrt(p(N)) onto the unit
+    vector sqrt(p(M)), so the norm is at least 1, and the contraction caps it.
+    """
     t = _overlap_transform(*_pair_kets(*pair, x.rho.dim), x.rho)
-    return _riesz_sides(t, a.u)
+    gram = np.matmul(t.conj().swapaxes(-1, -2), t)
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), 1.0
 
 
 def _ent_g(sic, x, a):
@@ -583,7 +561,6 @@ def check_bound(
     alpha=None,
     kind=None,
     eta=None,
-    u=None,
     tolerance: float = DEFAULT_TOLERANCE,
 ):
     """Evaluate one labeled bound check on a state, or on each state of a stack.
@@ -595,10 +572,9 @@ def check_bound(
     for P9 and APXB-riesz.  ``alpha`` sets the order (for P4 and P9 the
     larger order of the conjugate pair) and ``kind`` the entropy family of
     P4 and P9, "tsallis" when None; ``eta`` switches P1/P6 to the
-    detector-inefficiency variant.  APXB-riesz needs the input vectors
-    ``u`` and checks only those: one vector (n,), several (T, n), or
-    several per state (N, T, n), with n the second measurement's outcome
-    count; it reports the worst case of ||t u||_2 <= ||u||_2.
+    detector-inefficiency variant.  APXB-riesz checks ||t u||_2 <= ||u||_2
+    at its worst u: lhs is the operator 2-norm of the overlap transformation
+    t, rhs is 1.
     ``tolerance`` must be finite and >= 0.
     Returns one :class:`BoundReport` for a single state and a list of
     them, in stack order, for a stack.
@@ -612,7 +588,7 @@ def check_bound(
         raise DomainError(
             f"{which} expects a {prop.measurement} measurement, got {type(meas).__name__}"
         )
-    columns = evaluate(which, meas, inputs(which, meas, rho), args._replace(u=u), tolerance)
+    columns = evaluate(which, meas, inputs(which, meas, rho), args, tolerance)
     result = reports(which, columns, tolerance, prop.sense)
     return result if rho.mat.ndim == 3 else result[0]
 

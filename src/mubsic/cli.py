@@ -101,7 +101,6 @@ class CampaignConfig:
     tolerance: float = bnd.DEFAULT_TOLERANCE
     count: int | None = None
     fiducial_path: str | os.PathLike | None = None
-    trials: int = 4
 
     def __post_init__(self):
         for name in ("dims", "props", "alphas"):
@@ -117,7 +116,6 @@ class CampaignConfig:
             bnd.check_label(p)
         if self.eta is not None:
             self.eta = check_efficiency(self.eta)
-        self.trials = check_integer(self.trials, "trials", 1)
         if self.count is not None:  # the cap d + 1 is checked per dimension, on construction
             self.count = check_integer(self.count, "basis count", 2)
         if self.fiducial_path is not None:
@@ -192,7 +190,8 @@ def _plan(config: CampaignConfig) -> list[_Cell]:
             else:
                 meas = measurement("pair" if entry.measurement == "pair" else "sic", d, None, ket)
                 outcomes = d**4 if entry.measurement == "product" else d * d
-            for ai, alpha in enumerate(config.alphas if entry.order else [None]):
+            # with no orders, an order-dependent label gets None, which check_arguments rejects
+            for ai, alpha in enumerate((config.alphas or [None]) if entry.order else [None]):
                 args = bnd.check_arguments(prop, alpha=alpha, eta=eta)
                 cells.append(_Cell((di, pi, ai), d, prop, args, meas, outcomes))
     if not cells:
@@ -206,22 +205,19 @@ def _run_key(cell: _Cell):
 
 
 def _states(group, config: CampaignConfig):
-    """The stack of every sample of a run of cells, in cell order, and APXB's input vectors.
+    """The stack of every sample of a run of cells, in cell order.
 
     Each cell's stream (seed, di, pi, ai) fills its (N, K) slice of one
     buffer with standard normals: row i holds all K numbers sample i needs,
     so a row depends only on its cell key and i.  Row layout: the Ginibre
-    block (2, d, d) of the state; for ENT-G, a second one for party B; for
-    APXB-riesz, (trials, 2, d^2) for the input vectors.  ENT-G and APXB
-    cells run alone.
+    block (2, d, d) of the state; for ENT-G, a second one for party B.
+    ENT-G cells run alone.
     """
     cell = group[0]
     d, n = cell.d, config.samples
     block = 2 * d * d
     product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
-    trials = config.trials if cell.prop == "APXB-riesz" else 0
-    width = block * (2 if product else 1) + 2 * trials * d * d
-    draws = np.empty((len(group) * n, width))
+    draws = np.empty((len(group) * n, block * (2 if product else 1)))
     for k, c in enumerate(group):
         stream(config.seed, *c.key).standard_normal(out=draws[k * n : (k + 1) * n])
     samples = np.arange(len(group) * n) % n  # each cell's sample index
@@ -231,11 +227,7 @@ def _states(group, config: CampaignConfig):
             d, 1 + (samples // d) % d, normals=draws[:, block : 2 * block].reshape(n, 2, d, d)
         )
         rho = DensityMatrix(kron(rho.mat, rho_b.mat))
-    u = None
-    if trials:
-        z = draws[:, block:].reshape(n, trials, 2, d * d)
-        u = z[:, :, 0] + 1j * z[:, :, 1]
-    return rho, u
+    return rho
 
 
 def _results(config: CampaignConfig):
@@ -250,14 +242,13 @@ def _results(config: CampaignConfig):
     n = config.samples
     for _, group in itertools.groupby(_plan(config), _run_key):
         group = list(group)
-        rho, u = _states(group, config)
-        x = bnd.inputs(group[0].prop, group[0].meas, rho)
+        x = bnd.inputs(group[0].prop, group[0].meas, _states(group, config))
         p2 = x.purity.tolist()
         for k, cell in enumerate(group):
             rows = slice(k * n, (k + 1) * n)
             part = x if len(group) == 1 else x.part(rows)
-            args = cell.args if u is None else cell.args._replace(u=u)
-            yield cell, p2[rows], bnd.evaluate(cell.prop, cell.meas, part, args, config.tolerance)
+            columns = bnd.evaluate(cell.prop, cell.meas, part, cell.args, config.tolerance)
+            yield cell, p2[rows], columns
 
 
 def _rows(cell: _Cell, purities: list, columns: bnd.Columns, config: CampaignConfig):
@@ -342,7 +333,6 @@ def cmd_verify(args) -> int:
         tolerance=args.tolerance,
         count=args.count,
         fiducial_path=args.fiducial,
-        trials=args.trials,
     )
     rows = []
     checks = n_failed = n_saturated = 0
@@ -442,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--tolerance", type=float, default=bnd.DEFAULT_TOLERANCE, help="pass threshold"
     )
-    p_ver.add_argument("--trials", type=int, default=4, help="random inputs per APXB check")
     p_ver.add_argument("--out", default=None, help="report path (default or empty: stdout)")
     p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ver.add_argument("--fiducial", default=None, help="JSON fiducial for non-builtin dims")

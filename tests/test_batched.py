@@ -36,7 +36,7 @@ from mubsic import (
     tsallis,
 )
 from mubsic import bounds, cli
-from mubsic.cli import CSV_COLUMNS, _fixed_rotation, main
+from mubsic.cli import _fixed_rotation, main
 from mubsic.measurements import SicPovm
 
 AGREEMENT = 1e-12
@@ -135,16 +135,12 @@ class TestBatchedMatchesScalar:
         want = [float(np.max(probabilities(sic, r).p)) for r in singles]
         _assert_lhs(check_bound(sic, stack, "APXA-max"), want)
 
-    def test_riesz_with_inputs_per_state(self, d):
+    def test_riesz_operator_norm_per_state(self, d):
         singles = _singles(d, 6)
         pair = _pair(d)
-        rng = np.random.default_rng(d)
-        u = rng.standard_normal((len(singles), 3, d * d)) + 1j * rng.standard_normal(
-            (len(singles), 3, d * d)
-        )
-        reports = check_bound(pair, _stack(singles), "APXB-riesz", u=u)
-        for report, rho, inputs in zip(reports, singles, u):
-            single = check_bound(pair, rho, "APXB-riesz", u=inputs)
+        reports = check_bound(pair, _stack(singles), "APXB-riesz")
+        for report, rho in zip(reports, singles):
+            single = check_bound(pair, rho, "APXB-riesz")
             assert abs(report.lhs - single.lhs) <= AGREEMENT
             assert abs(report.rhs - single.rhs) <= AGREEMENT
 
@@ -244,24 +240,6 @@ def test_one_row_campaigns_are_a_prefix_at_dims_5_and_7(tmp_path, props, alphas,
     # the mub-orders benchmark's labels; a one-state cell pins the single-state path
     args = ["verify", "--dims", "5,7", "--props", props, "--alphas", alphas, "--seed", "5"]
     _assert_prefix(tmp_path, args, 1, n_cells)
-
-
-def test_trials_widen_rows_but_keep_row_zero_and_the_prefix(tmp_path):
-    # a row draws its state first and its (trials, 2, d^2) APXB inputs after it
-    args = ["verify", "--dims", "2,3", "--props", "APXB-riesz", "--seed", "5"]
-    runs = {}
-    for trials, samples in (("1", "5"), ("3", "5"), ("3", "25")):
-        out = tmp_path / f"t{trials}-n{samples}.csv"
-        assert main(args + ["--trials", trials, "--samples", samples, "--out", str(out)]) == 0
-        runs[trials, samples] = _cells(out)
-    keys = [("APXB-riesz", "2", ""), ("APXB-riesz", "3", "")]
-    col = CSV_COLUMNS.index("purity")
-    for key in keys:
-        one, three, long = (runs[run][key] for run in (("1", "5"), ("3", "5"), ("3", "25")))
-        assert len(one) == len(three) == 5 and len(long) == 25
-        assert next(csv.reader([one[0]]))[col] == next(csv.reader([three[0]]))[col], key
-        assert long[:5] == three, key
-    assert all(list(cells) == keys for cells in runs.values())
 
 
 SIC_LABELS = "P5-sic-ic,P6-sic-tsallis,P7-sic-renyi,P8-sic-minent"

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -150,19 +151,32 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_empty_campaign_exits_2(self, capsys):
-        code = main(
-            ["verify", "--dims", "2", "--props", "P1-mub-tsallis", "--alphas", "", "--samples", "1"]
-        )
+        code = main(["verify", "--dims", "", "--props", "P1-mub-tsallis", "--samples", "1"])
         assert code == 2
         assert "empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("empty", ["dims", "props", "alphas"])
-    def test_library_campaign_rejects_an_empty_plan(self, monkeypatch, empty):
+    @pytest.mark.parametrize(
+        "empty, message",
+        [
+            ("dims", "^campaign is empty: "),
+            ("props", "^campaign is empty: "),
+            # no orders leave an order-dependent label with none, not out of the plan
+            ("alphas", "^P1-mub-tsallis needs an order alpha$"),
+        ],
+        ids=["dims", "props", "alphas"],
+    )
+    def test_library_campaign_rejects_an_empty_plan(self, monkeypatch, empty, message):
         monkeypatch.setattr(cli, "stream", lambda *a: pytest.fail("sampled an empty campaign"))
         fields = dict(dims=[2], props=["P1-mub-tsallis"], alphas=[2.0], samples=1, seed=0)
         fields[empty] = []
-        with pytest.raises(DomainError, match="^campaign is empty: "):
+        with pytest.raises(DomainError, match=message):
             cli.run_campaign(cli.CampaignConfig(**fields))
+
+    def test_no_orders_still_run_order_free_labels(self):
+        fields = dict(dims=[2], props=["P3-mub-minent", "P5-sic-ic"], alphas=[], samples=2, seed=0)
+        reports, rows = cli.run_campaign(cli.CampaignConfig(**fields))
+        assert [r["prop"] for r in rows] == ["P3-mub-minent"] * 2 + ["P5-sic-ic"] * 2
+        assert {r["alpha"] for r in rows} == {""} and all(r.passed for r in reports)
 
     @pytest.mark.parametrize(
         "field, value", [("dims", 3), ("props", "P5-sic-ic"), ("alphas", None)]
@@ -562,7 +576,14 @@ EXIT_CONTRACT = [
     # an infinite tolerance would pass every margin
     (_P5 + ["--tolerance", "inf"], 2, "error:"),
     (["coincidence", "--dim", "2", "--tolerance", "inf"], 2, "error:"),
-    (_P5 + ["--trials", "0"], 2, "error:"),
+    # a removed option is a usage error
+    (_P5 + ["--trials", "3"], 2, "usage:"),
+    # an order-dependent label with no order is an error, not a dropped cell
+    (
+        ["verify", "--dims", "2", "--props", "P1-mub-tsallis,P5-sic-ic", "--alphas", ""],
+        2,
+        "error: P1-mub-tsallis needs an order alpha\n",
+    ),
     # dimensions below 2 are rejected before any measurement is looked up
     (["coincidence", "--dim", "-3"], 2, "error: dimension must be >= 2, got -3\n"),
     (_P5 + ["--dims", "0"], 2, "error: dimension must be >= 2, got 0\n"),
@@ -702,3 +723,28 @@ def test_summary_keeps_the_first_minimum_margin(monkeypatch, capsys, tmp_path, m
     assert f"min_margin={margins[0]!r} saturated=2/2" in capsys.readouterr().out
     summary = json.loads(out.read_text())["summary"]
     assert repr(summary["min_margin"]) == repr(margins[0]) and summary["checks"] == 2
+
+
+def test_every_option_of_the_parser_is_read():
+    # a removed setting must not leave its flag behind: each --option that
+    # build_parser adds is read as args.<dest> somewhere in cli.py
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    build = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+    )
+    dests = set()
+    for call in ast.walk(build):
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument":
+            flags = [a.value for a in call.args if isinstance(a, ast.Constant)]
+            dest = [k.value.value for k in call.keywords if k.arg == "dest"]
+            if flags[0].startswith("--"):
+                dests.add(dest[0] if dest else flags[0][2:].replace("-", "_"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+    assert {"dims", "samples", "random_rank"} <= dests  # the walk finds the options
+    assert not dests - read, sorted(dests - read)

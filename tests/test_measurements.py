@@ -192,6 +192,10 @@ class TestProbabilities:
         with pytest.raises(DimensionMismatchError):
             probabilities(sic_from_fiducial(2), maximally_mixed(3))
 
+    def test_rejects_a_non_measurement(self):
+        with pytest.raises(DomainError, match="^unsupported measurement type ndarray$"):
+            probabilities(np.eye(2), maximally_mixed(2))
+
     def test_mub_set_gives_every_basis(self):
         mubs = mub_construct(3, 4)
         rho = random_mixed(3, 2, 8)
@@ -383,6 +387,14 @@ class TestStructuralInvariants:
         tilted = np.array([[np.cos(0.2), np.sin(0.2)], [-np.sin(0.2), np.cos(0.2)]])
         with pytest.raises(ConstructionError):
             MubSet([standard, tilted])
+
+    def test_mubset_rejects_no_bases(self):
+        with pytest.raises(DomainError, match="^a MUB set needs at least one basis$"):
+            MubSet([])
+
+    def test_mubset_rejects_bases_of_two_dimensions(self):
+        with pytest.raises(DimensionMismatchError, match="^bases have differing dimensions$"):
+            MubSet([np.eye(2), np.eye(3)])
 
     def test_povm_rejects_incomplete(self):
         with pytest.raises(ConstructionError):

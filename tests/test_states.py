@@ -65,7 +65,8 @@ BAD_KEYS = {
 }
 
 
-# every call passes ranks that random_mixed cannot use; each message names the mistake
+# every call passes ranks, or normals, that random_mixed cannot use; each message
+# names the mistake
 BAD_RANKS = {
     "empty-stack": (
         lambda: random_mixed(3, np.array([]), normals=np.zeros((0, 2, 3, 3))),
@@ -78,6 +79,14 @@ BAD_RANKS = {
     "string": (
         lambda: random_mixed(3, "1", 0),
         "rank must be an integer in [1, 3] or a non-empty array of them, got '1'",
+    ),
+    "normals-of-another-dimension": (
+        lambda: random_mixed(3, 1, normals=np.ones((2, 2, 2))),
+        "need normals of shape (2, 3, 3), got (2, 2, 2)",
+    ),
+    "normals-for-another-stack": (
+        lambda: random_mixed(3, [1, 2], normals=np.ones((3, 2, 3, 3))),
+        "need normals of shape (2, 2, 3, 3), got (3, 2, 3, 3)",
     ),
 }
 
@@ -269,6 +278,10 @@ class TestBloch:
     def test_rejects_long_vector(self):
         with pytest.raises(DomainError):
             from_bloch([0.8, 0.8, 0.8])
+
+    def test_rejects_a_2_vector(self):
+        with pytest.raises(DomainError, match=re.escape("3 real components, got shape (2,)")):
+            from_bloch([0.6, 0.8])
 
     def test_rejects_nan_as_a_bloch_vector(self):
         with pytest.raises(DomainError, match="^Bloch vector has length nan"):
