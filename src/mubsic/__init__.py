@@ -48,17 +48,18 @@ from .errors import (
 )
 from .linalg import kron
 from .measurements import (
-    MubSet,
-    OrthonormalBasis,
-    Povm,
+    Measurement,
     ProbDist,
-    SicPovm,
     distort,
     load_fiducial,
     mub_construct,
+    mub_set,
+    orthonormal_basis,
+    povm,
     probabilities,
     sic_design_basis,
     sic_from_fiducial,
+    sic_povm,
     weyl_heisenberg_orbit,
 )
 from .states import (

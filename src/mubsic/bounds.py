@@ -63,14 +63,7 @@ from .entropy import (
     tsallis,
 )
 from .errors import ConstructionError, DimensionMismatchError, DomainError, PreconditionError
-from .measurements import (
-    MubSet,
-    OrthonormalBasis,
-    Povm,
-    SicPovm,
-    distort,
-    probabilities,
-)
+from .measurements import POVM_ATOL, Measurement, distort, probabilities
 from .states import DensityMatrix, check_dimension, check_integer, purity
 
 DEFAULT_TOLERANCE = 1e-10
@@ -273,15 +266,9 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
     return reports(f"simple-{kind}", _columns(lhs, rhs, tolerance, ">="), tolerance, ">=")[0]
 
 
-def _rank_one_kets(meas) -> np.ndarray:
-    """Subnormalized kets of a rank-one measurement."""
-    if isinstance(meas, SicPovm):
-        return meas.kets / np.sqrt(meas.dim)
-    if isinstance(meas, OrthonormalBasis):
-        return np.asarray(meas.vectors)
-    if isinstance(meas, Povm):
-        return meas.rank_one_kets()
-    raise DomainError(f"unsupported measurement type {type(meas).__name__}")
+def _kind(meas) -> str:
+    """The kind of a :class:`Measurement`, else the name of the type of what was given."""
+    return meas.kind if isinstance(meas, Measurement) else type(meas).__name__
 
 
 def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
@@ -322,15 +309,25 @@ def _overlap_transform(kets_m, kets_n, rho: DensityMatrix):
 
 
 def _pair_kets(meas_m, meas_n, dim=None):
-    """Subnormalized kets of two rank-one measurements on one space (of dimension ``dim``)."""
-    kets_m = _rank_one_kets(meas_m)
-    kets_n = _rank_one_kets(meas_n)
-    dm, dn = kets_m.shape[1], kets_n.shape[1]
+    """Subnormalized kets m_j, element_j = |m_j><m_j|, of two rank-one measurements on one space.
+
+    A POVM with an element of rank above one has none: the error names the first such element.
+    """
+    for meas in (meas_m, meas_n):
+        if _kind(meas) not in _MEASUREMENT_KINDS["pair"]:
+            raise DomainError(f"unsupported measurement type {_kind(meas)}")
+        if meas.kets is None:  # the rows of the design's transpose are vec(E_j^H), bit for bit
+            adjoints = np.ascontiguousarray(meas.design.T).view(complex)
+            second = np.linalg.eigvalsh(adjoints.reshape(-1, meas.dim, meas.dim))[:, -2]
+            j = int(np.argmax(second > POVM_ATOL))
+            message = f"element {j} is not rank-one (second eigenvalue {second[j]:.3e})"
+            raise PreconditionError(message)
+    dm, dn = meas_m.dim, meas_n.dim
     if dm != dn:
         raise DimensionMismatchError(f"pair measurements have dimensions {dm} and {dn}")
     if dim is not None and dm != dim:
         raise DimensionMismatchError(f"pair dimension {dm} differs from state dimension {dim}")
-    return kets_m, kets_n
+    return tuple(m.kets if m.scale == 1 else m.kets / np.sqrt(m.scale) for m in (meas_m, meas_n))
 
 
 def mu_g_factor(meas_m, meas_n, rho: DensityMatrix):
@@ -363,10 +360,10 @@ class CheckArguments(NamedTuple):
 class Proposition(NamedTuple):
     """One labelled check: what it measures, which orders it takes, its two sides.
 
-    ``measurement`` is what :func:`check_bound` expects as ``meas``:
-    "mubs" (a :class:`MubSet`), "sic" (a :class:`SicPovm`), "any" (any
-    single measurement; campaigns use the SIC), "pair" (two rank-one
-    measurements) or "product" (a :class:`SicPovm`, with states on
+    ``measurement`` names the kinds of :class:`Measurement` that
+    :func:`check_bound` admits as ``meas`` (``_MEASUREMENT_KINDS``): "mubs",
+    "sic", "any" (a basis, POVM or SIC; campaigns use the SIC), "pair" (a
+    tuple or list of two rank-one ones) or "product" (a SIC, with states on
     H (x) H).  ``order`` names the order range the check takes its order
     from, a key of ``entropy.ORDER_RANGES`` ("tsallis", "renyi", or
     "symmetrized" for the larger order alpha of a conjugate pair), and is
@@ -420,19 +417,19 @@ def _distorted(p, eta):
 
 
 def _p1(mubs, x, a):
-    base = mub_tsallis_bound(mubs.dim, mubs.count, a.alpha, x.purity)
+    base = mub_tsallis_bound(mubs.dim, mubs.shape[0], a.alpha, x.purity)
     rhs = _with_inefficiency(base, a.alpha, a.eta)
     return tsallis(_distorted(x.p, a.eta), a.alpha).mean(axis=-1), rhs
 
 
 def _p2(mubs, x, a):
     lhs = renyi(x.p, a.alpha).mean(axis=-1)
-    return lhs, mub_renyi_bound(mubs.dim, mubs.count, a.alpha, x.purity)
+    return lhs, mub_renyi_bound(mubs.dim, mubs.shape[0], a.alpha, x.purity)
 
 
 def _p3(mubs, x, a):
     lhs = renyi(x.p, np.inf).mean(axis=-1)
-    return lhs, mub_minentropy_bound(mubs.dim, mubs.count, x.purity)
+    return lhs, mub_minentropy_bound(mubs.dim, mubs.shape[0], x.purity)
 
 
 def _p4(mubs, x, a):
@@ -470,7 +467,7 @@ def _p9(pair, x, a):
 
 def _lwbm(mubs, x, a):
     lhs = index_of_coincidence(x.p).sum(axis=-1)
-    return lhs, mubs.count * _mub_cap(mubs.dim, mubs.count, x.purity)
+    return lhs, mubs.shape[0] * _mub_cap(mubs.dim, mubs.shape[0], x.purity)
 
 
 def _apxa(meas, x, a):
@@ -510,12 +507,13 @@ PROPOSITIONS = {
 }
 PROPOSITION_LABELS = tuple(PROPOSITIONS)
 
-_MEASUREMENT_TYPES = {
-    "mubs": MubSet,
-    "sic": SicPovm,
-    "product": SicPovm,
-    "any": (SicPovm, OrthonormalBasis, Povm),
-    "pair": (tuple, list),
+# Proposition.measurement -> the kinds of Measurement it admits; each of a pair's two
+_MEASUREMENT_KINDS = {
+    "mubs": {"mubs"},
+    "sic": {"sic"},
+    "product": {"sic"},
+    "any": {"basis", "povm", "sic"},
+    "pair": {"basis", "povm", "sic"},
 }
 
 
@@ -565,13 +563,13 @@ def check_bound(
 ):
     """Evaluate one labeled bound check on a state, or on each state of a stack.
 
-    ``meas`` is the measurement object the label expects: a
-    :class:`MubSet` for P1-P4 and LWBM-sum, a :class:`SicPovm` for
-    P5-P8 and ENT-G (ENT-G takes the bipartite state on H (x) H), any
-    single measurement for APXA-max, and a pair of rank-one measurements
-    for P9 and APXB-riesz.  ``alpha`` sets the order (for P4 and P9 the
-    larger order of the conjugate pair) and ``kind`` the entropy family of
-    P4 and P9, "tsallis" when None; ``eta`` switches P1/P6 to the
+    ``meas`` is a :class:`Measurement` of a kind the label admits
+    (:class:`Proposition`): a "mubs" for P1-P4 and LWBM-sum, a "sic" for
+    P5-P8 and ENT-G (ENT-G takes the bipartite state on H (x) H), a "basis",
+    "povm" or "sic" for APXA-max, and a pair of rank-one ones for P9 and
+    APXB-riesz.  ``alpha`` sets the order (for P4 and P9 the larger order
+    of the conjugate pair) and ``kind`` the entropy family of P4 and P9,
+    "tsallis" when None; ``eta`` switches P1/P6 to the
     detector-inefficiency variant.  APXB-riesz checks ||t u||_2 <= ||u||_2
     at its worst u: lhs is the operator 2-norm of the overlap transformation
     t, rhs is 1.
@@ -582,12 +580,11 @@ def check_bound(
     tolerance = check_tolerance(tolerance)
     args = check_arguments(which, alpha=alpha, kind=kind, eta=eta)
     prop = PROPOSITIONS[which]
-    if not isinstance(meas, _MEASUREMENT_TYPES[prop.measurement]) or (
-        prop.measurement == "pair" and len(meas) != 2
-    ):
-        raise DomainError(
-            f"{which} expects a {prop.measurement} measurement, got {type(meas).__name__}"
-        )
+    pair = prop.measurement == "pair"
+    kinds = [_kind(m) for m in (meas if pair and isinstance(meas, (tuple, list)) else [meas])]
+    if len(kinds) != 1 + pair or not _MEASUREMENT_KINDS[prop.measurement].issuperset(kinds):
+        got = ", ".join(kinds)
+        raise DomainError(f"{which} expects a {prop.measurement} measurement, got {got}")
     columns = evaluate(which, meas, inputs(which, meas, rho), args, tolerance)
     result = reports(which, columns, tolerance, prop.sense)
     return result if rho.mat.ndim == 3 else result[0]
@@ -604,7 +601,7 @@ def evaluate(which: str, meas, x: Inputs, args: CheckArguments, tolerance: float
     return _columns(lhs, rhs, tolerance, prop.sense)
 
 
-def detect_entanglement(sic: SicPovm, rho: DensityMatrix, tolerance: float = 1e-12):
+def detect_entanglement(sic: Measurement, rho: DensityMatrix, tolerance: float = 1e-12):
     """Flag a bipartite state as entangled when G exceeds the universal cap (ENT-G).
 
     The cap 2/(d(d+1)) is purity-independent, since G alone does not show

@@ -35,12 +35,12 @@ from .entropy import check_efficiency, check_order
 from .errors import DomainError
 from .linalg import kron
 from .measurements import (
-    SicPovm,
     check_fiducial_path,
     load_fiducial,
     mub_construct,
     sic_from_fiducial,
 )
+from .measurements import sic_povm as SicPovm  # bench/tracer.py times the calls of cli.SicPovm
 from .states import (
     DensityMatrix,
     check_dimension,
@@ -186,7 +186,7 @@ def _plan(config: CampaignConfig) -> list[_Cell]:
             if entry.measurement == "mubs":
                 count = d + 1 if config.count is None else config.count
                 meas = measurement("mubs", d, count, None)
-                outcomes = meas.count
+                outcomes = meas.shape[0]
             else:
                 meas = measurement("pair" if entry.measurement == "pair" else "sic", d, None, ket)
                 outcomes = d**4 if entry.measurement == "product" else d * d
@@ -361,19 +361,18 @@ def cmd_verify(args) -> int:
 
 def cmd_mub(args) -> int:
     mubs = mub_construct(args.dim, args.count)
+    count, d = mubs.shape
     payload = {
-        "dim": mubs.dim,
-        "count": mubs.count,
+        "dim": d,
+        "count": count,
         "bases": [
-            {"re": b.vectors.real.tolist(), "im": b.vectors.imag.tolist()}
-            for b in mubs.bases
+            {"re": b.real.tolist(), "im": b.imag.tolist()} for b in mubs.kets.reshape(count, d, d)
         ],
-        "max_unbiasedness_deviation": mubs.max_deviation,
+        "max_unbiasedness_deviation": mubs.deviation,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     print(
-        f"mub ok: dim={mubs.dim} count={mubs.count} "
-        f"max_unbiasedness_deviation={mubs.max_deviation:.3e}",
+        f"mub ok: dim={d} count={count} max_unbiasedness_deviation={mubs.deviation:.3e}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -18,12 +18,12 @@ import functools
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .measurements import SicPovm, apply_design, design_matrix
+from .measurements import Measurement, apply_design, design_matrix
 from .states import DensityMatrix, check_dimension
 
 
 @functools.lru_cache
-def product_sic_povm(sic: SicPovm) -> np.ndarray:
+def product_sic_povm(sic: Measurement) -> np.ndarray:
     """The read-only design column of W = (1/d^2) sum_j |w_j><w_j|, w_j = phi_j (x) phi_j*.
 
     Party B carries the conjugated SIC kets, taken in the same fixed
@@ -43,7 +43,7 @@ def maximally_entangled(d: int) -> DensityMatrix:
     return DensityMatrix(np.outer(ket, ket.conj()))
 
 
-def correlation_G(sic: SicPovm, rho: DensityMatrix):
+def correlation_G(sic: Measurement, rho: DensityMatrix):
     """G = tr(W rho), the sum of the product SIC-POVM's d^2 diagonal probabilities P(j, j).
 
     ``rho`` is a state on H (x) H.  A float, or an (N,) array for a stack

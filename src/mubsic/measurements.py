@@ -1,18 +1,19 @@
-"""Quantum measurements: bases, MUB sets, POVMs, and SIC-POVMs.
+"""Quantum measurements: one verified, read-only record, :class:`Measurement`.
 
-Every constructed object re-verifies its defining structural invariant
-before it is returned, so downstream code never sees an unverified
-measurement:
+A measurement is known only through its outcome statistics tr(E_j rho).
+Each builder re-verifies the invariant of its ``kind`` before it returns,
+so downstream code never sees an unverified measurement:
 
-* orthonormal bases check their Gram matrix,
-* MUB sets check all cross-basis overlaps against 1/d,
-* POVMs check positivity and completeness,
-* SIC ket families check the pairwise overlap condition
+* :func:`orthonormal_basis` ("basis") checks the Gram matrix,
+* :func:`mub_set` ("mubs") checks all cross-basis overlaps against 1/d,
+* :func:`povm` ("povm") checks positivity and completeness,
+* :func:`sic_povm` ("sic") checks the pairwise overlap condition
   |<phi_j|phi_k>|^2 = 1/(d+1) and the completeness relation
   (1/d) sum_j |phi_j><phi_j| = I.
 
-The SIC tolerance is looser (1e-8) than elsewhere because fiducial
-vectors loaded from published numerical data are themselves inexact.
+Each rejects a non-finite entry before any arithmetic.  The SIC tolerance
+is looser (1e-8) than elsewhere because fiducial vectors loaded from
+published numerical data are themselves inexact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     NotASicError,
-    PreconditionError,
 )
 from .states import (
     EIGENVALUE_FLOOR,
@@ -83,188 +83,154 @@ def apply_design(design, mat) -> np.ndarray:
     return np.matmul(x, design)[..., 0, :]
 
 
-class OrthonormalBasis:
-    """d unit vectors of dimension d with Gram matrix equal to identity.
+class Measurement:
+    """A measurement of K outcomes in dimension d, read-only, verified by the builder that made it.
 
-    ``design`` is the :func:`design_matrix` of the projectors |b_j><b_j|.
+    ``kind`` is "basis", "mubs", "povm" or "sic"; ``shape`` is (K,), or
+    (M, d) for M bases; ``design`` is the :func:`design_matrix` of the
+    elements E_j, the only form of them kept.  ``kets`` are the (K, d)
+    defining kets k_j, E_j = |k_j><k_j| / ``scale`` (d for a SIC's unit
+    kets, else 1), or None for a POVM with an element of rank above one.
+    ``deviation`` is the worst deviation from its invariant that the builder
+    found.  It compares and hashes by identity, so one object keys the memos.
     """
 
-    __slots__ = ("vectors", "dim", "design")
+    __slots__ = ("kind", "dim", "shape", "design", "kets", "scale", "deviation")
 
-    def __init__(self, vectors):
-        vectors = np.array(vectors, dtype=complex)
-        if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
-            raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
-        check_dimension(vectors.shape[0])
-        dev = _identity_deviation(vectors.conj() @ vectors.T)
-        if not dev <= GRAM_ATOL:
-            raise ConstructionError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
-        vectors.setflags(write=False)
-        self.vectors = vectors
-        self.dim = vectors.shape[0]
-        self.design = design_matrix(_projectors(vectors))
+    def __init__(self, kind, elements, kets, scale, deviation, shape=None):
+        if kets is not None:
+            kets.setflags(write=False)
+        d, design = elements.shape[-1], design_matrix(elements)
+        values = (kind, d, shape or elements.shape[:1], design, kets, scale, deviation)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Measurement is read-only: cannot set {name!r}")
 
 
-class MubSet:
-    """M pairwise mutually unbiased orthonormal bases in dimension d.
+def _coerce(values) -> np.ndarray:
+    """A builder's input as a new complex array; :class:`DomainError` for a non-finite entry."""
+    values = np.array(values, dtype=complex)
+    if not np.isfinite(values).all():
+        raise DomainError("measurement input has a non-finite entry")
+    return values
 
-    ``vectors`` stacks the bases as an (M, d, d) array, row j of slice m
-    being the j-th vector of basis m; ``max_deviation`` is the largest
-    | |<a_i|b_j>|^2 - 1/d | over all pairs of distinct bases found by the
-    construction check.  ``design`` is the :func:`design_matrix` of all
-    M d projectors, basis by basis.
+
+def orthonormal_basis(vectors) -> Measurement:
+    """The "basis" of d orthonormal vectors of dimension d, row j being |b_j>."""
+    vectors = _coerce(vectors)
+    if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
+        raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
+    check_dimension(vectors.shape[0])
+    dev = _identity_deviation(vectors.conj() @ vectors.T)
+    if not dev <= GRAM_ATOL:
+        raise ConstructionError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
+    return Measurement("basis", _projectors(vectors), vectors, 1, dev)
+
+
+def mub_set(bases) -> Measurement:
+    """The "mubs" of M pairwise mutually unbiased orthonormal bases in dimension d.
+
+    ``bases`` holds "basis" measurements or what :func:`orthonormal_basis`
+    takes.  ``deviation`` is the largest | |<a_i|b_j>|^2 - 1/d | over all
+    pairs of distinct bases.
     """
-
-    __slots__ = ("bases", "dim", "count", "vectors", "max_deviation", "design")
-
-    def __init__(self, bases):
-        bases = tuple(
-            b if isinstance(b, OrthonormalBasis) else OrthonormalBasis(b) for b in bases
+    bases = [b if isinstance(b, Measurement) else orthonormal_basis(b) for b in bases]
+    if len(bases) < 1:
+        raise DomainError("a MUB set needs at least one basis")
+    if any(b.kind != "basis" for b in bases):
+        raise DomainError(f"a MUB set takes bases, got {', '.join(b.kind for b in bases)}")
+    d = bases[0].dim
+    if any(b.dim != d for b in bases):
+        raise DimensionMismatchError("bases have differing dimensions")
+    vectors = np.stack([b.kets for b in bases])
+    # [a, b, i, j] = |<a_i|b_j>|^2 for every ordered pair of bases at once
+    overlap2 = np.abs(vectors.conj()[:, None] @ vectors.swapaxes(-1, -2)[None]) ** 2
+    first, second = np.triu_indices(len(bases), 1)
+    devs = np.abs(overlap2[first, second] - 1.0 / d).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(~(devs <= MUB_ATOL))
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"bases {first[k]} and {second[k]} are not unbiased "
+            f"(worst deviation {devs[k]:.3e})"
         )
-        if len(bases) < 1:
-            raise DomainError("a MUB set needs at least one basis")
-        d = bases[0].dim
-        if any(b.dim != d for b in bases):
-            raise DimensionMismatchError("bases have differing dimensions")
-        vectors = np.stack([b.vectors for b in bases])
-        vectors.setflags(write=False)
-        # [a, b, i, j] = |<a_i|b_j>|^2 for every ordered pair of bases at once
-        overlap2 = np.abs(vectors.conj()[:, None] @ vectors.swapaxes(-1, -2)[None]) ** 2
-        first, second = np.triu_indices(len(bases), 1)
-        devs = np.abs(overlap2[first, second] - 1.0 / d).max(axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(~(devs <= MUB_ATOL))
-        if bad.size:
-            k = bad[0]
-            raise ConstructionError(
-                f"bases {first[k]} and {second[k]} are not unbiased "
-                f"(worst deviation {devs[k]:.3e})"
-            )
-        self.bases = bases
-        self.dim = d
-        self.count = len(bases)
-        self.vectors = vectors
-        self.max_deviation = float(devs.max(initial=0.0))
-        self.design = design_matrix(_projectors(vectors.reshape(-1, d)))
-
-    def __iter__(self):
-        return iter(self.bases)
-
-    def __len__(self):
-        return self.count
+    kets, deviation = vectors.reshape(-1, d), float(devs.max(initial=0.0))
+    return Measurement("mubs", _projectors(kets), kets, 1, deviation, vectors.shape[:2])
 
 
-class Povm:
-    """Positive operators summing to the identity; ``design`` is their :func:`design_matrix`."""
+def povm(elements) -> Measurement:
+    """The "povm" of positive operators summing to the identity.
 
-    __slots__ = ("elements", "dim", "design")
-
-    def __init__(self, elements):
-        elements = np.array(elements, dtype=complex)
-        if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.size == 0:
-            raise DomainError(f"expected N square matrices, got shape {elements.shape}")
-        check_dimension(elements.shape[1])
-        dev = _identity_deviation(elements.sum(axis=0))
-        if not dev <= POVM_ATOL:
-            raise ConstructionError(f"POVM completeness fails (deviation {dev:.3e})")
-        herm_dev = np.abs(elements - elements.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = np.flatnonzero(~(herm_dev <= POVM_ATOL))
-        if bad.size:
-            raise ConstructionError(f"element {bad[0]} is not Hermitian ({herm_dev[bad[0]]:.3e})")
-        min_eig = positivity_failure(elements)
-        if min_eig is not None:
-            bad = np.flatnonzero(~(min_eig >= EIGENVALUE_FLOOR))
-            raise ConstructionError(
-                f"element {bad[0]} has negative eigenvalue {min_eig[bad[0]]:.3e}"
-            )
-        elements.setflags(write=False)
-        self.elements = elements
-        self.dim = elements.shape[1]
-        self.design = design_matrix(elements)
-
-    def __len__(self):
-        return self.elements.shape[0]
-
-    def rank_one_kets(self) -> np.ndarray:
-        """Subnormalized kets m_j with element_j = |m_j><m_j|.
-
-        Raises :class:`~mubsic.errors.PreconditionError` when any element
-        has rank above one within ``POVM_ATOL``.
-        """
-        eigs, vecs = np.linalg.eigh(self.elements)
-        # eigenvalues ascend, so the largest below the top one is the second
-        second = eigs[:, :-1].max(axis=-1, initial=-np.inf)
-        bad = np.flatnonzero(second > POVM_ATOL)
-        if bad.size:
-            raise PreconditionError(
-                f"element {bad[0]} is not rank-one (second eigenvalue {second[bad[0]]:.3e})"
-            )
-        return np.sqrt(np.maximum(eigs[:, -1], 0.0))[:, None] * vecs[:, :, -1]
-
-
-class SicPovm:
-    """d^2 unit kets whose weighted projectors (1/d)|phi_j><phi_j| form a POVM.
-
-    ``design`` is the :func:`design_matrix` of those POVM elements.
+    Its ``kets`` are the subnormalized m_j with element_j = |m_j><m_j|, by
+    ``eigh``, when every element has rank one within ``POVM_ATOL``.
     """
+    elements = _coerce(elements)
+    if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.size == 0:
+        raise DomainError(f"expected N square matrices, got shape {elements.shape}")
+    check_dimension(elements.shape[1])
+    dev = _identity_deviation(elements.sum(axis=0))
+    if not dev <= POVM_ATOL:
+        raise ConstructionError(f"POVM completeness fails (deviation {dev:.3e})")
+    herm_dev = np.abs(elements - elements.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(herm_dev <= POVM_ATOL))
+    if bad.size:
+        raise ConstructionError(f"element {bad[0]} is not Hermitian ({herm_dev[bad[0]]:.3e})")
+    min_eig = positivity_failure(elements)
+    if min_eig is not None:
+        bad = np.flatnonzero(~(min_eig >= EIGENVALUE_FLOOR))
+        raise ConstructionError(
+            f"element {bad[0]} has negative eigenvalue {min_eig[bad[0]]:.3e}"
+        )
+    eigs, vecs = np.linalg.eigh(elements)
+    kets = None
+    if not (eigs[:, :-1] > POVM_ATOL).any():  # eigenvalues ascend: all but the top one vanish
+        kets = np.sqrt(np.maximum(eigs[:, -1], 0.0))[:, None] * vecs[:, :, -1]
+    return Measurement("povm", elements, kets, 1, max(dev, float(herm_dev.max())))
 
-    __slots__ = ("kets", "dim", "design")
 
-    def __init__(self, kets):
-        kets = np.array(kets, dtype=complex)
-        d = kets.shape[1] if kets.ndim == 2 else 0
-        if d == 0 or kets.shape[0] != d * d:
-            raise DomainError(f"expected d^2 kets of dimension d, got shape {kets.shape}")
-        check_dimension(d)
-        overlap2 = np.abs(kets.conj() @ kets.T) ** 2
-        off = overlap2 - 1.0 / (d + 1.0)
-        np.fill_diagonal(off, 0.0)
-        worst = float(np.max(np.abs(off)))
-        norm_dev = float(np.max(np.abs(np.diag(overlap2) - 1.0)))
-        comp_dev = _identity_deviation(np.einsum("jk,jl->kl", kets, kets.conj()) / d)
-        devs = np.array([worst, norm_dev, comp_dev])
-        if not np.all(devs <= SIC_ATOL):
-            raise NotASicError(
-                "kets fail the SIC conditions "
-                f"(worst overlap deviation {worst:.3e}, norm {norm_dev:.3e}, "
-                f"completeness {comp_dev:.3e})",
-                worst_deviation=float(devs.max()),
-            )
-        kets.setflags(write=False)
-        self.kets = kets
-        self.dim = d
-        self.design = design_matrix(self.elements())
-
-    def __len__(self):
-        return self.kets.shape[0]
-
-    def elements(self) -> np.ndarray:
-        """The POVM elements (1/d)|phi_j><phi_j| as an (d^2, d, d) array."""
-        return _projectors(self.kets) / self.dim
+def sic_povm(kets) -> Measurement:
+    """The "sic" of d^2 unit kets whose weighted projectors (1/d)|phi_j><phi_j| form a POVM."""
+    kets = _coerce(kets)
+    d = kets.shape[1] if kets.ndim == 2 else 0
+    if d == 0 or kets.shape[0] != d * d:
+        raise DomainError(f"expected d^2 kets of dimension d, got shape {kets.shape}")
+    check_dimension(d)
+    overlap2 = np.abs(kets.conj() @ kets.T) ** 2
+    off = overlap2 - 1.0 / (d + 1.0)
+    np.fill_diagonal(off, 0.0)
+    worst = float(np.max(np.abs(off)))
+    norm_dev = float(np.max(np.abs(np.diag(overlap2) - 1.0)))
+    comp_dev = _identity_deviation(np.einsum("jk,jl->kl", kets, kets.conj()) / d)
+    devs = np.array([worst, norm_dev, comp_dev])
+    if not np.all(devs <= SIC_ATOL):
+        raise NotASicError(
+            "kets fail the SIC conditions "
+            f"(worst overlap deviation {worst:.3e}, norm {norm_dev:.3e}, "
+            f"completeness {comp_dev:.3e})",
+            worst_deviation=float(devs.max()),
+        )
+    return Measurement("sic", _projectors(kets) / d, kets, d, float(devs.max()))
 
 
 def probabilities(meas, rho: DensityMatrix) -> ProbDist:
     """Outcome probabilities p_j = tr(E_j rho) of a measurement on a state or a stack.
 
-    E_j is |b_j><b_j| for a basis, the element M_j for a POVM, and
-    (1/d)|phi_j><phi_j| for a SIC ket family.  Every measurement class
-    carries the :func:`design_matrix` of its elements, built once at
-    construction, so the probabilities are one real matmul x @ D per state
-    (:func:`apply_design`), with x = vec(rho) as interleaved (re, im)
-    floats; x @ D equals Re tr(E_j rho) exactly in exact arithmetic.  The
-    matmul stays per state so that row n of a stack is bitwise the
-    single-state result.  A :class:`MubSet` gives every basis at once,
-    with shape (M, d).  A stack of N states puts N in front of that shape.
+    Every :class:`Measurement` carries the :func:`design_matrix` of its
+    elements, built once by its builder, so the probabilities are one real
+    matmul x @ D per state (:func:`apply_design`), with x = vec(rho) as
+    interleaved (re, im) floats; x @ D equals Re tr(E_j rho) exactly in
+    exact arithmetic.  The matmul stays per state so that row n of a stack
+    is bitwise the single-state result.  The result has the measurement's
+    ``shape``, (M, d) for a MUB set; a stack of N states puts N in front.
     """
-    if not isinstance(meas, (MubSet, OrthonormalBasis, SicPovm, Povm)):
+    if not isinstance(meas, Measurement):
         raise DomainError(f"unsupported measurement type {type(meas).__name__}")
     if meas.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"{type(meas).__name__} dim {meas.dim} vs state dim {rho.dim}"
-        )
+        raise DimensionMismatchError(f"{meas.kind} dim {meas.dim} vs state dim {rho.dim}")
     p = apply_design(meas.design, rho.mat)
-    if isinstance(meas, MubSet):
-        p = p.reshape(p.shape[:-1] + (meas.count, meas.dim))
-    return ProbDist(p)
+    return ProbDist(p.reshape(p.shape[:-1] + meas.shape))
 
 
 _PAULI_EIGENBASES = (
@@ -275,7 +241,7 @@ _PAULI_EIGENBASES = (
 )
 
 
-def mub_construct(d: int, count: int) -> MubSet:
+def mub_construct(d: int, count: int) -> Measurement:
     """Build ``count`` mutually unbiased bases in prime dimension d.
 
     d = 2 uses the three Pauli eigenbases.  For an odd prime d the set is
@@ -292,7 +258,7 @@ def mub_construct(d: int, count: int) -> MubSet:
     if count > d + 1:
         raise DomainError(f"basis count must lie in [2, {d + 1}], got {count}")
     if d == 2:
-        return MubSet(_PAULI_EIGENBASES[:count])
+        return mub_set(_PAULI_EIGENBASES[:count])
     omega = np.exp(2j * np.pi / d)
     k = np.arange(d)
     bases = [np.eye(d, dtype=complex)]
@@ -301,7 +267,7 @@ def mub_construct(d: int, count: int) -> MubSet:
         bases.append(omega ** np.mod(phase, d) / np.sqrt(d))
         if len(bases) == count:
             break
-    return MubSet(bases[:count])
+    return mub_set(bases[:count])
 
 
 _TETRAHEDRON_BLOCH = np.array(
@@ -341,7 +307,7 @@ def weyl_heisenberg_orbit(fiducial) -> np.ndarray:
     return (omega ** np.mod(b * (k - a), d) * f[np.mod(k - a, d)]).reshape(d * d, d)
 
 
-def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
+def sic_from_fiducial(d: int, fiducial=None) -> Measurement:
     """SIC-POVM from a Weyl-Heisenberg orbit of a fiducial ket.
 
     With ``fiducial=None`` the builtin is used: for d = 2 the four
@@ -357,9 +323,9 @@ def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
     if fiducial is None:
         if d == 2:
             kets = np.array([_ket_from_bloch(s) for s in _TETRAHEDRON_BLOCH])
-            return SicPovm(kets)
+            return sic_povm(kets)
         if d in _BUILTIN_FIDUCIALS:
-            return SicPovm(weyl_heisenberg_orbit(_BUILTIN_FIDUCIALS[d]))
+            return sic_povm(weyl_heisenberg_orbit(_BUILTIN_FIDUCIALS[d]))
         raise DomainError(f"no builtin fiducial for dimension {d}; provide one")
     f = np.asarray(fiducial, dtype=complex).ravel()
     if f.size != d:
@@ -367,10 +333,10 @@ def sic_from_fiducial(d: int, fiducial=None) -> SicPovm:
     norm_dev = abs(np.linalg.norm(f) - 1.0)
     if not norm_dev <= 1e-10:
         raise DomainError(f"fiducial is not unit norm (deviation {norm_dev:.3e})")
-    return SicPovm(weyl_heisenberg_orbit(f))
+    return sic_povm(weyl_heisenberg_orbit(f))
 
 
-def sic_design_basis(sic: SicPovm) -> np.ndarray:
+def sic_design_basis(sic: Measurement) -> np.ndarray:
     """Orthonormal basis of H (x) H built from a SIC ket family.
 
     Returns the d^2 vectors

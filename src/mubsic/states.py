@@ -61,7 +61,7 @@ def positivity_failure(mat):
     matrices whose trace or completeness keeps |mat| near 1, so it accepts only
     what the eigenvalue test accepts.  When it fails, one batched ``eigvalsh``
     decides alone.  Both read the lower triangle.  ``mat`` must be finite: the
-    factorization can pass NaN, so callers check hermiticity first.
+    factorization can pass NaN, so callers reject non-finite entries first.
     """
     try:
         np.linalg.cholesky(mat + _cholesky_shift(mat.shape[-1]))
@@ -138,7 +138,8 @@ class DensityMatrix:
     states of dimension ``dim``.  Construction checks hermiticity and trace
     to 1e-12 and eigenvalues >= -1e-10 (one shifted Cholesky factorization
     of the stack, and a batched eigenvalue call only when that fails: see
-    :func:`positivity_failure`; NaN fails every check) and freezes the
+    :func:`positivity_failure`), after rejecting a non-finite entry before
+    any arithmetic, and freezes the
     underlying array, stored row-major whatever the input's layout.
     Callers that need a matrix function of the state, such as its square
     root, decompose ``mat`` themselves.
@@ -150,6 +151,8 @@ class DensityMatrix:
         mat = np.array(mat, dtype=complex, order="C")
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
             raise DomainError(f"density matrix must be square and non-empty, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise DomainError("density matrix has a non-finite entry")
         herm_dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()
         if not herm_dev <= HERMITICITY_ATOL:
             raise DomainError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")

@@ -34,7 +34,7 @@ from mubsic import (
     tsallis,
 )
 from mubsic.cli import main as cli_main
-from mubsic.measurements import OrthonormalBasis, SicPovm
+from mubsic.measurements import orthonormal_basis, sic_povm
 
 MASTER_SEED = 20260810
 
@@ -221,7 +221,7 @@ def test_criterion_08_maassen_uffink_pair():
     from mubsic.cli import _fixed_rotation
 
     sic_a = sic_from_fiducial(2)
-    sic_b = SicPovm(sic_a.kets @ _fixed_rotation(2).T)
+    sic_b = sic_povm(sic_a.kets @ _fixed_rotation(2).T)
     f_bar = mu_f_bar(sic_a, sic_b)
     worst = np.inf
     overlap_ok = True
@@ -269,7 +269,7 @@ def test_criterion_09_max_element_inequality():
 def _haar_basis(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
-    return OrthonormalBasis((q * (np.diag(r) / np.abs(np.diag(r)))).T)
+    return orthonormal_basis((q * (np.diag(r) / np.abs(np.diag(r)))).T)
 
 
 def test_criterion_10_contraction_precondition():

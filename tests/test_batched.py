@@ -37,7 +37,7 @@ from mubsic import (
 )
 from mubsic import bounds, cli
 from mubsic.cli import _fixed_rotation, main
-from mubsic.measurements import SicPovm
+from mubsic.measurements import orthonormal_basis, sic_povm
 
 AGREEMENT = 1e-12
 NEAR_ONE = (1.0 - 5e-7, 1.0 + 5e-7)
@@ -59,9 +59,14 @@ def _stack(singles):
     return DensityMatrix(np.stack([rho.mat for rho in singles]))
 
 
+def _bases(mubs):
+    """Each basis of a MUB set as its own basis record."""
+    return [orthonormal_basis(b) for b in mubs.kets.reshape(mubs.shape + (mubs.dim,))]
+
+
 def _pair(d):
     sic = sic_from_fiducial(d)
-    return sic, SicPovm(sic.kets @ _fixed_rotation(d).T)
+    return sic, sic_povm(sic.kets @ _fixed_rotation(d).T)
 
 
 def _assert_lhs(reports, expected):
@@ -74,7 +79,7 @@ def _assert_lhs(reports, expected):
 class TestBatchedMatchesScalar:
     def test_zero_probabilities_are_present(self, d):
         ket0 = _singles(d, 1)[-1]
-        assert min(probabilities(mub_construct(d, d + 1).bases[0], ket0).p) == 0.0
+        assert min(probabilities(_bases(mub_construct(d, d + 1))[0], ket0).p) == 0.0
 
     @pytest.mark.parametrize("alpha", TSALLIS_ORDERS)
     @pytest.mark.parametrize("eta", [None, 0.8])
@@ -86,7 +91,9 @@ class TestBatchedMatchesScalar:
             return p if eta is None else distort(p, eta)
 
         stack = _stack(singles)
-        want = [np.mean([tsallis(stats(probabilities(b, r)), alpha) for b in mubs]) for r in singles]
+        bases = _bases(mubs)
+        want = [np.mean([tsallis(stats(probabilities(b, r)), alpha) for b in bases])
+                for r in singles]
         _assert_lhs(check_bound(mubs, stack, "P1-mub-tsallis", alpha=alpha, eta=eta), want)
         want = [tsallis(stats(probabilities(sic, r)), alpha) for r in singles]
         _assert_lhs(check_bound(sic, stack, "P6-sic-tsallis", alpha=alpha, eta=eta), want)
@@ -95,12 +102,12 @@ class TestBatchedMatchesScalar:
     def test_p2_p3_p7_p8(self, d, alpha):
         singles = _singles(d, 3)
         mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
-        stack = _stack(singles)
-        want = [np.mean([renyi(probabilities(b, r), alpha) for b in mubs]) for r in singles]
+        stack, bases = _stack(singles), _bases(mubs)
+        want = [np.mean([renyi(probabilities(b, r), alpha) for b in bases]) for r in singles]
         _assert_lhs(check_bound(mubs, stack, "P2-mub-renyi", alpha=alpha), want)
         want = [renyi(probabilities(sic, r), alpha) for r in singles]
         _assert_lhs(check_bound(sic, stack, "P7-sic-renyi", alpha=alpha), want)
-        want = [np.mean([renyi(probabilities(b, r), np.inf) for b in mubs]) for r in singles]
+        want = [np.mean([renyi(probabilities(b, r), np.inf) for b in bases]) for r in singles]
         _assert_lhs(check_bound(mubs, stack, "P3-mub-minent"), want)
         want = [renyi(probabilities(sic, r), np.inf) for r in singles]
         _assert_lhs(check_bound(sic, stack, "P8-sic-minent"), want)
@@ -110,7 +117,7 @@ class TestBatchedMatchesScalar:
     def test_p4_and_p9(self, d, alpha, kind):
         singles = _singles(d, 4)
         mubs = mub_construct(d, d + 1)
-        want = [np.mean([symmetrized(probabilities(b, r), alpha, kind) for b in mubs])
+        want = [np.mean([symmetrized(probabilities(b, r), alpha, kind) for b in _bases(mubs)])
                 for r in singles]
         _assert_lhs(check_bound(mubs, _stack(singles), "P4-mub-sym", alpha=alpha, kind=kind), want)
         pair = _pair(d)
@@ -130,7 +137,8 @@ class TestBatchedMatchesScalar:
         stack = _stack(singles)
         want = [index_of_coincidence(probabilities(sic, r)) for r in singles]
         _assert_lhs(check_bound(sic, stack, "P5-sic-ic"), want)
-        want = [sum(index_of_coincidence(probabilities(b, r)) for b in mubs) for r in singles]
+        bases = _bases(mubs)
+        want = [sum(index_of_coincidence(probabilities(b, r)) for b in bases) for r in singles]
         _assert_lhs(check_bound(mubs, stack, "LWBM-sum"), want)
         want = [float(np.max(probabilities(sic, r).p)) for r in singles]
         _assert_lhs(check_bound(sic, stack, "APXA-max"), want)

@@ -12,11 +12,8 @@ from mubsic import (
     DimensionMismatchError,
     DomainError,
     PROPOSITIONS,
-    MubSet,
-    Povm,
     PreconditionError,
     ProbDist,
-    SicPovm,
     alpha_log,
     check_bound,
     from_bloch,
@@ -27,9 +24,12 @@ from mubsic import (
     mu_g_factor,
     mub_construct,
     mub_minentropy_bound,
+    mub_set,
     mub_renyi_bound,
     mub_symmetrized_bound,
     mub_tsallis_bound,
+    orthonormal_basis,
+    povm,
     probabilities,
     random_mixed,
     random_pure,
@@ -37,6 +37,7 @@ from mubsic import (
     separable_bound,
     sic_from_fiducial,
     sic_minentropy_bound,
+    sic_povm,
     sic_renyi_bound,
     sic_tsallis_bound,
     simple_bounds,
@@ -137,9 +138,17 @@ def _haar_basis(d, seed):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    from mubsic import OrthonormalBasis
+    return orthonormal_basis(q.T)
 
-    return OrthonormalBasis(q.T)
+
+def _bases(mubs):
+    """Each basis of a MUB set as its own basis record."""
+    return [orthonormal_basis(b) for b in mubs.kets.reshape(mubs.shape + (mubs.dim,))]
+
+
+def _elements(meas):
+    """The (K, d, d) elements |k_j><k_j| / scale of a measurement with kets."""
+    return np.einsum("ji,jk->jik", meas.kets, meas.kets.conj()) / meas.scale
 
 
 def _state_with_purity(d, p2):
@@ -155,8 +164,8 @@ def _inefficiency_rhs(meas, which, alpha, p2, eta):
 
 def _rotated_sic(d, seed=0):
     base = sic_from_fiducial(d)
-    u = _haar_basis(d, 100 + seed).vectors.T
-    return base, SicPovm(base.kets @ u.T)
+    u = _haar_basis(d, 100 + seed).kets.T
+    return base, sic_povm(base.kets @ u.T)
 
 
 class TestMubTsallisBound:
@@ -175,7 +184,7 @@ class TestMubTsallisBound:
         assert val == pytest.approx(np.log(3.0), abs=1e-12)
         rho = maximally_mixed(3)
         mubs = mub_construct(3, 4)
-        avg = np.mean([tsallis(probabilities(b, rho), 1.0) for b in mubs])
+        avg = np.mean([tsallis(probabilities(b, rho), 1.0) for b in _bases(mubs)])
         assert avg == pytest.approx(val, abs=1e-12)
 
     def test_rejects_order_above_two(self):
@@ -236,7 +245,7 @@ class TestMubRenyiBound:
         # three Pauli bases; direct collision entropies average to ln(3/2)
         rho = from_bloch(np.ones(3) / np.sqrt(3.0))
         mubs = mub_construct(2, 3)
-        avg = np.mean([renyi(probabilities(b, rho), 2.0) for b in mubs])
+        avg = np.mean([renyi(probabilities(b, rho), 2.0) for b in _bases(mubs)])
         bound = mub_renyi_bound(2, 3, 2.0, 1.0)
         assert bound == pytest.approx(np.log(1.5), abs=1e-14)
         assert avg == pytest.approx(bound, abs=1e-12)
@@ -253,7 +262,7 @@ class TestMubRenyiBound:
         bound = mub_renyi_bound(d, d + 1, 2.0, 1.0)
         for ket in sic_from_fiducial(d).kets:
             rho = DensityMatrix(np.outer(ket, ket.conj()))
-            avg = np.mean([renyi(probabilities(b, rho), 2.0) for b in mubs])
+            avg = np.mean([renyi(probabilities(b, rho), 2.0) for b in _bases(mubs)])
             assert avg == pytest.approx(bound, abs=1e-12)
 
 
@@ -441,14 +450,14 @@ class TestSimpleBounds:
 
 class TestGFactor:
     def test_shared_eigenbasis_gives_one(self):
-        basis = mub_construct(3, 2).bases[0]
+        basis = _bases(mub_construct(3, 2))[0]
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
         assert mu_g_factor(basis, basis, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_pauli_pair_on_maximally_mixed(self):
         # exhaustive pair evaluation gives max |<b_i|c_j>|^2 = 1/2 here
         # (the ratio reduces to the squared overlap at I/d)
-        b = mub_construct(2, 3).bases
+        b = _bases(mub_construct(2, 3))
         assert mu_g_factor(b[0], b[1], maximally_mixed(2)) == pytest.approx(
             0.5, abs=1e-13
         )
@@ -456,7 +465,7 @@ class TestGFactor:
     def test_pure_state_gives_max_supported_overlap(self):
         # for a pure state the ratio collapses to |<m_i|n_j>| on every
         # supported pair, which is 1/sqrt(2) between unbiased qubit bases
-        b = mub_construct(2, 3).bases
+        b = _bases(mub_construct(2, 3))
         s = np.array([0.3, -0.2, 0.8])
         rho = from_bloch(s / np.linalg.norm(s))
         assert mu_g_factor(b[0], b[1], rho) == pytest.approx(
@@ -533,7 +542,7 @@ class TestRieszPrecondition:
     def test_probability_square_roots_map_exactly(self):
         # u = sqrt(p(N)) maps to v = sqrt(q(M)); both have unit 2-norm
         # for a full-rank state, so the operator norm is 1
-        b = mub_construct(3, 3).bases
+        b = _bases(mub_construct(3, 3))
         rho = random_mixed(3, 3, 5)
         rep = _riesz(b[0], b[1], rho)
         assert rep.rhs == 1.0
@@ -556,7 +565,7 @@ class TestPairDimensions:
     """A pair whose dimensions disagree, with each other or with the state."""
 
     def _pairs(self):
-        b2, b3 = mub_construct(2, 2).bases[0], mub_construct(3, 2).bases
+        b2, b3 = _bases(mub_construct(2, 2))[0], _bases(mub_construct(3, 2))
         return [(b2, b3[0]), (b3[0], b3[1])]  # mixed pair; qutrit pair on a qubit state
 
     def test_checks_raise_dimension_mismatch(self):
@@ -581,14 +590,84 @@ PAIR_LABELS = [("P9-mu-pair", {"alpha": 2.0}), ("APXB-riesz", {})]
 
 @pytest.mark.parametrize("label, kwargs", PAIR_LABELS)
 def test_povm_pair_agrees_with_its_sic_pair(label, kwargs):
-    # the pair labels read the rank-one kets of a general Povm too
+    # the pair labels read the rank-one kets of a general POVM too
     sics = _rotated_sic(3)
-    povms = tuple(Povm(sic.elements()) for sic in sics)
+    povms = tuple(povm(_elements(sic)) for sic in sics)
     for seed in range(5):
         rho = random_mixed(3, 1 + seed % 3, seed)
         want, got = (check_bound(pair, rho, label, **kwargs) for pair in (sics, povms))
         assert got.lhs == pytest.approx(want.lhs, abs=1e-12)
         assert got.rhs == pytest.approx(want.rhs, abs=1e-12)
+
+
+# the kinds of measurement each label takes, written out; "pair" is a tuple of two
+# rank-one ones (a basis, a POVM or a SIC).  Every other kind is rejected.
+ADMITTED_KINDS = {
+    "P1-mub-tsallis": {"mubs"},
+    "P2-mub-renyi": {"mubs"},
+    "P3-mub-minent": {"mubs"},
+    "P4-mub-sym": {"mubs"},
+    "P5-sic-ic": {"sic"},
+    "P6-sic-tsallis": {"sic"},
+    "P7-sic-renyi": {"sic"},
+    "P8-sic-minent": {"sic"},
+    "P9-mu-pair": "pair",
+    "LWBM-sum": {"mubs"},
+    "APXA-max": {"basis", "povm", "sic"},
+    "APXB-riesz": "pair",
+    "ENT-G": {"sic"},
+}
+KINDS = ("basis", "mubs", "povm", "sic")
+
+
+def _rejected_cases():
+    """(label, what it is given, what the error says it got) for each input the label rejects.
+
+    A kind name stands for one measurement of that kind, a tuple of them
+    for a tuple of measurements, and "ndarray" for a bare array.
+    """
+    cases = []
+    for label, admitted in ADMITTED_KINDS.items():
+        if admitted == "pair":
+            tuples = [("sic",), ("sic", "sic", "sic"), ("mubs", "basis"), ("sic", "mubs")]
+            given = [(k, k) for k in KINDS] + [(t, ", ".join(t)) for t in tuples]
+        else:
+            given = [(k, k) for k in KINDS if k not in admitted] + [(("sic", "sic"), "tuple")]
+        cases += [(label, *g) for g in given + [("ndarray", "ndarray")]]
+    return cases
+
+
+def _one_of_each_kind(d=2):
+    mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+    kinds = {"basis": _bases(mubs)[0], "mubs": mubs, "povm": povm(_elements(sic)), "sic": sic}
+    return {**kinds, "ndarray": np.eye(d)}
+
+
+def test_every_label_is_pinned():
+    assert ADMITTED_KINDS.keys() == PROPOSITIONS.keys()
+
+
+@pytest.mark.parametrize("label, given, got", _rejected_cases(), ids=repr)
+def test_each_label_rejects_the_other_kinds(label, given, got):
+    made = _one_of_each_kind()
+    meas = tuple(made[g] for g in given) if isinstance(given, tuple) else made[given]
+    message = f"{label} expects a {PROPOSITIONS[label].measurement} measurement, got {got}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        check_bound(meas, maximally_mixed(2), label, alpha=2.0)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=("first", "second"))
+@pytest.mark.parametrize("label, kwargs", PAIR_LABELS)
+def test_pair_rejects_a_povm_of_higher_rank(label, kwargs, first):
+    # the POVM is valid, so it is built; only a pair needs its kets
+    rank_two = povm(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.eye(2) / 2]))
+    sic = sic_from_fiducial(2)
+    pair = (rank_two, sic) if first else (sic, rank_two)
+    message = r"^element 2 is not rank-one \(second eigenvalue 5\.000e-01\)$"
+    with pytest.raises(PreconditionError, match=message):
+        check_bound(pair, maximally_mixed(2), label, **kwargs)
+    with pytest.raises(PreconditionError, match=message):
+        mu_f_bar(*pair)
 
 
 class TestCheckBound:
@@ -621,7 +700,7 @@ class TestCheckBound:
         rho = random_mixed(2, 2, 9)
         rep = check_bound(mubs, rho, "P4-mub-sym", alpha=2.0)
         pairs = [tsallis(probabilities(b, rho), 2.0) + tsallis(probabilities(b, rho), 2.0 / 3.0)
-                 for b in mubs]
+                 for b in _bases(mubs)]
         assert rep.rhs == pytest.approx(0.5 * alpha_log(2.0, 2.0), abs=1e-14)
         assert rep.lhs == pytest.approx(0.5 * np.mean(pairs), abs=1e-13)
 
@@ -705,8 +784,9 @@ class TestCheckBound:
         # a pair takes two rank-one measurements, and a MUB set is not one
         mubs = mub_construct(2, 3)
         for label, kwargs in PAIR_LABELS:
-            with pytest.raises(DomainError, match="^unsupported measurement type MubSet$"):
-                check_bound((mubs, mubs.bases[0]), maximally_mixed(2), label, **kwargs)
+            message = f"{label} expects a pair measurement, got mubs, basis"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                check_bound((mubs, _bases(mubs)[0]), maximally_mixed(2), label, **kwargs)
 
     def test_all_labels_registered(self):
         assert len(PROPOSITION_LABELS) == 13
@@ -921,7 +1001,7 @@ class TestClosedForms:
         p2 = np.array([np.real(np.trace(r @ r)) for r in rho.mat])
         full = mub_construct(d, d + 1)
         for m in range(1, d + 2):
-            mubs = MubSet(full.bases[:m])
+            mubs = mub_set(_bases(full)[:m])
             rhs = [r.rhs for r in check_bound(mubs, rho, "LWBM-sum")]
             assert np.max(np.abs(np.subtract(rhs, p2 + (m - 1.0) / d))) <= 1e-13
         rhs = [r.rhs for r in check_bound(sic_from_fiducial(d), rho, "P5-sic-ic")]

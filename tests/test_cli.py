@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,16 @@ class TestCoincidenceCommand:
         path = tmp_path / "state.json"
         path.write_text(to_json(maximally_mixed(3)))
         assert main(["coincidence", "--dim", "2", "--state", str(path)]) == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_state_entry_exits_2(self, tmp_path, capsys, value):
+        # an inf entry used to warn "invalid value encountered" first: a traceback, exit 1
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"dim": 2, "re": [[{value}, 0.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]]}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coincidence", "--dim", "2", "--state", str(path)]) == 2
+        assert capsys.readouterr().err == "error: density matrix has a non-finite entry\n"
 
     def test_dimension_zero_exits_2(self, capsys):
         assert main(["coincidence", "--dim", "0"]) == 2

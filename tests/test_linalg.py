@@ -16,7 +16,7 @@ class TestHsInner:
     def test_sic_element_pairs(self):
         # distinct elements of a d=2 SIC have HS inner product 1/(d^2 (d+1)) = 1/12
         sic = sic_from_fiducial(2)
-        elems = sic.elements()
+        elems = np.einsum("ji,jk->jik", sic.kets, sic.kets.conj()) / sic.scale
         for j in range(4):
             for k in range(4):
                 if j != k:

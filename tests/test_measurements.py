@@ -9,37 +9,53 @@ from mubsic import (
     DensityMatrix,
     DimensionMismatchError,
     DomainError,
-    MubSet,
+    Measurement,
     NotASicError,
-    OrthonormalBasis,
-    Povm,
     PreconditionError,
     ProbDist,
-    SicPovm,
     distort,
     load_fiducial,
     maximally_mixed,
+    mu_f_bar,
     mub_construct,
+    mub_set,
+    orthonormal_basis,
+    povm,
     probabilities,
     random_mixed,
     random_pure,
     sic_design_basis,
     sic_from_fiducial,
+    sic_povm,
     weyl_heisenberg_orbit,
 )
 
 
+def _bases(mubs):
+    """Each basis of a MUB set as its own basis record."""
+    return [orthonormal_basis(b) for b in mubs.kets.reshape(mubs.shape + (mubs.dim,))]
+
+
+def _projectors(kets):
+    return np.einsum("ji,jk->jik", kets, kets.conj())
+
+
+def _elements(meas):
+    """The (K, d, d) elements |k_j><k_j| / scale of a measurement with kets."""
+    return _projectors(meas.kets) / meas.scale
+
+
 def _overlap2(basis_a, basis_b):
-    return np.abs(basis_a.vectors.conj() @ basis_b.vectors.T) ** 2
+    return np.abs(basis_a.kets.conj() @ basis_b.kets.T) ** 2
 
 
 # each constructor given an empty array, and the shape its message must name
 EMPTY_INPUTS = {
     "weyl_heisenberg_orbit": (lambda: weyl_heisenberg_orbit([]), "(0,)"),
-    "SicPovm": (lambda: SicPovm(np.zeros((0, 0))), "(0, 0)"),
-    "OrthonormalBasis": (lambda: OrthonormalBasis(np.zeros((0, 0))), "(0, 0)"),
-    "Povm-no-elements": (lambda: Povm(np.zeros((0, 2, 2))), "(0, 2, 2)"),
-    "Povm-empty-elements": (lambda: Povm(np.zeros((0, 0, 0))), "(0, 0, 0)"),
+    "sic_povm": (lambda: sic_povm(np.zeros((0, 0))), "(0, 0)"),
+    "orthonormal_basis": (lambda: orthonormal_basis(np.zeros((0, 0))), "(0, 0)"),
+    "povm-no-elements": (lambda: povm(np.zeros((0, 2, 2))), "(0, 2, 2)"),
+    "povm-empty-elements": (lambda: povm(np.zeros((0, 0, 0))), "(0, 0, 0)"),
 }
 
 
@@ -50,55 +66,126 @@ def test_empty_input_is_a_domain_error_naming_its_shape(build, shape):
     assert f"shape {shape}" in str(info.value)
 
 
-# each measurement class given an otherwise valid measurement of dimension 1
+# each builder given an otherwise valid measurement of dimension 1
 DIMENSION_ONE = {
-    "SicPovm": lambda: SicPovm([[1.0]]),
-    "OrthonormalBasis": lambda: OrthonormalBasis([[1.0]]),
-    "MubSet": lambda: MubSet([[[1.0]], [[1.0]]]),
-    "Povm": lambda: Povm([[[1.0]]]),
+    "sic_povm": lambda: sic_povm([[1.0]]),
+    "orthonormal_basis": lambda: orthonormal_basis([[1.0]]),
+    "mub_set": lambda: mub_set([[[1.0]], [[1.0]]]),
+    "povm": lambda: povm([[[1.0]]]),
 }
 
 
 @pytest.mark.parametrize("build", DIMENSION_ONE.values(), ids=DIMENSION_ONE.keys())
-def test_measurement_classes_apply_the_dimension_rule(build):
+def test_builders_apply_the_dimension_rule(build):
     with pytest.raises(DomainError, match=r"^dimension must be >= 2, got 1$"):
         build()
+
+
+def _with_entry(array, value):
+    """A complex copy of ``array`` with its first entry set to ``value``."""
+    array = np.array(array, dtype=complex)
+    array.flat[0] = value
+    return array
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+# each builder given an otherwise valid input whose first entry is ``value``
+NON_FINITE = {
+    "orthonormal_basis": lambda value: orthonormal_basis(_with_entry(np.eye(2), value)),
+    "mub_set": lambda value: mub_set([np.eye(2), _with_entry(_HADAMARD, value)]),
+    "povm": lambda value: povm(_with_entry(np.array([np.eye(2) / 2, np.eye(2) / 2]), value)),
+    "sic_povm": lambda value: sic_povm(_with_entry(sic_from_fiducial(2).kets, value)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)], ids=repr)
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_builders_reject_non_finite_entries(build, value):
+    # inf used to reach the invariant checks and warn "invalid value encountered" first
+    with pytest.raises(DomainError, match="^measurement input has a non-finite entry$"):
+        build(value)
+
+
+def _every_builder(d=3):
+    """One measurement from each builder and each construction, at dimension d."""
+    mubs = mub_construct(d, d + 1)
+    sic = sic_from_fiducial(d)
+    basis = orthonormal_basis(mubs.kets[:d])
+    rank_two = 0.5 * (_projectors(mubs.kets[:d]) + _projectors(mubs.kets[d : 2 * d]))
+    return {
+        "orthonormal_basis": basis,
+        "mub_set": mub_set([basis, mubs.kets[d : 2 * d]]),
+        "mub_construct": mubs,
+        "povm-rank-one": povm(_elements(sic)),
+        "povm-rank-two": povm(rank_two),
+        "sic_povm": sic_povm(sic.kets),
+        "sic_from_fiducial": sic,
+    }
+
+
+@pytest.mark.parametrize("name", _every_builder())
+def test_builders_return_read_only_records(name):
+    # cli.measurement shares one memoized record per process among all its callers
+    meas = _every_builder()[name]
+    arrays = [meas.design] + ([] if meas.kets is None else [meas.kets])
+    assert (meas.kets is None) == (name == "povm-rank-two")
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    with pytest.raises(AttributeError, match="^a Measurement is read-only: cannot set 'kets'$"):
+        meas.kets = None
+
+
+def test_a_measurement_compares_and_hashes_by_identity():
+    first, second = sic_from_fiducial(2), sic_from_fiducial(2)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
+def test_mub_set_takes_bases_only():
+    sic = sic_from_fiducial(2)
+    with pytest.raises(DomainError, match="^a MUB set takes bases, got basis, sic$"):
+        mub_set([orthonormal_basis(np.eye(2)), sic])
 
 
 class TestMubConstruct:
     def test_qubit_pauli_eigenbases(self):
         mubs = mub_construct(2, 3)
-        assert mubs.count == 3
-        z, x, y = (b.vectors for b in mubs.bases)
+        assert mubs.shape[0] == 3
+        bases = _bases(mubs)
+        z, x, y = (b.kets for b in bases)
         assert np.allclose(z, np.eye(2))
         assert np.allclose(x, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert np.allclose(y, np.array([[1, 1j], [1, -1j]]) / np.sqrt(2))
         for a in range(3):
             for b in range(a + 1, 3):
-                assert np.max(np.abs(_overlap2(mubs.bases[a], mubs.bases[b]) - 0.5)) < 1e-14
+                assert np.max(np.abs(_overlap2(bases[a], bases[b]) - 0.5)) < 1e-14
 
     @pytest.mark.parametrize("d,count", [(3, 4), (5, 6), (7, 8)])
     def test_odd_prime_full_sets(self, d, count):
-        mubs = mub_construct(d, count)
+        bases = _bases(mub_construct(d, count))
         target = 1.0 / d
         for a in range(count):
             for b in range(a + 1, count):
-                dev = np.max(np.abs(_overlap2(mubs.bases[a], mubs.bases[b]) - target))
+                dev = np.max(np.abs(_overlap2(bases[a], bases[b]) - target))
                 assert dev < 1e-12
 
     def test_partial_set(self):
         mubs = mub_construct(5, 3)
-        assert mubs.count == 3 and mubs.dim == 5
+        assert mubs.shape[0] == 3 and mubs.dim == 5
 
     def test_keeps_stacked_vectors_and_worst_deviation(self):
         mubs = mub_construct(5, 6)
-        assert mubs.vectors.shape == (6, 5, 5)
+        assert mubs.kets.shape == (30, 5) and mubs.shape == (6, 5)
+        bases = _bases(mubs)
         worst = max(
-            np.max(np.abs(_overlap2(mubs.bases[a], mubs.bases[b]) - 0.2))
+            np.max(np.abs(_overlap2(bases[a], bases[b]) - 0.2))
             for a in range(6)
             for b in range(a + 1, 6)
         )
-        assert mubs.max_deviation == worst
+        assert mubs.deviation == worst
 
     @pytest.mark.parametrize("d", [4, 6, 9, 12])
     def test_rejects_unsupported_dimensions(self, d):
@@ -115,7 +202,7 @@ class TestMubConstruct:
 class TestSicConstruct:
     def test_qubit_tetrahedron(self):
         sic = sic_from_fiducial(2)
-        assert len(sic) == 4
+        assert sic.shape == (4,)
         overlap2 = np.abs(sic.kets.conj() @ sic.kets.T) ** 2
         for j in range(4):
             for k in range(4):
@@ -124,7 +211,7 @@ class TestSicConstruct:
 
     def test_qutrit_orbit(self):
         sic = sic_from_fiducial(3)
-        assert len(sic) == 9
+        assert sic.shape == (9,)
         overlap2 = np.abs(sic.kets.conj() @ sic.kets.T) ** 2
         # 36 unordered pairs, all at 1/(d+1) = 1/4
         for j in range(9):
@@ -134,7 +221,7 @@ class TestSicConstruct:
     @pytest.mark.parametrize("d", [2, 3])
     def test_completeness(self, d):
         sic = sic_from_fiducial(d)
-        total = sic.elements().sum(axis=0)
+        total = _elements(sic).sum(axis=0)
         assert np.max(np.abs(total - np.eye(d))) < 1e-12
 
     def test_degenerate_fiducial_rejected(self):
@@ -162,8 +249,8 @@ class TestProbabilities:
             assert np.max(np.abs(p.p - 1.0 / d**2)) < 1e-14
 
     def test_basis_on_own_state_is_indicator(self):
-        basis = mub_construct(3, 4).bases[2]
-        ket = basis.vectors[1]
+        basis = _bases(mub_construct(3, 4))[2]
+        ket = basis.kets[1]
         from mubsic import DensityMatrix
 
         rho = DensityMatrix(np.outer(ket, ket.conj()))
@@ -185,7 +272,7 @@ class TestProbabilities:
         sic = sic_from_fiducial(3)
         rho = random_mixed(3, 2, 8)
         via_kets = probabilities(sic, rho).p
-        via_povm = probabilities(Povm(sic.elements()), rho).p
+        via_povm = probabilities(povm(_elements(sic)), rho).p
         assert np.max(np.abs(via_kets - via_povm)) < 1e-13
 
     def test_dimension_mismatch(self):
@@ -201,13 +288,13 @@ class TestProbabilities:
         rho = random_mixed(3, 2, 8)
         p = probabilities(mubs, rho).p
         assert p.shape == (4, 3)
-        for m, basis in enumerate(mubs):
+        for m, basis in enumerate(_bases(mubs)):
             assert np.max(np.abs(p[m] - probabilities(basis, rho).p)) < 1e-15
 
     def test_normalization_and_range(self):
         for seed in range(10):
             rho = random_mixed(3, 1 + seed % 3, seed)
-            for basis in mub_construct(3, 4):
+            for basis in _bases(mub_construct(3, 4)):
                 p = probabilities(basis, rho).p
                 assert abs(p.sum() - 1.0) < 1e-12
                 assert p.min() >= 0.0 and p.max() <= 1.0 + 1e-14
@@ -242,7 +329,7 @@ KERNEL_DIMS = (2, 3, 5, 7)
 
 
 def _kernel_cases(d):
-    """(measurement, its (K, d, d) elements, output shape) for every measurement class.
+    """(measurement, its (K, d, d) elements, output shape) for every builder.
 
     The POVM with elements (|a_j><a_j| + |b_j><b_j|)/2 over two unbiased bases
     has rank-two elements.
@@ -250,19 +337,17 @@ def _kernel_cases(d):
     mubs = mub_construct(d, d + 1)
     fiducial = _FIDUCIALS.get(d)
     sic = sic_from_fiducial(d, None if fiducial is None else fiducial / np.linalg.norm(fiducial))
-
-    def projectors(kets):
-        return np.einsum("ji,jk->jik", kets, kets.conj())
-
-    mixed = Povm(0.5 * (projectors(mubs.vectors[0]) + projectors(mubs.vectors[1])))
+    bases = _bases(mubs)
+    mixed_elements = 0.5 * (_projectors(bases[0].kets) + _projectors(bases[1].kets))
+    mixed = povm(mixed_elements)
     with pytest.raises(PreconditionError):
-        mixed.rank_one_kets()
+        mu_f_bar(mixed, mixed)
     return [
-        (mubs.bases[1], projectors(mubs.vectors[1]), (d,)),
-        (mubs, projectors(mubs.vectors.reshape(-1, d)), (d + 1, d)),
-        (sic, sic.elements(), (d * d,)),
-        (Povm(sic.elements()), sic.elements(), (d * d,)),
-        (mixed, mixed.elements, (d,)),
+        (bases[1], _projectors(bases[1].kets), (d,)),
+        (mubs, _projectors(mubs.kets), (d + 1, d)),
+        (sic, _elements(sic), (d * d,)),
+        (povm(_elements(sic)), _elements(sic), (d * d,)),
+        (mixed, mixed_elements, (d,)),
     ]
 
 
@@ -281,7 +366,7 @@ class TestProbabilityKernel:
             assert p.shape == (len(mats),) + shape
             for row, mat in zip(p, mats):
                 want = [np.trace(e @ mat).real for e in elements]
-                assert np.max(np.abs(row.ravel() - want)) <= 1e-15, type(meas).__name__
+                assert np.max(np.abs(row.ravel() - want)) <= 1e-15, meas.kind
 
     @pytest.mark.parametrize("d", KERNEL_DIMS)
     def test_stack_rows_are_single_state_results(self, d):
@@ -293,7 +378,7 @@ class TestProbabilityKernel:
                     for i in range(n):
                         for single in (layout(mats[i]), np.asfortranarray(layout(mats[i]))):
                             got = probabilities(meas, DensityMatrix(single)).p
-                            assert np.array_equal(stack[i], got), (type(meas).__name__, n, i)
+                            assert np.array_equal(stack[i], got), (meas.kind, n, i)
 
     @pytest.mark.parametrize("d", KERNEL_DIMS)
     def test_design_is_read_only(self, d):
@@ -329,8 +414,7 @@ class TestDesignBasis:
         rng = np.random.default_rng(0)
         kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
-        fake = object.__new__(SicPovm)  # bypass the SIC check on purpose
-        fake.kets, fake.dim = kets, 2
+        fake = Measurement("sic", _projectors(kets) / 2, kets, 2, 0.0)  # no SIC check, on purpose
         with pytest.raises(ConstructionError):
             sic_design_basis(fake)
 
@@ -380,60 +464,62 @@ class TestProbDist:
 class TestStructuralInvariants:
     def test_basis_rejects_non_orthonormal(self):
         with pytest.raises(ConstructionError):
-            OrthonormalBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
+            orthonormal_basis(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_mubset_rejects_biased_pair(self):
         standard = np.eye(2)
         tilted = np.array([[np.cos(0.2), np.sin(0.2)], [-np.sin(0.2), np.cos(0.2)]])
         with pytest.raises(ConstructionError):
-            MubSet([standard, tilted])
+            mub_set([standard, tilted])
 
     def test_mubset_rejects_no_bases(self):
         with pytest.raises(DomainError, match="^a MUB set needs at least one basis$"):
-            MubSet([])
+            mub_set([])
 
     def test_mubset_rejects_bases_of_two_dimensions(self):
         with pytest.raises(DimensionMismatchError, match="^bases have differing dimensions$"):
-            MubSet([np.eye(2), np.eye(3)])
+            mub_set([np.eye(2), np.eye(3)])
 
     def test_povm_rejects_incomplete(self):
         with pytest.raises(ConstructionError):
-            Povm(np.array([np.eye(2) / 2, np.eye(2) / 4]))
+            povm(np.array([np.eye(2) / 2, np.eye(2) / 4]))
 
     def test_povm_rejects_negative_element(self):
         elems = np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
         with pytest.raises(ConstructionError):
-            Povm(elems)
+            povm(elems)
 
     def test_povm_names_first_non_hermitian_element(self):
         skew = np.array([[0.0, 0.1], [0.0, 0.0]])
         quarter = np.eye(2) / 4
         elems = np.array([quarter, quarter, quarter + skew, quarter - skew])
         with pytest.raises(ConstructionError, match="element 2 is not Hermitian"):
-            Povm(elems)
+            povm(elems)
 
     def test_povm_names_first_negative_element(self):
         quarter = np.eye(2) / 4
         elems = np.array([quarter, quarter, np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])])
         with pytest.raises(ConstructionError, match="element 2 has negative eigenvalue"):
-            Povm(elems)
+            povm(elems)
 
     def test_rank_one_extraction_names_first_rank_two_element(self):
-        povm = Povm(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.eye(2) / 2]))
+        meas = povm(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.eye(2) / 2]))
+        assert meas.kets is None
         with pytest.raises(PreconditionError, match="element 2 is not rank-one"):
-            povm.rank_one_kets()
+            mu_f_bar(meas, meas)
 
     def test_rank_one_extraction_round_trip(self):
-        vectors = mub_construct(3, 2).bases[1].vectors
-        povm = Povm(np.einsum("ji,jk->jik", vectors, vectors.conj()))
-        kets = povm.rank_one_kets()
+        vectors = mub_construct(3, 2).kets[3:]
+        elements = np.einsum("ji,jk->jik", vectors, vectors.conj())
+        kets = povm(elements).kets
         rebuilt = np.einsum("ji,jk->jik", kets, kets.conj())
-        assert np.max(np.abs(rebuilt - povm.elements)) < 1e-12
+        assert np.max(np.abs(rebuilt - elements)) < 1e-12
 
     def test_rank_one_extraction_rejects_rank_two(self):
-        povm = Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
+        meas = povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
+        assert meas.kets is None
         with pytest.raises(PreconditionError):
-            povm.rank_one_kets()
+            mu_f_bar(meas, meas)
 
 
 class TestFiducialLoader:
@@ -447,7 +533,7 @@ class TestFiducialLoader:
         assert np.linalg.norm(loaded) == pytest.approx(1.0, abs=1e-14)
         assert scale == pytest.approx(1.0 / np.linalg.norm(vec))
         sic = sic_from_fiducial(3, loaded)
-        assert len(sic) == 9
+        assert sic.shape == (9,)
 
     def test_rejects_dim_mismatch(self, tmp_path):
         path = tmp_path / "fid.json"
