@@ -49,6 +49,7 @@ from . import entanglement
 from .entropy import (
     ProbDist,
     _entropy_fn,
+    _first_outside,
     _result,
     alpha_log,
     as_probabilities,
@@ -147,7 +148,8 @@ def _check_purity(d: int, value):
         raise DomainError(f"empty purity array, shape {value.shape}")
     lo = 1.0 / d
     if not (value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
-        raise DomainError(f"purity {value!r} outside [{lo}, 1] for dimension {d}")
+        worst = _first_outside(value, lo - 1e-9, 1.0 + 1e-9)
+        raise DomainError(f"purity {worst!r} outside [{lo}, 1] for dimension {d}")
     return np.minimum(np.maximum(value, lo), 1.0)
 
 
@@ -416,24 +418,29 @@ def _distorted(p, eta):
     return p if eta is None else distort(p, eta)
 
 
+def _average(values):
+    """The mean over the last axis as sum / M: numpy's ``mean`` bit for bit, minus its overhead."""
+    return values.sum(axis=-1) / values.shape[-1]
+
+
 def _p1(mubs, x, a):
     base = mub_tsallis_bound(mubs.dim, mubs.shape[0], a.alpha, x.purity)
     rhs = _with_inefficiency(base, a.alpha, a.eta)
-    return tsallis(_distorted(x.p, a.eta), a.alpha).mean(axis=-1), rhs
+    return _average(tsallis(_distorted(x.p, a.eta), a.alpha)), rhs
 
 
 def _p2(mubs, x, a):
-    lhs = renyi(x.p, a.alpha).mean(axis=-1)
+    lhs = _average(renyi(x.p, a.alpha))
     return lhs, mub_renyi_bound(mubs.dim, mubs.shape[0], a.alpha, x.purity)
 
 
 def _p3(mubs, x, a):
-    lhs = renyi(x.p, np.inf).mean(axis=-1)
+    lhs = _average(renyi(x.p, np.inf))
     return lhs, mub_minentropy_bound(mubs.dim, mubs.shape[0], x.purity)
 
 
 def _p4(mubs, x, a):
-    lhs = symmetrized(x.p, a.alpha, a.kind).mean(axis=-1)
+    lhs = _average(symmetrized(x.p, a.alpha, a.kind))
     return lhs, mub_symmetrized_bound(mubs.dim, a.alpha, a.kind)
 
 

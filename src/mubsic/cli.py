@@ -211,22 +211,24 @@ def _states(group, config: CampaignConfig):
     buffer with standard normals: row i holds all K numbers sample i needs,
     so a row depends only on its cell key and i.  Row layout: the Ginibre
     block (2, d, d) of the state; for ENT-G, a second one for party B.
-    ENT-G cells run alone.
+    ENT-G cells run alone; both parties are sampled as one stack of 2N
+    states, A and B of sample i at rows 2i and 2i + 1, in one
+    :func:`random_mixed` call, and the N products are validated as a second
+    stack.
     """
     cell = group[0]
     d, n = cell.d, config.samples
-    block = 2 * d * d
     product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
-    draws = np.empty((len(group) * n, block * (2 if product else 1)))
+    draws = np.empty((len(group) * n, 2 * d * d * (2 if product else 1)))
     for k, c in enumerate(group):
         stream(config.seed, *c.key).standard_normal(out=draws[k * n : (k + 1) * n])
     samples = np.arange(len(group) * n) % n  # each cell's sample index
-    rho = random_mixed(d, 1 + samples % d, normals=draws[:, :block].reshape(-1, 2, d, d))
+    ranks = 1 + samples % d
+    if product:  # party B of sample i at rank 1 + (i // d) mod d
+        ranks = np.stack([ranks, 1 + (samples // d) % d], axis=-1).ravel()
+    rho = random_mixed(d, ranks, normals=draws.reshape(-1, 2, d, d))
     if product:
-        rho_b = random_mixed(
-            d, 1 + (samples // d) % d, normals=draws[:, block : 2 * block].reshape(n, 2, d, d)
-        )
-        rho = DensityMatrix(kron(rho.mat, rho_b.mat))
+        rho = DensityMatrix(kron(rho.mat[0::2], rho.mat[1::2]))
     return rho
 
 

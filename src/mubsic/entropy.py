@@ -49,6 +49,14 @@ def check_order(alpha, name: str = "positive") -> float:
     return alpha
 
 
+def _first_outside(values: np.ndarray, lo: float, hi: float):
+    """The first entry outside [lo, hi], NaN included, of an array that has one, as a float.
+
+    Error messages name it, so that they show a plain float and not a numpy repr.
+    """
+    return float(values[~((values >= lo) & (values <= hi))][0])
+
+
 def _result(x):
     """A float for a single distribution, the array for a stack of them."""
     return float(x) if np.ndim(x) == 0 else x
@@ -77,7 +85,7 @@ class ProbDist:
             np.maximum(p, 0.0, out=p)
         dev = np.abs(p.sum(axis=-1) - 1.0).max()
         if not dev <= PROB_SUM_ATOL:
-            raise DomainError(f"probabilities sum to 1 only within {dev!r}")
+            raise DomainError(f"probabilities sum to 1 only within {float(dev)!r}")
         p.setflags(write=False)
         self.p = p
 
@@ -244,7 +252,10 @@ def max_prob_bound(n: int, b2):
     """
     n = check_integer(n, "outcome count", 1)
     b2 = np.asarray(b2, dtype=float)
-    if not (b2.size and b2.min() >= 1.0 / n - 1e-12 and b2.max() <= 1.0 + 1e-12):
-        raise DomainError(f"sum of squares {b2!r} infeasible for n = {n}")
+    if not b2.size:
+        raise DomainError(f"empty sum-of-squares array, shape {b2.shape}")
+    if not (b2.min() >= 1.0 / n - 1e-12 and b2.max() <= 1.0 + 1e-12):
+        worst = _first_outside(b2, 1.0 / n - 1e-12, 1.0 + 1e-12)
+        raise DomainError(f"sum of squares {worst!r} infeasible for n = {n}")
     radicand = np.maximum(n * b2 - 1.0, 0.0)
     return _result((1.0 + np.sqrt(n - 1.0) * np.sqrt(radicand)) / n)

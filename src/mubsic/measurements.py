@@ -117,8 +117,8 @@ def _coerce(values) -> np.ndarray:
     return values
 
 
-def orthonormal_basis(vectors) -> Measurement:
-    """The "basis" of d orthonormal vectors of dimension d, row j being |b_j>."""
+def _basis_vectors(vectors) -> tuple[np.ndarray, float]:
+    """d orthonormal vectors of dimension d as a new array, with their Gram deviation."""
     vectors = _coerce(vectors)
     if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
         raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
@@ -126,6 +126,12 @@ def orthonormal_basis(vectors) -> Measurement:
     dev = _identity_deviation(vectors.conj() @ vectors.T)
     if not dev <= GRAM_ATOL:
         raise ConstructionError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
+    return vectors, dev
+
+
+def orthonormal_basis(vectors) -> Measurement:
+    """The "basis" of d orthonormal vectors of dimension d, row j being |b_j>."""
+    vectors, dev = _basis_vectors(vectors)
     return Measurement("basis", _projectors(vectors), vectors, 1, dev)
 
 
@@ -136,15 +142,18 @@ def mub_set(bases) -> Measurement:
     takes.  ``deviation`` is the largest | |<a_i|b_j>|^2 - 1/d | over all
     pairs of distinct bases.
     """
-    bases = [b if isinstance(b, Measurement) else orthonormal_basis(b) for b in bases]
+    # a raw basis is checked as orthonormal_basis checks it, without building its record
+    bases = [b if isinstance(b, Measurement) else _basis_vectors(b)[0] for b in bases]
     if len(bases) < 1:
         raise DomainError("a MUB set needs at least one basis")
-    if any(b.kind != "basis" for b in bases):
-        raise DomainError(f"a MUB set takes bases, got {', '.join(b.kind for b in bases)}")
-    d = bases[0].dim
-    if any(b.dim != d for b in bases):
+    kinds = [b.kind if isinstance(b, Measurement) else "basis" for b in bases]
+    if any(kind != "basis" for kind in kinds):
+        raise DomainError(f"a MUB set takes bases, got {', '.join(kinds)}")
+    vectors = [b.kets if isinstance(b, Measurement) else b for b in bases]
+    d = vectors[0].shape[-1]
+    if any(v.shape[-1] != d for v in vectors):
         raise DimensionMismatchError("bases have differing dimensions")
-    vectors = np.stack([b.kets for b in bases])
+    vectors = np.stack(vectors)
     # [a, b, i, j] = |<a_i|b_j>|^2 for every ordered pair of bases at once
     overlap2 = np.abs(vectors.conj()[:, None] @ vectors.swapaxes(-1, -2)[None]) ** 2
     first, second = np.triu_indices(len(bases), 1)

@@ -224,6 +224,20 @@ def random_pure(d: int, seed) -> DensityMatrix:
     return random_mixed(d, 1, seed)
 
 
+def _ginibre(normals: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """G = (X + iY) keep in one complex buffer, masked in place, for each rank of a stack.
+
+    X = normals[..., 0, :, :] and Y = normals[..., 1, :, :]; ``keep`` is 1 in
+    the columns below the rank and 0 in the rest.  Same entries as the
+    product, without its three temporaries.
+    """
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
+    g.real = normals[..., 0, :, :]
+    g.imag = normals[..., 1, :, :]
+    g *= np.arange(normals.shape[-1]) < rank[..., None, None]
+    return g
+
+
 def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (d, rank).
 
@@ -254,8 +268,7 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     normals = np.asarray(normals, dtype=float)
     if normals.shape[-3:] != (2, d, d) or normals.shape[:-3] != rank.shape:
         raise DomainError(f"need normals of shape {rank.shape + (2, d, d)}, got {normals.shape}")
-    keep = np.arange(d) < rank[..., None, None]
-    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) * keep
+    g = _ginibre(normals, rank)
     m = g @ g.conj().swapaxes(-1, -2)
     # exactly Hermitian; the factor 1/2 of the mean with the adjoint
     # cancels in the trace normalization

@@ -585,6 +585,42 @@ class TestPairDimensions:
         assert mu_f_bar(*same) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (0.2, "purity 0.2 outside [0.5, 1] for dimension 2"),
+        ([0.7, 0.2, 1.5], "purity 0.2 outside [0.5, 1] for dimension 2"),
+        ([0.7, np.nan], "purity nan outside [0.5, 1] for dimension 2"),
+    ],
+    ids=["one", "stack", "nan"],
+)
+def test_purity_message_shows_a_plain_float(values, message):
+    # it used to print the whole array's repr, array([0.7, 0.2, 1.5])
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        sic_tsallis_bound(2, 2.0, values)
+
+
+# arguments that are not measurements, unhashable ones too: each a DomainError, never a TypeError
+NOT_PAIR_MEMBERS = {
+    "list": ([[1.0, 0.0], [0.0, 1.0]], "list"),
+    "ndarray": (np.eye(2), "ndarray"),
+    "dict": ({}, "dict"),
+    "mubs": (mub_construct(2, 3), "mubs"),
+}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=("first", "second"))
+@pytest.mark.parametrize("bad, kind", NOT_PAIR_MEMBERS.values(), ids=NOT_PAIR_MEMBERS)
+def test_pair_functions_reject_a_non_member(bad, kind, first):
+    sic = sic_from_fiducial(2)
+    pair = (bad, sic) if first else (sic, bad)
+    message = f"^unsupported measurement type {kind}$"
+    with pytest.raises(DomainError, match=message):
+        mu_f_bar(*pair)
+    with pytest.raises(DomainError, match=message):
+        mu_g_factor(*pair, maximally_mixed(2))
+
+
 PAIR_LABELS = [("P9-mu-pair", {"alpha": 2.0}), ("APXB-riesz", {})]
 
 

@@ -12,7 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mubsic import DomainError, cli, entanglement, maximally_mixed, random_pure, to_json
+from mubsic import (
+    DomainError,
+    cli,
+    entanglement,
+    maximally_mixed,
+    random_mixed,
+    random_pure,
+    states,
+    to_json,
+)
+from mubsic.linalg import kron
 from mubsic.cli import main
 
 
@@ -494,6 +504,76 @@ class TestMeasurementBuilder:
         by_path = cli.run_campaign(cli.CampaignConfig(**fields, fiducial_path=fid))
         assert by_path == cli.run_campaign(cli.CampaignConfig(**fields, fiducial_path=str(fid)))
         assert by_path == cli.run_campaign(cli.CampaignConfig(**fields))
+
+
+class TestRepeatedCampaign:
+    """One-row campaigns run again in one process, and the ENT-G sampler."""
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            (dict(dims=[5], props=["P5-sic-ic"]), DomainError, "no builtin fiducial"),
+            (dict(dims=[2], props=["P1-mub-tsallis"], alphas=[3.0]), DomainError, "(0, 2]"),
+            (dict(dims=[4], props=["P3-mub-minent"]), DomainError, "unsupported dimension 4"),
+        ],
+        ids=["fiducial", "order", "mub-dimension"],
+    )
+    def test_rejected_config_raises_on_every_call(self, monkeypatch, fields, error, message):
+        monkeypatch.setattr(cli, "stream", lambda *a: pytest.fail("sampled a rejected campaign"))
+        config = cli.CampaignConfig(**{"alphas": [2.0], "samples": 1, "seed": 0, **fields})
+        for _ in range(3):
+            with pytest.raises(error, match=re.escape(message)):
+                cli.run_campaign(config)
+
+    def test_rewritten_fiducial_file_is_read_again(self, tmp_path, capsys):
+        fid = tmp_path / "fid.json"
+        config = cli.CampaignConfig(
+            dims=[3], props=["P5-sic-ic"], alphas=[2.0], samples=3, seed=4, fiducial_path=fid
+        )
+
+        def write(re):
+            fid.write_text(json.dumps({"dim": 3, "re": re, "im": [0.0, 0.0, 0.0]}))
+
+        write([0.0, 1.0, -1.0])  # the builtin fiducial scaled by sqrt(2)
+        first = cli.run_campaign(config)
+        assert capsys.readouterr().err == f"fiducial rescaled by factor {1.0 / 2.0**0.5!r}\n"
+        write([1.0, 0.0, 0.0])  # a unit ket whose orbit is not a SIC
+        with pytest.raises(ValueError, match="SIC conditions"):
+            cli.run_campaign(config)
+        write([0.0, 2.0, -2.0])
+        assert cli.run_campaign(config) == first
+        assert capsys.readouterr().err == f"fiducial rescaled by factor {1.0 / 8.0**0.5!r}\n"
+
+    def test_zero_efficiency_keeps_its_sign(self):
+        # 0.0 == -0.0, but the eta column prints the sign
+        fields = dict(dims=[2], props=["P1-mub-tsallis"], alphas=[2.0], samples=1, seed=0)
+        rows = [cli.run_campaign(cli.CampaignConfig(**fields, eta=e))[1] for e in (0.0, -0.0, 0.0)]
+        assert [r[0]["eta"] for r in rows] == ["0.0", "-0.0", "0.0"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ent_g_parties_sampled_as_one_stack(self, monkeypatch, d):
+        n, seed = 2 * d + 1, 13
+        config = cli.CampaignConfig(dims=[d], props=["ENT-G"], alphas=[], samples=n, seed=seed)
+        (cell,) = cli._plan(config)
+        validations = []
+        for module in (cli, states):
+            original = module.DensityMatrix
+
+            def counted(mat, _original=original):
+                validations.append(np.shape(mat))
+                return _original(mat)
+
+            monkeypatch.setattr(module, "DensityMatrix", counted)
+        rho = cli._states([cell], config)
+        # one validation of the 2N party states and one of the N products
+        assert validations == [(2 * n, d, d), (n, d * d, d * d)]
+        monkeypatch.undo()
+        # the product of two separate samplers on the same normals, bit for bit
+        draws = states.stream(seed, *cell.key).standard_normal((n, 4 * d * d))
+        i = np.arange(n)
+        a = random_mixed(d, 1 + i % d, normals=draws[:, : 2 * d * d].reshape(n, 2, d, d))
+        b = random_mixed(d, 1 + (i // d) % d, normals=draws[:, 2 * d * d :].reshape(n, 2, d, d))
+        assert rho.mat.tobytes() == kron(a.mat, b.mat).tobytes()
 
 
 class TestCoincidenceCommand:

@@ -1,4 +1,5 @@
 import decimal
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mubsic import (
     DomainError,
+    ProbDist,
     alpha_log,
     binary_tsallis,
     conjugate_order,
@@ -348,6 +350,33 @@ class TestIndexOfCoincidence:
         for seed in range(10):
             p = probabilities(sic, random_pure(2, seed))
             assert index_of_coincidence(p) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+# each message names the offending number as a plain float, never as np.float64(...) or array(...)
+PLAIN_FLOAT_MESSAGES = {
+    "ProbDist-sum": (
+        lambda: ProbDist([0.5, 0.4]),
+        "probabilities sum to 1 only within 0.09999999999999998",
+    ),
+    "max_prob_bound-stack": (
+        lambda: max_prob_bound(3, [0.5, 2.0, 0.1]),
+        "sum of squares 2.0 infeasible for n = 3",
+    ),
+    "max_prob_bound-nan": (
+        lambda: max_prob_bound(4, np.nan),
+        "sum of squares nan infeasible for n = 4",
+    ),
+    "max_prob_bound-empty": (
+        lambda: max_prob_bound(3, []),
+        "empty sum-of-squares array, shape (0,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", PLAIN_FLOAT_MESSAGES.values(), ids=PLAIN_FLOAT_MESSAGES)
+def test_messages_show_plain_floats(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestMaxProbBound:

@@ -29,6 +29,7 @@ from mubsic import (
     sic_povm,
     weyl_heisenberg_orbit,
 )
+from mubsic import measurements
 
 
 def _bases(mubs):
@@ -142,6 +143,26 @@ def test_a_measurement_compares_and_hashes_by_identity():
     first, second = sic_from_fiducial(2), sic_from_fiducial(2)
     assert first == first and first != second
     assert len({first, second, first}) == 2
+
+
+def test_mub_set_checks_a_raw_basis_without_building_its_record(monkeypatch):
+    raw = [b.kets for b in _bases(mub_construct(3, 4))]
+    want = mub_set([orthonormal_basis(b) for b in raw])
+    designs = []
+    original = measurements.design_matrix
+    monkeypatch.setattr(
+        measurements, "design_matrix", lambda e: designs.append(e.shape) or original(e)
+    )
+    got = mub_set(raw)
+    assert designs == [(12, 3, 3)]  # the MUB set's own design, no basis's
+    assert got.kets.tobytes() == want.kets.tobytes() and got.deviation == want.deviation
+    assert got.design.tobytes() == want.design.tobytes()
+    # a raw basis is still held to orthonormal_basis's rule and message
+    skewed = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.sqrt([[1.0], [2.0]])
+    message = f"basis is not orthonormal (Gram deviation {0.5**0.5:.3e})"
+    for build in (orthonormal_basis, lambda b: mub_set([np.eye(2), b])):
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            build(skewed)
 
 
 def test_mub_set_takes_bases_only():

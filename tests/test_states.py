@@ -25,7 +25,7 @@ from mubsic import (
     sic_from_fiducial,
     to_json,
 )
-from mubsic.states import EIGENVALUE_FLOOR, check_dimension
+from mubsic.states import EIGENVALUE_FLOOR, _ginibre, check_dimension
 
 
 # every call takes a dimension or a count that is not an integer
@@ -353,6 +353,17 @@ class TestRandomStates:
             rho = random_mixed(5, 3, seed)
             assert abs(np.trace(rho.mat) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho.mat).min() > -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_ginibre_factor_is_the_masked_product(self, d):
+        # one complex buffer masked in place, against the three-temporary form
+        normals = stream(31, d).standard_normal((4 * d, 2, d, d))
+        ranks = 1 + np.arange(4 * d) % d  # every rank 1 ... d, four times
+        keep = np.arange(d) < ranks[:, None, None]
+        want = (normals[:, 0] + 1j * normals[:, 1]) * keep
+        got = _ginibre(normals, ranks)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
