@@ -65,7 +65,7 @@ from .entropy import (
 )
 from .errors import ConstructionError, DimensionMismatchError, DomainError, PreconditionError
 from .measurements import POVM_ATOL, Measurement, distort, probabilities
-from .states import DensityMatrix, check_dimension, check_integer, purity
+from .states import DensityMatrix, check_dimension, check_integer, purity, state_slack
 
 DEFAULT_TOLERANCE = 1e-10
 ZERO_PROB_THRESHOLD = 1e-14
@@ -143,12 +143,19 @@ def reports(label: str, columns: Columns, tolerance: float, sense: str) -> list[
 
 
 def _check_purity(d: int, value):
+    """Purities in [1/d, 1], clamped to it; 1e-9 of slack for rounding, more above 1.
+
+    Above 1 it also allows the purity 1 + 2s(1 + s) that a state the
+    validator accepts can reach, s = :func:`states.state_slack`.
+    """
     value = np.asarray(value, dtype=float)
     if not value.size:
         raise DomainError(f"empty purity array, shape {value.shape}")
     lo = 1.0 / d
-    if not (value.min() >= lo - 1e-9 and value.max() <= 1.0 + 1e-9):
-        worst = _first_outside(value, lo - 1e-9, 1.0 + 1e-9)
+    s = state_slack(d)
+    hi = 1.0 + 1e-9 + 2.0 * s * (1.0 + s)
+    if not (value.min() >= lo - 1e-9 and value.max() <= hi):
+        worst = _first_outside(value, lo - 1e-9, hi)
         raise DomainError(f"purity {worst!r} outside [{lo}, 1] for dimension {d}")
     return np.minimum(np.maximum(value, lo), 1.0)
 

@@ -12,8 +12,10 @@ Exit codes: 0 all checks passed, 1 a bound check failed, 2 unsupported
 or out-of-domain input, 3 I/O failure.  Campaigns with identical
 configuration and seed produce bitwise-identical reports.  A campaign
 validates its whole plan first, then evaluates each run of consecutive
-(dim, label, order) cells on one measurement as one stack of states, each
-cell's states drawn from the cell's own stream.
+(dim, label, order) cells on one measurement as one stack of states.  Each
+(dim, label) draws one block of N states from its stream (seed, di, pi, 0),
+and every order of the label is checked on that block, so an order's rows
+are the same whether it runs alone or in a sweep.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _fiducial_ket(path: str | None) -> tuple | None:
 class _Cell(NamedTuple):
     """One (dim, label, order) cell of a campaign, its stream key and measurement."""
 
-    key: tuple  # (di, pi, ai): the cell's stream id under the campaign seed
+    key: tuple  # (di, pi, ai): the cell's id; its states come from stream (seed, di, pi, 0)
     d: int
     prop: str
     args: bnd.CheckArguments  # the validated order and efficiency
@@ -204,25 +206,34 @@ def _run_key(cell: _Cell):
     return cell.meas if bnd.PROPOSITIONS[cell.prop].statistical else cell
 
 
-def _states(group, config: CampaignConfig):
-    """The stack of every sample of a run of cells, in cell order.
+def _labels(group) -> dict:
+    """Each distinct (di, pi) of a run of cells, in order, mapped to its block index."""
+    labels = {}
+    for c in group:
+        labels.setdefault(c.key[:2], len(labels))
+    return labels
 
-    Each cell's stream (seed, di, pi, ai) fills its (N, K) slice of one
-    buffer with standard normals: row i holds all K numbers sample i needs,
-    so a row depends only on its cell key and i.  Row layout: the Ginibre
-    block (2, d, d) of the state; for ENT-G, a second one for party B.
-    ENT-G cells run alone; both parties are sampled as one stack of 2N
-    states, A and B of sample i at rows 2i and 2i + 1, in one
-    :func:`random_mixed` call, and the N products are validated as a second
-    stack.
+
+def _states(group, config: CampaignConfig):
+    """The stack of every sample of a run of cells: one block of N states per label.
+
+    The stream (seed, di, pi, 0) of each distinct (di, pi) of the run fills
+    its (N, K) block of one buffer with standard normals, and every order of
+    that label reads the block: row i holds all K numbers sample i needs, so
+    a row depends only on its (di, pi) and i.  Row layout: the Ginibre block
+    (2, d, d) of the state; for ENT-G, a second one for party B.  ENT-G cells
+    run alone; both parties are sampled as one stack of 2N states, A and B
+    of sample i at rows 2i and 2i + 1, in one :func:`random_mixed` call, and
+    the N products are validated as a second stack.
     """
     cell = group[0]
     d, n = cell.d, config.samples
+    labels = _labels(group)
     product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
-    draws = np.empty((len(group) * n, 2 * d * d * (2 if product else 1)))
-    for k, c in enumerate(group):
-        stream(config.seed, *c.key).standard_normal(out=draws[k * n : (k + 1) * n])
-    samples = np.arange(len(group) * n) % n  # each cell's sample index
+    draws = np.empty((len(labels) * n, 2 * d * d * (2 if product else 1)))
+    for (di, pi), k in labels.items():
+        stream(config.seed, di, pi, 0).standard_normal(out=draws[k * n : (k + 1) * n])
+    samples = np.arange(len(labels) * n) % n  # each block's sample index
     ranks = 1 + samples % d
     if product:  # party B of sample i at rank 1 + (i // d) mod d
         ranks = np.stack([ranks, 1 + (samples // d) % d], axis=-1).ravel()
@@ -237,18 +248,21 @@ def _results(config: CampaignConfig):
 
     The whole plan is validated before the first draw.  Each maximal run of
     consecutive cells with one :func:`_run_key` is one stack: one sampling,
-    validation, purity and probability pass.  Cell k of a run reads rows
-    k N ... (k + 1) N - 1, drawn from its own stream, so its results are
-    bitwise those of the cell run alone.
+    validation, purity and probability pass over one block of N states per
+    label (:func:`_states`).  Every order of a label reads its label's block,
+    so a cell's results are bitwise those of its order run alone, and the
+    orders of a sweep are checked on the same states.
     """
     n = config.samples
     for _, group in itertools.groupby(_plan(config), _run_key):
         group = list(group)
+        labels = _labels(group)
         x = bnd.inputs(group[0].prop, group[0].meas, _states(group, config))
         p2 = x.purity.tolist()
-        for k, cell in enumerate(group):
+        for cell in group:
+            k = labels[cell.key[:2]]
             rows = slice(k * n, (k + 1) * n)
-            part = x if len(group) == 1 else x.part(rows)
+            part = x if len(labels) == 1 else x.part(rows)
             columns = bnd.evaluate(cell.prop, cell.meas, part, cell.args, config.tolerance)
             yield cell, p2[rows], columns
 

@@ -66,37 +66,47 @@ class ProbDist:
     """Probability vectors along the last axis, with the normalization invariant.
 
     ``p`` has shape (n,) for one distribution or (..., n) for a stack of
-    them.  Entries in [-1e-14, 0) are clamped to zero; larger negatives,
-    NaN, and sums off 1 by more than 1e-12 are rejected.  This is the one
-    probability validator of the package: :func:`as_probabilities` and
-    every entropy go through it.
+    them.  Entries in [-1e-14 - slack, 0) are clamped to zero; larger
+    negatives, NaN, and sums off 1 by more than 1e-12 + slack are rejected.
+    ``slack`` is 0 for given probabilities and ``states.state_slack(d)`` for
+    the outcomes of a d x d state (:func:`measurements.probabilities`).  This
+    is the one probability validator of the package: :func:`as_probabilities`
+    and every entropy go through it.
     """
 
     __slots__ = ("p",)
 
-    def __init__(self, p):
+    def __init__(self, p, slack: float = 0.0):
         p = np.array(p, dtype=float, ndmin=1)
         if not p.size:
             raise DomainError(f"empty probability vector or stack, shape {p.shape}")
         worst = p.min()
-        if not worst >= -PROB_CLAMP:
+        if not worst >= -PROB_CLAMP - slack:
             raise DomainError(f"negative or undefined probability {worst:.3e}")
         if worst < 0.0:
             np.maximum(p, 0.0, out=p)
         dev = np.abs(p.sum(axis=-1) - 1.0).max()
-        if not dev <= PROB_SUM_ATOL:
+        if not dev <= PROB_SUM_ATOL + slack:
             raise DomainError(f"probabilities sum to 1 only within {float(dev)!r}")
         p.setflags(write=False)
         self.p = p
+
+    @classmethod
+    def _unchecked(cls, p: np.ndarray) -> ProbDist:
+        """A ProbDist of ``p`` without checks.
+
+        ``p`` is read-only and made from a valid ProbDist by a map that keeps it valid.
+        """
+        sub = object.__new__(cls)
+        sub.p = p
+        return sub
 
     def __getitem__(self, rows: slice) -> ProbDist:
         """The non-empty sub-stack ``p[rows]`` of a stack, valid as part of a valid stack."""
         part = self.p[rows] if isinstance(rows, slice) and self.p.ndim >= 2 else None
         if part is None or not part.size:
             raise DomainError(f"a probability stack takes a non-empty slice, got {rows!r}")
-        sub = object.__new__(type(self))
-        sub.p = part
-        return sub
+        return self._unchecked(part)
 
     def __len__(self):
         """Number of outcomes."""

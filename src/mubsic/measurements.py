@@ -37,6 +37,7 @@ from .states import (
     check_dimension,
     check_integer,
     positivity_failure,
+    state_slack,
 )
 
 GRAM_ATOL = 1e-10
@@ -233,13 +234,14 @@ def probabilities(meas, rho: DensityMatrix) -> ProbDist:
     exact arithmetic.  The matmul stays per state so that row n of a stack
     is bitwise the single-state result.  The result has the measurement's
     ``shape``, (M, d) for a MUB set; a stack of N states puts N in front.
+    It is validated with the state's slack, :func:`states.state_slack`.
     """
     if not isinstance(meas, Measurement):
         raise DomainError(f"unsupported measurement type {type(meas).__name__}")
     if meas.dim != rho.dim:
         raise DimensionMismatchError(f"{meas.kind} dim {meas.dim} vs state dim {rho.dim}")
     p = apply_design(meas.design, rho.mat)
-    return ProbDist(p.reshape(p.shape[:-1] + meas.shape))
+    return ProbDist(p.reshape(p.shape[:-1] + meas.shape), state_slack(rho.dim))
 
 
 _PAULI_EIGENBASES = (
@@ -377,12 +379,15 @@ def distort(p, eta: float) -> ProbDist:
     """Detector-inefficiency distortion: scale by eta, append the no-click outcome.
 
     The output has one more entry than the input along the last axis; the
-    final entry is 1 - eta.
+    final entry is 1 - eta.  It is valid when the input is: its entries are
+    >= 0 and its sums are off 1 by eta times the input's.
     """
     eta = check_efficiency(eta)
     p = as_probabilities(p)
     no_click = np.full(p.shape[:-1] + (1,), 1.0 - eta)
-    return ProbDist(np.concatenate([eta * p, no_click], axis=-1))
+    out = np.concatenate([eta * p, no_click], axis=-1)
+    out.setflags(write=False)
+    return ProbDist._unchecked(out)
 
 
 def check_fiducial_path(path):

@@ -25,6 +25,29 @@ EIGENVALUE_FLOOR = -1e-10
 _MAX_STREAM_ID = 2**64 - 2
 
 
+def state_slack(d: int) -> float:
+    """s = (d - 1)(|EIGENVALUE_FLOOR| + d HERMITICITY_ATOL) + TRACE_ATOL for dimension d.
+
+    How far a d x d state that :class:`DensityMatrix` accepts can lie outside
+    the true states.  The floor is checked on the Hermitian matrix of the
+    lower triangle, within d HERMITICITY_ATOL / 2 in norm of the Hermitian
+    part H of the matrix, so H's negative eigenvalues, at most d - 1 of them,
+    sum to at least -(s - TRACE_ATOL), and all of them sum to 1 within
+    TRACE_ATOL.  Hence:
+
+    * its largest eigenvalue is at most 1 + s, and its purity at most
+      (1 + s)^2 + s^2 = 1 + 2s(1 + s);
+    * an outcome Re tr(E rho) of an element 0 <= E <= I is at least -s, and
+      clamping the negative outcomes of one complete measurement to zero
+      moves their sum, 1 within TRACE_ATOL, by at most s.
+
+    The readers of a state allow exactly this (``entropy.ProbDist`` through
+    ``measurements.probabilities``, and the bounds' purity check), so each
+    accepts every state the validator accepts.
+    """
+    return (d - 1) * (-EIGENVALUE_FLOOR + d * HERMITICITY_ATOL) + TRACE_ATOL
+
+
 def check_integer(value, what: str, least: int) -> int:
     """``value`` as an int, which must be integral (4.0 passes, 4.5 does not) and >= ``least``."""
     try:

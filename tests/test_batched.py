@@ -3,9 +3,10 @@
 Every labelled check evaluates a whole (N, d, d) stack of states at once.
 Its lhs must equal the public ``renyi``/``tsallis``/``symmetrized``/
 ``index_of_coincidence`` applied to each basis's ``probabilities`` of each
-state on its own, and a campaign row must depend only on its cell and
-sample index, whether the cell runs alone or fused with its neighbours
-into one group.
+state on its own, and a campaign row must depend only on its (dim, label),
+order and sample index, whether the cell runs alone, fused with its
+neighbours into one group, or at any place in an order sweep, whose
+orders all read the label's one block of states.
 """
 
 import csv
@@ -252,7 +253,7 @@ def test_one_row_campaigns_are_a_prefix_at_dims_5_and_7(tmp_path, props, alphas,
 
 SIC_LABELS = "P5-sic-ic,P6-sic-tsallis,P7-sic-renyi,P8-sic-minent"
 # (label, its campaign alone, the campaign that fuses it into a group, orders);
-# the label's cell has the same stream key (di, pi, ai) in both campaigns.  A
+# the label's cell has the same stream key (di, pi, 0) in both campaigns.  A
 # leading P9 cell runs alone, so LWBM and P6 at pi = 1 are groups of one.
 FUSED = [
     ("P1-mub-tsallis", "P1-mub-tsallis", "0.5", "P1-mub-tsallis", "0.5,1,2"),
@@ -314,3 +315,87 @@ def test_purity_and_probabilities_run_once_per_group(monkeypatch, capsys, argv, 
     assert main(["verify", "--samples", "3", "--out", "", *argv]) == 0
     assert "failed=0" in capsys.readouterr().out
     assert calls == {"purity": groups, "probabilities": groups}
+
+
+# (label, order, its sweep, dims): the order sits first, in the middle or last of its sweep
+SWEEPS = [
+    ("P1-mub-tsallis", "0.5", "1,0.5,2", (2, 3, 5, 7)),
+    ("P2-mub-renyi", "3", "2,3,inf", (2, 3, 5, 7)),
+    ("P4-mub-sym", "4", "1,2,4", (2, 3, 5, 7)),
+    ("P9-mu-pair", "1.5", "1,1.5,3", (2, 3)),
+]
+SWEEP_CASES = [
+    (label, order, sweep, d, eta)
+    for label, order, sweep, dims in SWEEPS
+    for d in dims
+    for eta in ((None, "0.8") if label == "P1-mub-tsallis" else (None,))
+]
+
+
+@pytest.mark.parametrize("label, order, sweep, d, eta", SWEEP_CASES)
+def test_an_order_gives_the_same_rows_alone_and_in_a_sweep(tmp_path, label, order, sweep, d, eta):
+    # every order of a label reads the label's one block, drawn from stream (seed, di, pi, 0)
+    args = ["verify", "--dims", str(d), "--props", label, "--samples", "7", "--seed", "11"]
+    args += [] if eta is None else ["--eta", eta]
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    assert main(args + ["--alphas", order, "--out", str(one)]) == 0
+    assert main(args + ["--alphas", sweep, "--out", str(many)]) == 0
+    (key, lines), = _cells(one).items()
+    assert len(lines) == 7 and _cells(many)[key] == lines
+
+
+def test_every_order_of_a_label_reads_the_same_states():
+    # P1 and P4 share a group on the MUB set; each P9 order runs alone
+    labels = ["P1-mub-tsallis", "P4-mub-sym", "P9-mu-pair"]
+    alphas = [1.0, 1.5, 2.0]
+    config = cli.CampaignConfig(dims=[2, 3], props=labels, alphas=alphas, samples=9, seed=4)
+    purities = {}
+    for row in cli.run_campaign(config)[1]:
+        by_order = purities.setdefault((row["prop"], row["dim"]), {})
+        by_order.setdefault(row["alpha"], []).append(row["purity"])
+    assert len(purities) == 6
+    columns = []
+    for by_order in purities.values():
+        assert list(by_order) == ["1.0", "1.5", "2.0"]
+        first, *rest = by_order.values()
+        assert len(first) == 9 and all(column == first for column in rest)
+        columns.append(first)
+    # each (dim, label) has its own block
+    assert len({tuple(column) for column in columns}) == 6
+
+
+@pytest.mark.parametrize(
+    "props, alphas, calls",
+    [("P1-mub-tsallis", "0.5,1,2", 2), ("P1-mub-tsallis,P4-mub-sym", "1,2", 4)],
+)
+def test_one_stream_per_dim_and_label(monkeypatch, capsys, props, alphas, calls):
+    keys = []
+    original = cli.stream
+
+    def counted(seed, *ids):
+        keys.append(ids)
+        return original(seed, *ids)
+
+    monkeypatch.setattr(cli, "stream", counted)
+    argv = ["verify", "--dims", "5,7", "--props", props, "--alphas", alphas, "--samples", "3"]
+    assert main(argv + ["--out", ""]) == 0
+    assert "failed=0" in capsys.readouterr().out
+    assert len(keys) == calls and all(ids[2] == 0 for ids in keys)
+
+
+@pytest.mark.parametrize(
+    "label, alphas", [("P1-mub-tsallis", [0.5, 1.0, 2.0]), ("P2-mub-renyi", [2.0, 3.0, np.inf])]
+)
+def test_both_sides_fall_with_the_order_on_shared_states(label, alphas):
+    # Tsallis and Renyi entropies decrease in the order, and so do ln_a(1/C)
+    # and a/(2(a - 1)) ln(1/C); on one set of states each row must follow
+    config = cli.CampaignConfig(dims=[2, 3, 5, 7], props=[label], alphas=alphas, samples=40, seed=7)
+    sides = {}
+    for row in cli.run_campaign(config)[1]:
+        pair = float(row["lhs"]), float(row["rhs"])
+        sides.setdefault((row["dim"], row["sample"]), []).append(pair)
+    assert len(sides) == 160
+    for key, by_order in sides.items():
+        assert len(by_order) == 3
+        for (lhs, rhs), (next_lhs, next_rhs) in zip(by_order, by_order[1:]):
+            assert next_lhs <= lhs + 1e-12 and next_rhs <= rhs + 1e-12, key

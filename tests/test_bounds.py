@@ -50,6 +50,8 @@ from mubsic import (
 )
 from mubsic import bounds
 from mubsic.bounds import PROPOSITION_LABELS
+from mubsic.states import purity, state_slack
+from test_measurements import _FIDUCIALS
 
 # every call passes an efficiency outside [0, 1], and the message shows it as a float
 BAD_EFFICIENCIES = {
@@ -1072,3 +1074,152 @@ def test_saturated_at_maximally_mixed(d, label, order, data):
     meas = mub_construct(d, d + 1) if mubs else sic_from_fiducial(d)
     report = check_bound(meas, maximally_mixed(d), label, alpha=alpha)
     assert report.saturated and report.passed
+
+
+def _campaign_measurements(d):
+    """The MUB set and the SIC a campaign builds at d (the SIC from a test fiducial at d = 5, 7)."""
+    ket = None if d not in _FIDUCIALS else tuple(_FIDUCIALS[d] / np.linalg.norm(_FIDUCIALS[d]))
+    return {"mubs": mub_construct(d, d + 1), "sic": sic_from_fiducial(d, ket)}
+
+
+def _floor_state(d, eps, trace_error=0.0, seed=None):
+    """diag(1 + t + (d - 1) eps, -eps, ..., -eps), in a seeded random basis unless seed is None."""
+    lam = np.array([1.0 + trace_error + (d - 1) * eps] + [-eps] * (d - 1))
+    if seed is None:
+        return DensityMatrix(np.diag(lam).astype(complex))
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = (q * lam) @ q.conj().T
+    return DensityMatrix((m + m.conj().T) / 2)
+
+
+# orders of each range that the edge states are checked at
+STATISTICAL_ORDERS = {
+    "tsallis": (0.5, 1.0, 2.0),
+    "renyi": (2.0, 3.0, np.inf),
+    "symmetrized": (1.0, 2.0),
+    None: (None,),
+}
+
+
+class TestAcceptedStatesAreRead:
+    """Every state DensityMatrix accepts goes through every statistical label.
+
+    The validator lets eigenvalues down to -1e-10 and traces off 1 by 1e-12
+    through; :func:`states.state_slack` bounds what that does to outcome
+    probabilities and purities, and their readers allow exactly that.
+    """
+
+    @pytest.mark.parametrize("d", (2, 3, 5, 7))
+    @pytest.mark.parametrize("seed", (None, 1, 2), ids=("diagonal", "basis1", "basis2"))
+    def test_edge_states_give_reports_for_every_statistical_label(self, d, seed):
+        measurements = _campaign_measurements(d)
+        for trace_error in (0.0, 0.99e-12, -0.99e-12):
+            rho = _floor_state(d, 0.99e-10, trace_error, seed)
+            for label, entry in PROPOSITIONS.items():
+                if not entry.statistical:
+                    continue
+                meas = measurements["mubs" if entry.measurement == "mubs" else "sic"]
+                for alpha in STATISTICAL_ORDERS[entry.order]:
+                    for eta in (None, 0.8) if entry.efficiency else (None,):
+                        report = check_bound(meas, rho, label, alpha=alpha, eta=eta)
+                        assert isinstance(report, BoundReport) and np.isfinite(report.margin)
+
+    def test_the_reported_cases(self):
+        # the purity of this state at d = 7 is 1 + 1.19e-9, past the old 1e-9 slack
+        rho = _floor_state(7, 0.99e-10, seed=3)
+        assert 1.0 + 1e-9 < purity(rho) <= 1.0 + 2.0 * state_slack(7)
+        assert check_bound(mub_construct(7, 8), rho, "P2-mub-renyi", alpha=2).passed
+        # a basis outcome of -0.99e-10, past the old 1e-14 clamp
+        rho = _floor_state(3, 0.99e-10)
+        assert probabilities(mub_construct(3, 4), rho).p.min() == 0.0
+        check_bound(mub_construct(3, 4), rho, "LWBM-sum")
+        check_bound(sic_from_fiducial(3), rho, "P5-sic-ic")
+
+    @pytest.mark.parametrize("d", (2, 3, 5, 7))
+    def test_slack_covers_the_extreme_state(self, d):
+        s = state_slack(d)
+        lam = np.array([1.0 + 1e-12 + (d - 1) * 1e-10] + [-1e-10] * (d - 1))
+        assert lam.min() >= -s and (lam**2).sum() <= 1.0 + 2.0 * s * (1.0 + s)
+        assert bounds._check_purity(d, (lam**2).sum()) == 1.0
+        with pytest.raises(DomainError, match="outside"):
+            bounds._check_purity(d, 1.0 + 1e-9 + 2.0 * s * (1.0 + s) + 1e-12)
+
+    def test_given_probabilities_keep_the_strict_rule(self):
+        assert ProbDist([1.0, -1e-14]).p.tolist() == [1.0, 0.0]
+        with pytest.raises(DomainError, match="negative or undefined probability"):
+            ProbDist([1.0 + 1e-13, -1e-13])
+        with pytest.raises(DomainError, match="sum to 1 only within"):
+            ProbDist([0.5, 0.5 - 2e-12])
+        # the slack a state's outcomes get widens both rules by exactly its amount
+        assert ProbDist([1.0 + 1e-11, -1e-11], slack=1e-11).p.tolist() == [1.0 + 1e-11, 0.0]
+        with pytest.raises(DomainError, match="negative or undefined probability"):
+            ProbDist([1.0 + 2e-11, -2e-11], slack=1e-11)
+
+    def test_distorted_state_outcomes_stay_valid(self):
+        rho = _floor_state(5, 0.99e-10)
+        p = probabilities(mub_construct(5, 6), rho)
+        q = distort(p, 0.8)
+        assert q.p.shape == (6, 6) and not q.p.flags.writeable
+        want = np.concatenate([0.8 * p.p, np.full((6, 1), 1.0 - 0.8)], axis=-1)
+        assert q.p.tolist() == want.tolist()
+
+
+PURITY_GRID = 41
+
+
+class TestFormulaLimits:
+    """The bound formulas at known limits, with no state."""
+
+    DIMS = (2, 3, 5, 7)
+
+    @staticmethod
+    def _grid(d):
+        return np.linspace(1.0 / d, 1.0, PURITY_GRID)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_shannon_bound_of_pure_states(self, d):
+        # Wu, Yu & Molmer, PRA 79, 022104 (2009): ln(Md / (d + M - 1)), ln((d + 1)/2) at M = d + 1
+        for m in range(2, d + 2):
+            assert abs(mub_tsallis_bound(d, m, 1, 1) - np.log(m * d / (d + m - 1.0))) <= 1e-14
+        assert abs(mub_tsallis_bound(d, d + 1, 1, 1) - np.log((d + 1) / 2.0)) <= 1e-14
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_minentropy_bound_improves_the_renyi_limit(self, d):
+        for m in range(2, d + 2):
+            grid = self._grid(d)
+            assert np.all(mub_minentropy_bound(d, m, grid) >= mub_renyi_bound(d, m, np.inf, grid))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_every_state_dependent_rhs_is_nonincreasing_in_purity(self, d):
+        grid = self._grid(d)
+        columns = [sic_minentropy_bound(d, grid)]
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            columns.append(sic_tsallis_bound(d, alpha, grid))
+        for alpha in (2.0, 3.0, np.inf):
+            columns.append(sic_renyi_bound(d, alpha, grid))
+        for m in range(2, d + 2):
+            columns.append(mub_minentropy_bound(d, m, grid))
+            columns += [mub_tsallis_bound(d, m, alpha, grid) for alpha in (0.5, 1.0, 1.5, 2.0)]
+            columns += [mub_renyi_bound(d, m, alpha, grid) for alpha in (2.0, 3.0, np.inf)]
+        for rhs in columns:
+            assert np.all(np.diff(rhs) <= 0.0)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_collision_bounds_agree_at_order_two(self, d):
+        # R_2 = -ln(sum p^2) = -ln(1 - T_2), and both bounds are maps of one cap
+        grid = self._grid(d)
+        for m in range(2, d + 2):
+            tsallis_rhs = mub_tsallis_bound(d, m, 2.0, grid)
+            renyi_rhs = mub_renyi_bound(d, m, 2.0, grid)
+            assert np.max(np.abs(renyi_rhs + np.log1p(-tsallis_rhs))) <= 1e-14
+        tsallis_rhs = sic_tsallis_bound(d, 2.0, grid)
+        assert np.max(np.abs(sic_renyi_bound(d, 2.0, grid) + np.log1p(-tsallis_rhs))) <= 1e-14
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_tsallis_bound_is_continuous_at_order_one(self, d):
+        grid = self._grid(d)
+        for m in range(2, d + 2):
+            at_one = mub_tsallis_bound(d, m, 1.0, grid)
+            for alpha in (1.0 - 1e-8, 1.0 + 1e-8):
+                assert np.max(np.abs(mub_tsallis_bound(d, m, alpha, grid) - at_one)) <= 1e-7
