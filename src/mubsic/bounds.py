@@ -7,8 +7,10 @@ and wraps the comparison in a :class:`BoundReport`.  Every labelled check
 is one :class:`Proposition` entry in :data:`PROPOSITIONS`, whose evaluator
 reads the :class:`Inputs` it is given (outcome probabilities and purity,
 or the state itself) of a single state or a stack of states alike, so
-:func:`check_bound` and campaigns share it.  The implemented relations
-are labeled
+:func:`check_bound` and campaigns share it.  P1-P3 and P6-P8 are one
+evaluator: an entropy is at least the lemma map f(C) of its family at the
+cap C on its index of coincidence, as are the ``mub_*``/``sic_*`` bound
+functions.  The implemented relations are labeled
 
 * ``P1-mub-tsallis``  -- averaged Tsallis entropy over a MUB set,
   order in (0, 2], state-dependent via tr(rho^2), with a detector
@@ -50,6 +52,7 @@ from .entropy import (
     ProbDist,
     _entropy_fn,
     _first_outside,
+    _max_prob,
     _result,
     alpha_log,
     as_probabilities,
@@ -164,50 +167,48 @@ def _check_purity(d: int, value):
 # coincidence, and purity 1 gives the state-independent form.
 
 
-def _mub_cap(d, m, state_purity):
-    """C = (d tr(rho^2) + M - 1)/(M d), the cap on the MUB-averaged index of coincidence."""
+def _cap(d, m, state_purity):
+    """The cap C on an index of coincidence, at the purity tr(rho^2).
+
+    C = (d tr(rho^2) + M - 1)/(M d) on the average over m MUBs (LWBM-sum
+    over M), and C = (tr(rho^2) + 1)/(d(d+1)) for a SIC when m is None (P5).
+    """
     d = check_dimension(d)
-    m = check_integer(m, "basis count", 1)
+    if m is not None:
+        m = check_integer(m, "basis count", 1)
     p2 = _check_purity(d, state_purity)
-    return (d * p2 + m - 1.0) / (m * d)
+    return (p2 + 1.0) / (d * (d + 1.0)) if m is None else (d * p2 + m - 1.0) / (m * d)
 
 
-def _sic_cap(d, state_purity):
-    """C = (tr(rho^2) + 1)/(d(d+1)), the index of coincidence of any SIC (P5)."""
-    d = check_dimension(d)
-    p2 = _check_purity(d, state_purity)
-    return (p2 + 1.0) / (d * (d + 1.0))
+def _cap_bound(kind, alpha, d, m, state_purity):
+    """The lemma map f(C) at the cap C (:func:`_cap`): an entropy of family ``kind`` is >= f(C).
 
-
-def _renyi_from_cap(alpha, cap):
-    """alpha/(2(alpha-1)) ln(1/C), and ln(1/C)/2 at alpha = inf."""
-    factor = 0.5 if math.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
-    return _result(-factor * np.log(cap))
-
-
-def _with_inefficiency(base, alpha, eta):
-    """A clean Tsallis bound as is for eta None, else h_alpha(eta) + eta^alpha times it."""
-    return base if eta is None else binary_tsallis(eta, alpha) + float(eta) ** float(alpha) * base
+    f is ln_alpha(1/C) for "tsallis", alpha/(2(alpha-1)) ln(1/C) for "renyi"
+    (ln(1/C)/2 at alpha = inf), and for the min-entropy (kind None) -ln of
+    the largest outcome probability C allows.
+    """
+    cap = _cap(d, m, state_purity)
+    if kind == "tsallis":
+        return alpha_log(1.0 / cap, alpha)
+    if kind == "renyi":
+        factor = 0.5 if math.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
+        return _result(-factor * np.log(cap))
+    return _result(-np.log(max_prob_bound(d * d if m is None else d, cap)))
 
 
 def mub_tsallis_bound(d, m, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the MUB-averaged Tsallis entropy, order in (0, 2]."""
-    alpha = check_order(alpha, "tsallis")
-    return alpha_log(1.0 / _mub_cap(d, m, state_purity), alpha)
+    return _cap_bound("tsallis", check_order(alpha, "tsallis"), d, m, state_purity)
 
 
 def mub_renyi_bound(d, m, alpha, state_purity):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
-    alpha = check_order(alpha, "renyi")
-    return _renyi_from_cap(alpha, _mub_cap(d, m, state_purity))
+    return _cap_bound("renyi", check_order(alpha, "renyi"), d, m, state_purity)
 
 
 def mub_minentropy_bound(d, m, state_purity):
-    """Lower bound -ln(max p) on the MUB-averaged min-entropy, max p capped by C.
-
-    Improves the alpha = inf Renyi form.
-    """
-    return _result(-np.log(max_prob_bound(d, _mub_cap(d, m, state_purity))))
+    """Lower bound -ln(max p) on the MUB-averaged min-entropy, max p capped by C."""
+    return _cap_bound(None, None, d, m, state_purity)
 
 
 def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
@@ -220,19 +221,17 @@ def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
 
 def sic_tsallis_bound(d, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
-    alpha = check_order(alpha, "tsallis")
-    return alpha_log(1.0 / _sic_cap(d, state_purity), alpha)
+    return _cap_bound("tsallis", check_order(alpha, "tsallis"), d, None, state_purity)
 
 
 def sic_renyi_bound(d, alpha, state_purity):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
-    alpha = check_order(alpha, "renyi")
-    return _renyi_from_cap(alpha, _sic_cap(d, state_purity))
+    return _cap_bound("renyi", check_order(alpha, "renyi"), d, None, state_purity)
 
 
 def sic_minentropy_bound(d, state_purity):
     """Lower bound -ln(max p) on the min-entropy of a single SIC-POVM, max p capped by C."""
-    return _result(-np.log(max_prob_bound(int(d) ** 2, _sic_cap(d, state_purity))))
+    return _cap_bound(None, None, d, None, state_purity)
 
 
 def separable_bound(d, purity_a, purity_b):
@@ -242,7 +241,7 @@ def separable_bound(d, purity_a, purity_b):
     C the SIC index of coincidence of each party's marginal; both purities
     at 1 give the universal separable cap 2/(d(d+1)).
     """
-    return _result(np.sqrt(_sic_cap(d, purity_a) * _sic_cap(d, purity_b)))
+    return _result(np.sqrt(_cap(d, None, purity_a) * _cap(d, None, purity_b)))
 
 
 def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANCE) -> BoundReport:
@@ -362,7 +361,7 @@ class CheckArguments(NamedTuple):
     """The validated arguments of one labelled check (see :func:`check_arguments`)."""
 
     alpha: float | None = None
-    kind: str = "tsallis"
+    kind: str | None = None  # the entropy family the label reads; None for order-free labels
     eta: float | None = None
 
 
@@ -420,30 +419,30 @@ def inputs(which: str, meas, rho: DensityMatrix) -> Inputs:
     return Inputs(rho, p, purity(rho))
 
 
-def _distorted(p, eta):
-    """The outcome probabilities, with the no-click outcome appended when eta is given."""
-    return p if eta is None else distort(p, eta)
-
-
 def _average(values):
     """The mean over the last axis as sum / M: numpy's ``mean`` bit for bit, minus its overhead."""
     return values.sum(axis=-1) / values.shape[-1]
 
 
-def _p1(mubs, x, a):
-    base = mub_tsallis_bound(mubs.dim, mubs.shape[0], a.alpha, x.purity)
-    rhs = _with_inefficiency(base, a.alpha, a.eta)
-    return _average(tsallis(_distorted(x.p, a.eta), a.alpha)), rhs
+def _cap_chain(meas, x, a):
+    """P1-P3 and P6-P8: the entropy of the family ``a.kind`` against f(C) (:func:`_cap_bound`).
 
-
-def _p2(mubs, x, a):
-    lhs = _average(renyi(x.p, a.alpha))
-    return lhs, mub_renyi_bound(mubs.dim, mubs.shape[0], a.alpha, x.purity)
-
-
-def _p3(mubs, x, a):
-    lhs = _average(renyi(x.p, np.inf))
-    return lhs, mub_minentropy_bound(mubs.dim, mubs.shape[0], x.purity)
+    A MUB set's entropies are averaged over its bases.  The order-free
+    labels (kind None) read the min-entropy.  With an efficiency eta the
+    Tsallis entropy reads the no-click outcome too, against
+    h_alpha(eta) + eta^alpha f(C).
+    """
+    mubs = meas.kind == "mubs"
+    rhs = _cap_bound(a.kind, a.alpha, meas.dim, meas.shape[0] if mubs else None, x.purity)
+    p = x.p
+    if a.eta is not None:
+        p = distort(p, a.eta)
+        rhs = binary_tsallis(a.eta, a.alpha) + a.eta**a.alpha * rhs
+    if a.kind == "tsallis":
+        lhs = tsallis(p, a.alpha)
+    else:
+        lhs = renyi(p, np.inf if a.kind is None else a.alpha)
+    return (_average(lhs) if mubs else lhs), rhs
 
 
 def _p4(mubs, x, a):
@@ -452,20 +451,7 @@ def _p4(mubs, x, a):
 
 
 def _p5(sic, x, a):
-    return index_of_coincidence(x.p), _sic_cap(sic.dim, x.purity)
-
-
-def _p6(sic, x, a):
-    rhs = _with_inefficiency(sic_tsallis_bound(sic.dim, a.alpha, x.purity), a.alpha, a.eta)
-    return tsallis(_distorted(x.p, a.eta), a.alpha), rhs
-
-
-def _p7(sic, x, a):
-    return renyi(x.p, a.alpha), sic_renyi_bound(sic.dim, a.alpha, x.purity)
-
-
-def _p8(sic, x, a):
-    return renyi(x.p, np.inf), sic_minentropy_bound(sic.dim, x.purity)
+    return index_of_coincidence(x.p), _cap(sic.dim, None, x.purity)
 
 
 def _p9(pair, x, a):
@@ -481,11 +467,14 @@ def _p9(pair, x, a):
 
 def _lwbm(mubs, x, a):
     lhs = index_of_coincidence(x.p).sum(axis=-1)
-    return lhs, mubs.shape[0] * _mub_cap(mubs.dim, mubs.shape[0], x.purity)
+    return lhs, mubs.shape[0] * _cap(mubs.dim, mubs.shape[0], x.purity)
 
 
 def _apxa(meas, x, a):
-    return x.p.p.max(axis=-1), max_prob_bound(len(x.p), index_of_coincidence(x.p))
+    # an accepted state's clamped outcomes lie below 1 + s and sum to at most
+    # 1 + s (s = state_slack), so their index of coincidence reaches (1 + s)^2
+    high = (1.0 + state_slack(meas.dim)) ** 2
+    return x.p.p.max(axis=-1), _max_prob(len(x.p), index_of_coincidence(x.p), high)
 
 
 def _apxb(pair, x, a):
@@ -501,18 +490,18 @@ def _apxb(pair, x, a):
 
 def _ent_g(sic, x, a):
     g = entanglement.correlation_G(sic, x.rho)
-    return g, _sic_cap(sic.dim, 1.0)
+    return g, _cap(sic.dim, None, 1.0)
 
 
 PROPOSITIONS = {
-    "P1-mub-tsallis": Proposition("mubs", ">=", "tsallis", True, _p1),
-    "P2-mub-renyi": Proposition("mubs", ">=", "renyi", False, _p2),
-    "P3-mub-minent": Proposition("mubs", ">=", None, False, _p3),
+    "P1-mub-tsallis": Proposition("mubs", ">=", "tsallis", True, _cap_chain),
+    "P2-mub-renyi": Proposition("mubs", ">=", "renyi", False, _cap_chain),
+    "P3-mub-minent": Proposition("mubs", ">=", None, False, _cap_chain),
     "P4-mub-sym": Proposition("mubs", ">=", "symmetrized", False, _p4),
     "P5-sic-ic": Proposition("sic", "==", None, False, _p5),
-    "P6-sic-tsallis": Proposition("sic", ">=", "tsallis", True, _p6),
-    "P7-sic-renyi": Proposition("sic", ">=", "renyi", False, _p7),
-    "P8-sic-minent": Proposition("sic", ">=", None, False, _p8),
+    "P6-sic-tsallis": Proposition("sic", ">=", "tsallis", True, _cap_chain),
+    "P7-sic-renyi": Proposition("sic", ">=", "renyi", False, _cap_chain),
+    "P8-sic-minent": Proposition("sic", ">=", None, False, _cap_chain),
     "P9-mu-pair": Proposition("pair", ">=", "symmetrized", False, _p9),
     "LWBM-sum": Proposition("mubs", "<=", None, False, _lwbm),
     "APXA-max": Proposition("any", "<=", None, False, _apxa),
@@ -546,7 +535,9 @@ def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArgu
     label's range, an unknown entropy kind or a kind given to a label other
     than P4/P9 (None means "tsallis" there), or an efficiency outside
     [0, 1] or given to a label without the inefficiency model.  Order-free
-    labels ignore ``alpha``.
+    labels ignore ``alpha``.  The returned ``kind`` is the family the label
+    reads: the given one for P4/P9, its order range's for P1/P2/P6/P7
+    ("renyi" for P2/P7), and None for the order-free labels.
     """
     prop = check_label(which)
     if eta is not None:
@@ -560,7 +551,8 @@ def check_arguments(which: str, *, alpha=None, kind=None, eta=None) -> CheckArgu
     if alpha is None:
         raise DomainError(f"{which} needs an order alpha")
     alpha = check_order(alpha, prop.order)
-    kind = "tsallis" if kind is None else kind
+    if kind is None:
+        kind = "tsallis" if prop.order == "symmetrized" else prop.order
     _entropy_fn(kind)
     return CheckArguments(alpha, kind, eta)
 

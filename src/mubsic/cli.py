@@ -11,18 +11,18 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 unsupported
 or out-of-domain input, 3 I/O failure.  Campaigns with identical
 configuration and seed produce bitwise-identical reports.  A campaign
-validates its whole plan first, then evaluates each run of consecutive
-(dim, label, order) cells on one measurement as one stack of states.  Each
-(dim, label) draws one block of N states from its stream (seed, di, pi, 0),
-and every order of the label is checked on that block, so an order's rows
-are the same whether it runs alone or in a sweep.
+plans and validates every (dim, label) and its orders first, as runs of
+labels: consecutive labels that read only outcome statistics and purity on
+one measurement share a run, and every other label runs alone.  Each run is
+evaluated as one stack of states, one block of N per label from its stream
+(seed, di, pi, 0), and every order of the label is checked on that block,
+so an order's rows are the same whether it runs alone or in a sweep.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import operator
 import os
@@ -161,24 +161,26 @@ def _fiducial_ket(path: str | None) -> tuple | None:
     return tuple(vec.tolist())
 
 
-class _Cell(NamedTuple):
-    """One (dim, label, order) cell of a campaign, its stream key and measurement."""
+class _Label(NamedTuple):
+    """One (dim, label) of a campaign: its measurement, M column and validated orders."""
 
-    key: tuple  # (di, pi, ai): the cell's id; its states come from stream (seed, di, pi, 0)
+    di: int  # its states come from stream (seed, di, pi, 0)
+    pi: int
     d: int
     prop: str
-    args: bnd.CheckArguments  # the validated order and efficiency
     meas: object
     outcomes: int  # the M column
+    orders: list  # the bnd.CheckArguments of each order
 
 
-def _plan(config: CampaignConfig) -> list[_Cell]:
-    """Every cell of the campaign, with its measurement built and its orders checked.
+def _plan(config: CampaignConfig) -> list[list[_Label]]:
+    """The campaign's runs of labels, with every measurement built and every order checked.
 
-    Raises :class:`DomainError` when the campaign has no cell.
+    Raises :class:`DomainError` when the campaign has no label.
     """
     fiducial = _fiducial_ket(config.fiducial_path)
-    cells = []
+    runs = []
+    shared = None  # the measurement of an open run of statistical labels
     for di, d in enumerate(config.dims):
         # a fiducial file serves the one dimension it was written for
         ket = fiducial if fiducial is not None and len(fiducial) == d else None
@@ -193,47 +195,37 @@ def _plan(config: CampaignConfig) -> list[_Cell]:
                 meas = measurement("pair" if entry.measurement == "pair" else "sic", d, None, ket)
                 outcomes = d**4 if entry.measurement == "product" else d * d
             # with no orders, an order-dependent label gets None, which check_arguments rejects
-            for ai, alpha in enumerate((config.alphas or [None]) if entry.order else [None]):
-                args = bnd.check_arguments(prop, alpha=alpha, eta=eta)
-                cells.append(_Cell((di, pi, ai), d, prop, args, meas, outcomes))
-    if not cells:
+            alphas = (config.alphas or [None]) if entry.order else [None]
+            orders = [bnd.check_arguments(prop, alpha=alpha, eta=eta) for alpha in alphas]
+            label = _Label(di, pi, d, prop, meas, outcomes, orders)
+            if entry.statistical and meas is shared:
+                runs[-1].append(label)
+            else:
+                runs.append([label])
+            shared = meas if entry.statistical else None
+    if not runs:
         raise DomainError("campaign is empty: no (dim, proposition, order) cells to run")
-    return cells
+    return runs
 
 
-def _run_key(cell: _Cell):
-    """A statistical cell's measurement, which its run of cells shares; else the cell alone."""
-    return cell.meas if bnd.PROPOSITIONS[cell.prop].statistical else cell
+def _states(run: list[_Label], config: CampaignConfig):
+    """The stack of every sample of a run: one block of N states per label.
 
-
-def _labels(group) -> dict:
-    """Each distinct (di, pi) of a run of cells, in order, mapped to its block index."""
-    labels = {}
-    for c in group:
-        labels.setdefault(c.key[:2], len(labels))
-    return labels
-
-
-def _states(group, config: CampaignConfig):
-    """The stack of every sample of a run of cells: one block of N states per label.
-
-    The stream (seed, di, pi, 0) of each distinct (di, pi) of the run fills
-    its (N, K) block of one buffer with standard normals, and every order of
-    that label reads the block: row i holds all K numbers sample i needs, so
-    a row depends only on its (di, pi) and i.  Row layout: the Ginibre block
-    (2, d, d) of the state; for ENT-G, a second one for party B.  ENT-G cells
-    run alone; both parties are sampled as one stack of 2N states, A and B
-    of sample i at rows 2i and 2i + 1, in one :func:`random_mixed` call, and
-    the N products are validated as a second stack.
+    The stream (seed, di, pi, 0) of each label fills its (N, K) block of one
+    buffer with standard normals, and every order of the label reads the
+    block: row i holds all K numbers sample i needs, so a row depends only
+    on its (di, pi) and i.  Row layout: the Ginibre block (2, d, d) of the
+    state; for ENT-G, a second one for party B.  ENT-G labels run alone;
+    both parties are sampled as one stack of 2N states, A and B of sample i
+    at rows 2i and 2i + 1, in one :func:`random_mixed` call, and the N
+    products are validated as a second stack.
     """
-    cell = group[0]
-    d, n = cell.d, config.samples
-    labels = _labels(group)
-    product = bnd.PROPOSITIONS[cell.prop].measurement == "product"
-    draws = np.empty((len(labels) * n, 2 * d * d * (2 if product else 1)))
-    for (di, pi), k in labels.items():
-        stream(config.seed, di, pi, 0).standard_normal(out=draws[k * n : (k + 1) * n])
-    samples = np.arange(len(labels) * n) % n  # each block's sample index
+    d, n = run[0].d, config.samples
+    product = bnd.PROPOSITIONS[run[0].prop].measurement == "product"
+    draws = np.empty((len(run) * n, 2 * d * d * (2 if product else 1)))
+    for k, label in enumerate(run):
+        stream(config.seed, label.di, label.pi, 0).standard_normal(out=draws[k * n : (k + 1) * n])
+    samples = np.arange(len(run) * n) % n  # each block's sample index
     ranks = 1 + samples % d
     if product:  # party B of sample i at rank 1 + (i // d) mod d
         ranks = np.stack([ranks, 1 + (samples // d) % d], axis=-1).ravel()
@@ -244,34 +236,31 @@ def _states(group, config: CampaignConfig):
 
 
 def _results(config: CampaignConfig):
-    """Every cell of the plan as (cell, purity column, Columns), in plan order.
+    """Every (label, order) of the plan as (label, order, purity column, Columns), in plan order.
 
-    The whole plan is validated before the first draw.  Each maximal run of
-    consecutive cells with one :func:`_run_key` is one stack: one sampling,
-    validation, purity and probability pass over one block of N states per
-    label (:func:`_states`).  Every order of a label reads its label's block,
-    so a cell's results are bitwise those of its order run alone, and the
-    orders of a sweep are checked on the same states.
+    The whole plan is validated before the first draw.  Each run is one
+    stack: one sampling, validation, purity and probability pass over one
+    block of N states per label (:func:`_states`).  Every order of a label
+    reads its label's block, so an order's results are bitwise those of it
+    run alone, and the orders of a sweep are checked on the same states.
     """
     n = config.samples
-    for _, group in itertools.groupby(_plan(config), _run_key):
-        group = list(group)
-        labels = _labels(group)
-        x = bnd.inputs(group[0].prop, group[0].meas, _states(group, config))
+    for run in _plan(config):
+        x = bnd.inputs(run[0].prop, run[0].meas, _states(run, config))
         p2 = x.purity.tolist()
-        for cell in group:
-            k = labels[cell.key[:2]]
+        for k, label in enumerate(run):
             rows = slice(k * n, (k + 1) * n)
-            part = x if len(labels) == 1 else x.part(rows)
-            columns = bnd.evaluate(cell.prop, cell.meas, part, cell.args, config.tolerance)
-            yield cell, p2[rows], columns
+            part = x if len(run) == 1 else x.part(rows)
+            for order in label.orders:
+                columns = bnd.evaluate(label.prop, label.meas, part, order, config.tolerance)
+                yield label, order, p2[rows], columns
 
 
-def _rows(cell: _Cell, purities: list, columns: bnd.Columns, config: CampaignConfig):
-    """A cell's report rows, dicts keyed by CSV_COLUMNS, from its purities and Columns."""
-    prop, d, m, seed = cell.prop, cell.d, cell.outcomes, config.seed
-    alpha = "" if cell.args.alpha is None else repr(cell.args.alpha)
-    eta = "" if cell.args.eta is None else repr(cell.args.eta)
+def _rows(label: _Label, order, purities: list, columns: bnd.Columns, config: CampaignConfig):
+    """The report rows of a label's order, dicts keyed by CSV_COLUMNS, from purities and Columns."""
+    prop, d, m, seed = label.prop, label.d, label.outcomes, config.seed
+    alpha = "" if order.alpha is None else repr(order.alpha)
+    eta = "" if order.eta is None else repr(order.eta)
     lhs, rhs, margin, saturated, _ = columns
     return [
         {
@@ -307,10 +296,10 @@ def run_campaign(config: CampaignConfig):
     """
     reports = []
     rows = []
-    for cell, p2, columns in _results(config):
-        sense = bnd.PROPOSITIONS[cell.prop].sense
-        reports += bnd.reports(cell.prop, columns, config.tolerance, sense)
-        rows += _rows(cell, p2, columns, config)
+    for label, order, p2, columns in _results(config):
+        sense = bnd.PROPOSITIONS[label.prop].sense
+        reports += bnd.reports(label.prop, columns, config.tolerance, sense)
+        rows += _rows(label, order, p2, columns, config)
     return reports, rows
 
 
@@ -353,8 +342,8 @@ def cmd_verify(args) -> int:
     rows = []
     checks = n_failed = n_saturated = 0
     min_margin = None
-    for cell, p2, columns in _results(config):
-        rows += _rows(cell, p2, columns, config)
+    for label, order, p2, columns in _results(config):
+        rows += _rows(label, order, p2, columns, config)
         margin = columns.margin
         checks += len(margin)
         n_failed += columns.passed.count(False)

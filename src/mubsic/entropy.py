@@ -260,12 +260,17 @@ def max_prob_bound(n: int, b2):
     feasible; a 1e-12 slack absorbs rounding in computed coincidences.
     ``b2`` may be an array.
     """
+    return _max_prob(n, b2, 1.0 + 1e-12)
+
+
+def _max_prob(n, b2, high):
+    """:func:`max_prob_bound`, with sums of squares up to ``high`` feasible."""
     n = check_integer(n, "outcome count", 1)
     b2 = np.asarray(b2, dtype=float)
     if not b2.size:
         raise DomainError(f"empty sum-of-squares array, shape {b2.shape}")
-    if not (b2.min() >= 1.0 / n - 1e-12 and b2.max() <= 1.0 + 1e-12):
-        worst = _first_outside(b2, 1.0 / n - 1e-12, 1.0 + 1e-12)
+    if not (b2.min() >= 1.0 / n - 1e-12 and b2.max() <= high):
+        worst = _first_outside(b2, 1.0 / n - 1e-12, high)
         raise DomainError(f"sum of squares {worst!r} infeasible for n = {n}")
     radicand = np.maximum(n * b2 - 1.0, 0.0)
     return _result((1.0 + np.sqrt(n - 1.0) * np.sqrt(radicand)) / n)

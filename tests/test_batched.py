@@ -3,10 +3,11 @@
 Every labelled check evaluates a whole (N, d, d) stack of states at once.
 Its lhs must equal the public ``renyi``/``tsallis``/``symmetrized``/
 ``index_of_coincidence`` applied to each basis's ``probabilities`` of each
-state on its own, and a campaign row must depend only on its (dim, label),
-order and sample index, whether the cell runs alone, fused with its
-neighbours into one group, or at any place in an order sweep, whose
-orders all read the label's one block of states.
+state on its own, and the rhs of P1-P3 and P6-P8 must be the public bound
+function at the state's purity.  A campaign row must depend only on its
+(dim, label), order and sample index, whether the label runs alone, in a
+run of labels on one measurement, or at any place in an order sweep,
+whose orders all read the label's one block of states.
 """
 
 import csv
@@ -20,6 +21,7 @@ from test_measurements import _FIDUCIALS
 from mubsic import (
     DensityMatrix,
     DomainError,
+    binary_tsallis,
     check_bound,
     conjugate_order,
     correlation_G,
@@ -27,11 +29,17 @@ from mubsic import (
     index_of_coincidence,
     kron,
     mub_construct,
+    mub_minentropy_bound,
+    mub_renyi_bound,
+    mub_tsallis_bound,
     probabilities,
     purity,
     random_mixed,
     renyi,
     sic_from_fiducial,
+    sic_minentropy_bound,
+    sic_renyi_bound,
+    sic_tsallis_bound,
     stream,
     symmetrized,
     tsallis,
@@ -65,8 +73,14 @@ def _bases(mubs):
     return [orthonormal_basis(b) for b in mubs.kets.reshape(mubs.shape + (mubs.dim,))]
 
 
+def _sic(d):
+    """The builtin SIC at d = 2, 3, and the SIC of a test fiducial at d = 5, 7."""
+    ket = _FIDUCIALS.get(d)
+    return sic_from_fiducial(d, None if ket is None else tuple(ket / np.linalg.norm(ket)))
+
+
 def _pair(d):
-    sic = sic_from_fiducial(d)
+    sic = _sic(d)
     return sic, sic_povm(sic.kets @ _fixed_rotation(d).T)
 
 
@@ -76,7 +90,20 @@ def _assert_lhs(reports, expected):
         assert abs(report.lhs - want) <= AGREEMENT, (report, want)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _assert_rhs(reports, stack, bound, *args, eta=None):
+    """Each state's rhs is the public bound function at its purity, bit for bit.
+
+    With an efficiency eta it is h_alpha(eta) + eta^alpha times that, alpha
+    the first of ``args``.
+    """
+    for report, p2 in zip(reports, purity(stack), strict=True):
+        want = bound(*args, p2)
+        if eta is not None:
+            want = binary_tsallis(eta, args[0]) + eta ** args[0] * want
+        assert report.rhs == want, (report, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 class TestBatchedMatchesScalar:
     def test_zero_probabilities_are_present(self, d):
         ket0 = _singles(d, 1)[-1]
@@ -86,7 +113,7 @@ class TestBatchedMatchesScalar:
     @pytest.mark.parametrize("eta", [None, 0.8])
     def test_p1_and_p6(self, d, alpha, eta):
         singles = _singles(d, 2)
-        mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+        mubs, sic = mub_construct(d, d + 1), _sic(d)
 
         def stats(p):
             return p if eta is None else distort(p, eta)
@@ -95,23 +122,35 @@ class TestBatchedMatchesScalar:
         bases = _bases(mubs)
         want = [np.mean([tsallis(stats(probabilities(b, r)), alpha) for b in bases])
                 for r in singles]
-        _assert_lhs(check_bound(mubs, stack, "P1-mub-tsallis", alpha=alpha, eta=eta), want)
+        reports = check_bound(mubs, stack, "P1-mub-tsallis", alpha=alpha, eta=eta)
+        _assert_lhs(reports, want)
+        _assert_rhs(reports, stack, lambda *a: mub_tsallis_bound(d, d + 1, *a), alpha, eta=eta)
         want = [tsallis(stats(probabilities(sic, r)), alpha) for r in singles]
-        _assert_lhs(check_bound(sic, stack, "P6-sic-tsallis", alpha=alpha, eta=eta), want)
+        reports = check_bound(sic, stack, "P6-sic-tsallis", alpha=alpha, eta=eta)
+        _assert_lhs(reports, want)
+        _assert_rhs(reports, stack, lambda *a: sic_tsallis_bound(d, *a), alpha, eta=eta)
 
     @pytest.mark.parametrize("alpha", RENYI_ORDERS)
     def test_p2_p3_p7_p8(self, d, alpha):
         singles = _singles(d, 3)
-        mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+        mubs, sic = mub_construct(d, d + 1), _sic(d)
         stack, bases = _stack(singles), _bases(mubs)
         want = [np.mean([renyi(probabilities(b, r), alpha) for b in bases]) for r in singles]
-        _assert_lhs(check_bound(mubs, stack, "P2-mub-renyi", alpha=alpha), want)
+        reports = check_bound(mubs, stack, "P2-mub-renyi", alpha=alpha)
+        _assert_lhs(reports, want)
+        _assert_rhs(reports, stack, mub_renyi_bound, d, d + 1, alpha)
         want = [renyi(probabilities(sic, r), alpha) for r in singles]
-        _assert_lhs(check_bound(sic, stack, "P7-sic-renyi", alpha=alpha), want)
+        reports = check_bound(sic, stack, "P7-sic-renyi", alpha=alpha)
+        _assert_lhs(reports, want)
+        _assert_rhs(reports, stack, sic_renyi_bound, d, alpha)
         want = [np.mean([renyi(probabilities(b, r), np.inf) for b in bases]) for r in singles]
-        _assert_lhs(check_bound(mubs, stack, "P3-mub-minent"), want)
+        reports = check_bound(mubs, stack, "P3-mub-minent")
+        _assert_lhs(reports, want)
+        _assert_rhs(reports, stack, mub_minentropy_bound, d, d + 1)
         want = [renyi(probabilities(sic, r), np.inf) for r in singles]
-        _assert_lhs(check_bound(sic, stack, "P8-sic-minent"), want)
+        reports = check_bound(sic, stack, "P8-sic-minent")
+        _assert_lhs(reports, want)
+        _assert_rhs(reports, stack, sic_minentropy_bound, d)
 
     @pytest.mark.parametrize("alpha", SYM_ORDERS)
     @pytest.mark.parametrize("kind", ["tsallis", "renyi"])
@@ -134,7 +173,7 @@ class TestBatchedMatchesScalar:
 
     def test_coincidences_and_max_probability(self, d):
         singles = _singles(d, 5)
-        mubs, sic = mub_construct(d, d + 1), sic_from_fiducial(d)
+        mubs, sic = mub_construct(d, d + 1), _sic(d)
         stack = _stack(singles)
         want = [index_of_coincidence(probabilities(sic, r)) for r in singles]
         _assert_lhs(check_bound(sic, stack, "P5-sic-ic"), want)
@@ -154,7 +193,7 @@ class TestBatchedMatchesScalar:
             assert abs(report.rhs - single.rhs) <= AGREEMENT
 
     def test_entanglement_on_product_stack(self, d):
-        sic = sic_from_fiducial(d)
+        sic = _sic(d)
         a, b = _singles(d, 7), _singles(d, 8)[::-1]
         stack = DensityMatrix(kron(np.stack([r.mat for r in a]), np.stack([r.mat for r in b])))
         want = [
@@ -365,10 +404,17 @@ def test_every_order_of_a_label_reads_the_same_states():
 
 
 @pytest.mark.parametrize(
-    "props, alphas, calls",
-    [("P1-mub-tsallis", "0.5,1,2", 2), ("P1-mub-tsallis,P4-mub-sym", "1,2", 4)],
+    "dims, props, alphas, calls",
+    [
+        ("5,7", "P1-mub-tsallis", "0.5,1,2", 2),
+        ("5,7", "P1-mub-tsallis,P4-mub-sym", "1,2", 4),
+        # a pair label runs alone, with one block for all its orders
+        ("2,3", "P9-mu-pair", "1,1.5,3", 2),
+    ],
 )
-def test_one_stream_per_dim_and_label(monkeypatch, capsys, props, alphas, calls):
+def test_one_stream_per_dim_and_label(monkeypatch, capsys, dims, props, alphas, calls):
+    for d in (2, 3):  # the pairs' fixed rotations are drawn once per process, before counting
+        cli.measurement("pair", d, None, None)
     keys = []
     original = cli.stream
 
@@ -377,7 +423,7 @@ def test_one_stream_per_dim_and_label(monkeypatch, capsys, props, alphas, calls)
         return original(seed, *ids)
 
     monkeypatch.setattr(cli, "stream", counted)
-    argv = ["verify", "--dims", "5,7", "--props", props, "--alphas", alphas, "--samples", "3"]
+    argv = ["verify", "--dims", dims, "--props", props, "--alphas", alphas, "--samples", "3"]
     assert main(argv + ["--out", ""]) == 0
     assert "failed=0" in capsys.readouterr().out
     assert len(keys) == calls and all(ids[2] == 0 for ids in keys)

@@ -412,7 +412,7 @@ SIC_BOUNDS = {
 }
 
 
-@pytest.mark.parametrize("d", (0, 1, -2, 2.5))
+@pytest.mark.parametrize("d", (0, 1, -2, 2.5, None, np.nan, [2]))
 @pytest.mark.parametrize("bound", SIC_BOUNDS)
 def test_sic_bounds_reject_dimension_below_two(bound, d):
     with pytest.raises(DomainError):
@@ -1114,6 +1114,7 @@ class TestAcceptedStatesAreRead:
     @pytest.mark.parametrize("seed", (None, 1, 2), ids=("diagonal", "basis1", "basis2"))
     def test_edge_states_give_reports_for_every_statistical_label(self, d, seed):
         measurements = _campaign_measurements(d)
+        basis = orthonormal_basis(np.eye(d))
         for trace_error in (0.0, 0.99e-12, -0.99e-12):
             rho = _floor_state(d, 0.99e-10, trace_error, seed)
             for label, entry in PROPOSITIONS.items():
@@ -1124,6 +1125,10 @@ class TestAcceptedStatesAreRead:
                     for eta in (None, 0.8) if entry.efficiency else (None,):
                         report = check_bound(meas, rho, label, alpha=alpha, eta=eta)
                         assert isinstance(report, BoundReport) and np.isfinite(report.margin)
+            # a basis, and the same basis as a POVM, can give a clamped index above 1
+            for meas in (basis, povm(_elements(basis))):
+                report = check_bound(meas, rho, "APXA-max")
+                assert report.passed and np.isfinite(report.margin)
 
     def test_the_reported_cases(self):
         # the purity of this state at d = 7 is 1 + 1.19e-9, past the old 1e-9 slack

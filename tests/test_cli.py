@@ -554,7 +554,7 @@ class TestRepeatedCampaign:
     def test_ent_g_parties_sampled_as_one_stack(self, monkeypatch, d):
         n, seed = 2 * d + 1, 13
         config = cli.CampaignConfig(dims=[d], props=["ENT-G"], alphas=[], samples=n, seed=seed)
-        (cell,) = cli._plan(config)
+        [run] = cli._plan(config)
         validations = []
         for module in (cli, states):
             original = module.DensityMatrix
@@ -564,12 +564,12 @@ class TestRepeatedCampaign:
                 return _original(mat)
 
             monkeypatch.setattr(module, "DensityMatrix", counted)
-        rho = cli._states([cell], config)
+        rho = cli._states(run, config)
         # one validation of the 2N party states and one of the N products
         assert validations == [(2 * n, d, d), (n, d * d, d * d)]
         monkeypatch.undo()
         # the product of two separate samplers on the same normals, bit for bit
-        draws = states.stream(seed, *cell.key).standard_normal((n, 4 * d * d))
+        draws = states.stream(seed, 0, 0, 0).standard_normal((n, 4 * d * d))
         i = np.arange(n)
         a = random_mixed(d, 1 + i % d, normals=draws[:, : 2 * d * d].reshape(n, 2, d, d))
         b = random_mixed(d, 1 + (i // d) % d, normals=draws[:, 2 * d * d :].reshape(n, 2, d, d))
