@@ -61,7 +61,7 @@ from .entropy import (
     check_order,
     conjugate_order,
     index_of_coincidence,
-    max_prob_bound,
+    max_prob_bound,  # noqa: F401  (bench/tracer.py times the calls of bounds.max_prob_bound)
     renyi,
     symmetrized,
     tsallis,
@@ -145,22 +145,35 @@ def reports(label: str, columns: Columns, tolerance: float, sense: str) -> list[
     ]
 
 
-def _check_purity(d: int, value):
-    """Purities in [1/d, 1], clamped to it; 1e-9 of slack for rounding, more above 1.
+def _high(d: int) -> float:
+    """The most a purity or an index of coincidence read off an accepted d x d state may reach.
 
-    Above 1 it also allows the purity 1 + 2s(1 + s) that a state the
-    validator accepts can reach, s = :func:`states.state_slack`.
+    1 + 1e-9 + 2s(1 + s), s = :func:`states.state_slack`: a state the
+    validator accepts has purity at most 1 + 2s(1 + s), its clamped
+    outcomes' index of coincidence at most (1 + s)^2, below it, and 1e-9
+    absorbs rounding in either.
+    """
+    s = state_slack(d)
+    return 1.0 + 1e-9 + 2.0 * s * (1.0 + s)
+
+
+def _check_purity(d: int, value):
+    """Purities in [1/d, :func:`_high`], 1e-9 of slack below; those below 1/d are raised to it.
+
+    Above 1 a purity is read as it is, so a bound reads the same state as
+    the outcomes it is compared with: at alpha = 2 on a complete MUB set or
+    a SIC the relations are identities, and a clamp to 1 would show the
+    state's excess purity as a margin.
     """
     value = np.asarray(value, dtype=float)
     if not value.size:
         raise DomainError(f"empty purity array, shape {value.shape}")
     lo = 1.0 / d
-    s = state_slack(d)
-    hi = 1.0 + 1e-9 + 2.0 * s * (1.0 + s)
+    hi = _high(d)
     if not (value.min() >= lo - 1e-9 and value.max() <= hi):
         worst = _first_outside(value, lo - 1e-9, hi)
         raise DomainError(f"purity {worst!r} outside [{lo}, 1] for dimension {d}")
-    return np.minimum(np.maximum(value, lo), 1.0)
+    return np.maximum(value, lo)
 
 
 # Every state-dependent bound is a map of a cap C on an index of
@@ -193,7 +206,7 @@ def _cap_bound(kind, alpha, d, m, state_purity):
     if kind == "renyi":
         factor = 0.5 if math.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
         return _result(-factor * np.log(cap))
-    return _result(-np.log(max_prob_bound(d * d if m is None else d, cap)))
+    return _result(-np.log(_max_prob(d * d if m is None else d, cap, _high(d))))
 
 
 def mub_tsallis_bound(d, m, alpha, state_purity):
@@ -446,6 +459,9 @@ def _cap_chain(meas, x, a):
 
 
 def _p4(mubs, x, a):
+    """Half of ln_alpha d, the Maassen-Uffink pair bound averaged over pairs: two bases or more."""
+    if mubs.shape[0] < 2:
+        raise DomainError(f"P4-mub-sym needs at least two bases, got {mubs.shape[0]}")
     lhs = _average(symmetrized(x.p, a.alpha, a.kind))
     return lhs, mub_symmetrized_bound(mubs.dim, a.alpha, a.kind)
 
@@ -471,10 +487,8 @@ def _lwbm(mubs, x, a):
 
 
 def _apxa(meas, x, a):
-    # an accepted state's clamped outcomes lie below 1 + s and sum to at most
-    # 1 + s (s = state_slack), so their index of coincidence reaches (1 + s)^2
-    high = (1.0 + state_slack(meas.dim)) ** 2
-    return x.p.p.max(axis=-1), _max_prob(len(x.p), index_of_coincidence(x.p), high)
+    """max p against the most its index of coincidence allows; the index may reach :func:`_high`."""
+    return x.p.p.max(axis=-1), _max_prob(len(x.p), index_of_coincidence(x.p), _high(meas.dim))
 
 
 def _apxb(pair, x, a):
@@ -607,11 +621,15 @@ def evaluate(which: str, meas, x: Inputs, args: CheckArguments, tolerance: float
     return _columns(lhs, rhs, tolerance, prop.sense)
 
 
-def detect_entanglement(sic: Measurement, rho: DensityMatrix, tolerance: float = 1e-12):
+def detect_entanglement(sic: Measurement, rho: DensityMatrix, tolerance=DEFAULT_TOLERANCE):
     """Flag a bipartite state as entangled when G exceeds the universal cap (ENT-G).
 
     The cap 2/(d(d+1)) is purity-independent, since G alone does not show
     the marginals.  True is sufficient for entanglement; False is inconclusive.
+    The default tolerance is the campaigns' pass threshold: a product of two
+    accepted states, each of purity up to 1 + 2s(1 + s) (s =
+    :func:`states.state_slack`), can exceed the cap by 2s(1 + s)/(d(d+1)),
+    under 3.5e-11 for every d.
     Returns the flag and the :class:`BoundReport` for a single state, and
     the list of flags and the list of reports, in stack order, for a stack.
     """

@@ -742,6 +742,17 @@ class TestCheckBound:
         assert rep.rhs == pytest.approx(0.5 * alpha_log(2.0, 2.0), abs=1e-14)
         assert rep.lhs == pytest.approx(0.5 * np.mean(pairs), abs=1e-13)
 
+    def test_p4_needs_two_bases(self):
+        # half of ln_alpha d averages a pair bound; one basis state has entropy 0
+        bases = _bases(mub_construct(3, 4))
+        ket0 = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(DomainError, match="at least two bases"):
+            check_bound(mub_set(bases[:1]), ket0, "P4-mub-sym", alpha=1)
+        rho = random_mixed(3, 2, 9)
+        for alpha in (1.0, 2.0):
+            rep = check_bound(mub_set(bases[:2]), rho, "P4-mub-sym", alpha=alpha)
+            assert rep.passed and rep.rhs == mub_symmetrized_bound(3, alpha)
+
     def test_apxa_label_uses_coincidence_cap(self):
         sic = sic_from_fiducial(2)
         rho = random_mixed(2, 2, 17)
@@ -1107,13 +1118,19 @@ class TestAcceptedStatesAreRead:
 
     The validator lets eigenvalues down to -1e-10 and traces off 1 by 1e-12
     through; :func:`states.state_slack` bounds what that does to outcome
-    probabilities and purities, and their readers allow exactly that.
+    probabilities and purities, and their readers allow exactly that.  The
+    bounds read the purity as it is, so at alpha = 2 the identities of a
+    complete MUB set and of a SIC hold on these states to rounding.
     """
 
     @pytest.mark.parametrize("d", (2, 3, 5, 7))
     @pytest.mark.parametrize("seed", (None, 1, 2), ids=("diagonal", "basis1", "basis2"))
     def test_edge_states_give_reports_for_every_statistical_label(self, d, seed):
         measurements = _campaign_measurements(d)
+        bases = _bases(measurements["mubs"])
+        # P1-P3 and LWBM-sum on incomplete sets too; P4 needs two bases and is
+        # tight at a basis state, so it is read on the complete set only
+        subsets = [mub_set(bases[:m]) for m in (1, 2)]
         basis = orthonormal_basis(np.eye(d))
         for trace_error in (0.0, 0.99e-12, -0.99e-12):
             rho = _floor_state(d, 0.99e-10, trace_error, seed)
@@ -1121,14 +1138,25 @@ class TestAcceptedStatesAreRead:
                 if not entry.statistical:
                     continue
                 meas = measurements["mubs" if entry.measurement == "mubs" else "sic"]
+                incomplete = entry.measurement == "mubs" and entry.order != "symmetrized"
                 for alpha in STATISTICAL_ORDERS[entry.order]:
                     for eta in (None, 0.8) if entry.efficiency else (None,):
-                        report = check_bound(meas, rho, label, alpha=alpha, eta=eta)
-                        assert isinstance(report, BoundReport) and np.isfinite(report.margin)
+                        for each in [meas, *subsets] if incomplete else [meas]:
+                            report = check_bound(each, rho, label, alpha=alpha, eta=eta)
+                            assert report.passed, (label, each.shape, alpha, eta, report)
             # a basis, and the same basis as a POVM, can give a clamped index above 1
             for meas in (basis, povm(_elements(basis))):
                 report = check_bound(meas, rho, "APXA-max")
                 assert report.passed and np.isfinite(report.margin)
+
+    @pytest.mark.parametrize("d", (2, 3, 5, 7))
+    def test_products_of_edge_states_are_not_flagged(self, d):
+        # each party's purity reaches 1 + 2s(1 + s), so G can pass the cap by 3.5e-11
+        sic = _campaign_measurements(d)["sic"]
+        for seed in (None, 1, 2):
+            rho = _floor_state(d, 0.99e-10, 0.0, seed).mat
+            flag, report = detect_entanglement(sic, DensityMatrix(np.kron(rho, rho.conj())))
+            assert not flag and report.passed, report
 
     def test_the_reported_cases(self):
         # the purity of this state at d = 7 is 1 + 1.19e-9, past the old 1e-9 slack
@@ -1146,7 +1174,8 @@ class TestAcceptedStatesAreRead:
         s = state_slack(d)
         lam = np.array([1.0 + 1e-12 + (d - 1) * 1e-10] + [-1e-10] * (d - 1))
         assert lam.min() >= -s and (lam**2).sum() <= 1.0 + 2.0 * s * (1.0 + s)
-        assert bounds._check_purity(d, (lam**2).sum()) == 1.0
+        # read as it is, above 1 too
+        assert bounds._check_purity(d, (lam**2).sum()) == (lam**2).sum() > 1.0
         with pytest.raises(DomainError, match="outside"):
             bounds._check_purity(d, 1.0 + 1e-9 + 2.0 * s * (1.0 + s) + 1e-12)
 

@@ -754,6 +754,22 @@ def test_report_writer_matches_stdlib_writers(fmt, tmp_path):
     assert flipped["margin"] in text and "-0.0" in text
 
 
+# the labels that are identities in the reference campaign: P1, P6 and P7 at alpha = 2 on a
+# complete MUB set or a SIC, P5, LWBM-sum at M = d + 1, and APXB's operator norm 1
+IDENTITY_LABELS = (
+    "P1-mub-tsallis", "P5-sic-ic", "P6-sic-tsallis", "P7-sic-renyi", "LWBM-sum", "APXB-riesz"
+)
+
+
+def test_identity_rows_of_the_reference_campaign_stay_at_rounding():
+    # the rows sit at 4.4e-15; a cap shifted by 1e-12 passes the 1e-10 pass rule but not this
+    labels = list(cli.bnd.PROPOSITION_LABELS)
+    config = cli.CampaignConfig(dims=[2, 3], props=labels, alphas=[2.0], samples=200, seed=7)
+    rows = [r for r in cli.run_campaign(config)[1] if r["prop"] in IDENTITY_LABELS]
+    assert len(rows) == 2400 and {r["saturated"] for r in rows} == {"true"}
+    assert max(abs(float(r["margin"])) for r in rows) <= 1e-13
+
+
 def _console(args, cwd):
     """The ``mubsic`` console entry run in a fresh interpreter, with its real stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
