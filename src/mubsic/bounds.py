@@ -9,8 +9,10 @@ reads the :class:`Inputs` it is given (outcome probabilities and purity,
 or the state itself) of a single state or a stack of states alike, so
 :func:`check_bound` and campaigns share it.  P1-P3 and P6-P8 are one
 evaluator: an entropy is at least the lemma map f(C) of its family at the
-cap C on its index of coincidence, as are the ``mub_*``/``sic_*`` bound
-functions.  The implemented relations are labeled
+cap C on its index of coincidence, and the ``mub_*``/``sic_*`` bound
+functions call the same two functions, :func:`_cap` and :func:`_lemma`.
+:class:`Inputs` carries C, so every order of a label reads one C.  The
+implemented relations are labeled
 
 * ``P1-mub-tsallis``  -- averaged Tsallis entropy over a MUB set,
   order in (0, 2], state-dependent via tr(rho^2), with a detector
@@ -117,7 +119,10 @@ class Columns(NamedTuple):
 
     ``margin`` is lhs - rhs; ``saturated`` and ``passed`` apply the pass
     rule of the label's sense at the tolerance.  :func:`reports` turns them
-    into :class:`BoundReport` objects.
+    into :class:`BoundReport` objects.  A rhs that does not depend on the
+    state is one float object repeated, so a reader can tell it by
+    ``rhs[0] is rhs[-1]``: the floats of an array's ``tolist`` are distinct
+    objects.
     """
 
     lhs: list
@@ -193,14 +198,14 @@ def _cap(d, m, state_purity):
     return (p2 + 1.0) / (d * (d + 1.0)) if m is None else (d * p2 + m - 1.0) / (m * d)
 
 
-def _cap_bound(kind, alpha, d, m, state_purity):
+def _lemma(kind, alpha, d, m, cap):
     """The lemma map f(C) at the cap C (:func:`_cap`): an entropy of family ``kind`` is >= f(C).
 
     f is ln_alpha(1/C) for "tsallis", alpha/(2(alpha-1)) ln(1/C) for "renyi"
     (ln(1/C)/2 at alpha = inf), and for the min-entropy (kind None) -ln of
-    the largest outcome probability C allows.
+    the largest outcome probability C allows, among d outcomes of a basis
+    (m MUBs) or d^2 of a SIC (m None).
     """
-    cap = _cap(d, m, state_purity)
     if kind == "tsallis":
         return alpha_log(1.0 / cap, alpha)
     if kind == "renyi":
@@ -211,17 +216,17 @@ def _cap_bound(kind, alpha, d, m, state_purity):
 
 def mub_tsallis_bound(d, m, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the MUB-averaged Tsallis entropy, order in (0, 2]."""
-    return _cap_bound("tsallis", check_order(alpha, "tsallis"), d, m, state_purity)
+    return _lemma("tsallis", check_order(alpha, "tsallis"), d, m, _cap(d, m, state_purity))
 
 
 def mub_renyi_bound(d, m, alpha, state_purity):
     """Lower bound on the MUB-averaged Renyi entropy, order in [2, inf]."""
-    return _cap_bound("renyi", check_order(alpha, "renyi"), d, m, state_purity)
+    return _lemma("renyi", check_order(alpha, "renyi"), d, m, _cap(d, m, state_purity))
 
 
 def mub_minentropy_bound(d, m, state_purity):
     """Lower bound -ln(max p) on the MUB-averaged min-entropy, max p capped by C."""
-    return _cap_bound(None, None, d, m, state_purity)
+    return _lemma(None, None, d, m, _cap(d, m, state_purity))
 
 
 def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
@@ -234,17 +239,17 @@ def mub_symmetrized_bound(d, alpha, kind: str = "tsallis") -> float:
 
 def sic_tsallis_bound(d, alpha, state_purity):
     """Lower bound ln_alpha(1/C) on the Tsallis entropy of a single SIC-POVM, order in (0, 2]."""
-    return _cap_bound("tsallis", check_order(alpha, "tsallis"), d, None, state_purity)
+    return _lemma("tsallis", check_order(alpha, "tsallis"), d, None, _cap(d, None, state_purity))
 
 
 def sic_renyi_bound(d, alpha, state_purity):
     """Lower bound on the Renyi entropy of a single SIC-POVM, order in [2, inf]."""
-    return _cap_bound("renyi", check_order(alpha, "renyi"), d, None, state_purity)
+    return _lemma("renyi", check_order(alpha, "renyi"), d, None, _cap(d, None, state_purity))
 
 
 def sic_minentropy_bound(d, state_purity):
     """Lower bound -ln(max p) on the min-entropy of a single SIC-POVM, max p capped by C."""
-    return _cap_bound(None, None, d, None, state_purity)
+    return _lemma(None, None, d, None, _cap(d, None, state_purity))
 
 
 def separable_bound(d, purity_a, purity_b):
@@ -411,25 +416,40 @@ class Inputs(NamedTuple):
     ``p`` is the label's measurement's :class:`ProbDist` for a
     :attr:`Proposition.statistical` label and None for the pair and
     product labels, which read ``rho`` itself; ``purity`` is tr(rho^2).
-    :func:`inputs` builds them for one state or stack; a campaign builds
-    them once for a run of cells on one measurement and gives each cell
-    its :meth:`part`.
+    ``cap`` is :func:`_cap` of the MUB set or SIC at the purity for the
+    labels that read it (P1-P3, P5-P8, LWBM), taken and checked once for
+    all their orders, and None otherwise.  :func:`inputs` builds them for
+    one state or stack; a campaign builds them once for a run of cells on
+    one measurement and gives each cell its :meth:`part`.
     """
 
     rho: DensityMatrix
     p: ProbDist | None
     purity: float | np.ndarray
+    cap: float | np.ndarray | None
 
     def part(self, rows: slice) -> Inputs:
         """The inputs of the states ``rows`` of a stack."""
         p = None if self.p is None else self.p[rows]
-        return Inputs(self.rho[rows], p, self.purity[rows])
+        cap = None if self.cap is None else self.cap[rows]
+        return Inputs(self.rho[rows], p, self.purity[rows], cap)
 
 
-def inputs(which: str, meas, rho: DensityMatrix) -> Inputs:
-    """The :class:`Inputs` of a labelled check: its outcome probabilities and the purity."""
-    p = probabilities(meas, rho) if PROPOSITIONS[which].statistical else None
-    return Inputs(rho, p, purity(rho))
+def inputs(which, meas, rho: DensityMatrix) -> Inputs:
+    """The :class:`Inputs` of a labelled check: its outcome probabilities, the purity and the cap.
+
+    ``which`` is a label, or the labels of a campaign run, which share one
+    measurement; the cap is taken when one of them reads it.
+    """
+    labels = (which,) if isinstance(which, str) else which
+    if not PROPOSITIONS[labels[0]].statistical:
+        return Inputs(rho, None, purity(rho), None)
+    p = probabilities(meas, rho)
+    p2 = purity(rho)
+    cap = None
+    if not _CAP_READERS.isdisjoint(labels):
+        cap = _cap(meas.dim, meas.shape[0] if meas.kind == "mubs" else None, p2)
+    return Inputs(rho, p, p2, cap)
 
 
 def _average(values):
@@ -438,7 +458,7 @@ def _average(values):
 
 
 def _cap_chain(meas, x, a):
-    """P1-P3 and P6-P8: the entropy of the family ``a.kind`` against f(C) (:func:`_cap_bound`).
+    """P1-P3 and P6-P8: the entropy of the family ``a.kind`` against f(C) (:func:`_lemma`).
 
     A MUB set's entropies are averaged over its bases.  The order-free
     labels (kind None) read the min-entropy.  With an efficiency eta the
@@ -446,7 +466,7 @@ def _cap_chain(meas, x, a):
     h_alpha(eta) + eta^alpha f(C).
     """
     mubs = meas.kind == "mubs"
-    rhs = _cap_bound(a.kind, a.alpha, meas.dim, meas.shape[0] if mubs else None, x.purity)
+    rhs = _lemma(a.kind, a.alpha, meas.dim, meas.shape[0] if mubs else None, x.cap)
     p = x.p
     if a.eta is not None:
         p = distort(p, a.eta)
@@ -467,7 +487,7 @@ def _p4(mubs, x, a):
 
 
 def _p5(sic, x, a):
-    return index_of_coincidence(x.p), _cap(sic.dim, None, x.purity)
+    return index_of_coincidence(x.p), x.cap
 
 
 def _p9(pair, x, a):
@@ -483,7 +503,7 @@ def _p9(pair, x, a):
 
 def _lwbm(mubs, x, a):
     lhs = index_of_coincidence(x.p).sum(axis=-1)
-    return lhs, mubs.shape[0] * _cap(mubs.dim, mubs.shape[0], x.purity)
+    return lhs, mubs.shape[0] * x.cap
 
 
 def _apxa(meas, x, a):
@@ -523,6 +543,10 @@ PROPOSITIONS = {
     "ENT-G": Proposition("product", "<=", None, False, _ent_g),
 }
 PROPOSITION_LABELS = tuple(PROPOSITIONS)
+# the labels whose evaluators read Inputs.cap
+_CAP_READERS = frozenset(
+    w for w, prop in PROPOSITIONS.items() if prop.evaluate in (_cap_chain, _p5, _lwbm)
+)
 
 # Proposition.measurement -> the kinds of Measurement it admits; each of a pair's two
 _MEASUREMENT_KINDS = {

@@ -236,32 +236,36 @@ def _states(run: list[_Label], config: CampaignConfig):
 
 
 def _results(config: CampaignConfig):
-    """Every (label, order) of the plan as (label, order, purity column, Columns), in plan order.
+    """Every (label, order) of the plan as (label, order, purity reprs, Columns), in plan order.
 
     The whole plan is validated before the first draw.  Each run is one
-    stack: one sampling, validation, purity and probability pass over one
-    block of N states per label (:func:`_states`).  Every order of a label
-    reads its label's block, so an order's results are bitwise those of it
-    run alone, and the orders of a sweep are checked on the same states.
+    stack: one sampling, validation, purity, cap and probability pass over
+    one block of N states per label (:func:`_states`), and one repr of each
+    purity.  Every order of a label reads its label's block and what is
+    taken of it once (the cap, and ln p on its probabilities), so an
+    order's results are bitwise those of it run alone, and the orders of a
+    sweep are checked on the same states.
     """
     n = config.samples
     for run in _plan(config):
-        x = bnd.inputs(run[0].prop, run[0].meas, _states(run, config))
-        p2 = x.purity.tolist()
+        x = bnd.inputs([label.prop for label in run], run[0].meas, _states(run, config))
+        p2 = list(map(repr, x.purity.tolist()))
         for k, label in enumerate(run):
             rows = slice(k * n, (k + 1) * n)
-            part = x if len(run) == 1 else x.part(rows)
+            part, texts = (x, p2) if len(run) == 1 else (x.part(rows), p2[rows])
             for order in label.orders:
                 columns = bnd.evaluate(label.prop, label.meas, part, order, config.tolerance)
-                yield label, order, p2[rows], columns
+                yield label, order, texts, columns
 
 
 def _rows(label: _Label, order, purities: list, columns: bnd.Columns, config: CampaignConfig):
-    """The report rows of a label's order, dicts keyed by CSV_COLUMNS, from purities and Columns."""
+    """A label's order as report rows, dicts keyed by CSV_COLUMNS, from purity reprs and Columns."""
     prop, d, m, seed = label.prop, label.d, label.outcomes, config.seed
     alpha = "" if order.alpha is None else repr(order.alpha)
     eta = "" if order.eta is None else repr(order.eta)
     lhs, rhs, margin, saturated, _ = columns
+    # a state-independent rhs is one float object repeated (bnd.Columns): print it once
+    rhs = [repr(rhs[0])] * len(rhs) if rhs[0] is rhs[-1] else map(repr, rhs)
     return [
         {
             "prop": prop,
@@ -279,9 +283,9 @@ def _rows(label: _Label, order, purities: list, columns: bnd.Columns, config: Ca
         }
         for sample, p2, left, right, diff, sat in zip(
             range(config.samples),
-            map(repr, purities),
+            purities,
             map(repr, lhs),
-            map(repr, rhs),
+            rhs,
             map(repr, margin),
             saturated,
         )

@@ -71,10 +71,11 @@ class ProbDist:
     ``slack`` is 0 for given probabilities and ``states.state_slack(d)`` for
     the outcomes of a d x d state (:func:`measurements.probabilities`).  This
     is the one probability validator of the package: :func:`as_probabilities`
-    and every entropy go through it.
+    and every entropy go through it.  The entropies of one ProbDist share one
+    ln p, taken by the first that reads it, so the orders of a sweep take it once.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_lp")
 
     def __init__(self, p, slack: float = 0.0):
         p = np.array(p, dtype=float, ndmin=1)
@@ -90,6 +91,7 @@ class ProbDist:
             raise DomainError(f"probabilities sum to 1 only within {float(dev)!r}")
         p.setflags(write=False)
         self.p = p
+        self._lp = None
 
     @classmethod
     def _unchecked(cls, p: np.ndarray) -> ProbDist:
@@ -99,7 +101,14 @@ class ProbDist:
         """
         sub = object.__new__(cls)
         sub.p = p
+        sub._lp = None
         return sub
+
+    def _ln(self) -> np.ndarray:
+        """ln p (:func:`_log`), taken on the first call and kept for every entropy of p."""
+        if self._lp is None:
+            self._lp = _log(self.p)
+        return self._lp
 
     def __getitem__(self, rows: slice) -> ProbDist:
         """The non-empty sub-stack ``p[rows]`` of a stack, valid as part of a valid stack."""
@@ -119,13 +128,18 @@ class ProbDist:
         return f"ProbDist({np.array2string(self.p, precision=6)})"
 
 
+def _dist(p) -> ProbDist:
+    """``p`` itself when it is a :class:`ProbDist`, else a validated one of it."""
+    return p if isinstance(p, ProbDist) else ProbDist(p)
+
+
 def as_probabilities(p) -> np.ndarray:
     """Validate and return probability vectors (last axis) as a float array.
 
     A :class:`ProbDist` is already validated and passes through; anything
     else array-like is checked by constructing one.
     """
-    return p.p if isinstance(p, ProbDist) else ProbDist(p).p
+    return _dist(p).p
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -133,12 +147,12 @@ def _log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, 5e-324))
 
 
-def _shannon(p: np.ndarray):
-    """-sum p ln p along the last axis."""
-    return -(p * _log(p)).sum(axis=-1)
+def _shannon(p: np.ndarray, lp: np.ndarray):
+    """-sum p ln p along the last axis, from p and its ln p (:func:`_log`)."""
+    return -(p * lp).sum(axis=-1)
 
 
-def _power_excess(p: np.ndarray, alpha: float):
+def _power_excess(p: np.ndarray, alpha: float, lp=None):
     """sum (p^alpha - p) along the last axis for finite alpha != 1, without cancellation.
 
     Terms are p expm1((alpha - 1) ln p) above order 1 and -p^alpha expm1((1 - alpha) ln p)
@@ -148,8 +162,9 @@ def _power_excess(p: np.ndarray, alpha: float):
     alpha - 1 is clamped at 1e300, because (alpha - 1) ln p overflows above order 2.4e305
     (ln p >= -745).  |ln p| is 0 or at least 1.1e-16, so past the clamp the product is 0 or
     beyond 1e284 in size, and expm1 gives the same value as without the clamp.
+    ``lp`` is ln p (:func:`_log`), taken here when not given.
     """
-    lp = np.minimum(_log(p), 0.0)
+    lp = np.minimum(_log(p) if lp is None else lp, 0.0)
     if alpha > 1.0:
         return (p * np.expm1(min(alpha - 1.0, 1e300) * lp)).sum(axis=-1)
     return -(p**alpha * np.expm1((1.0 - alpha) * lp)).sum(axis=-1)
@@ -162,19 +177,20 @@ def renyi(p, alpha):
     -ln(max p_j), alpha = 2 the collision entropy -ln(sum p_j^2).  Reduces
     along the last axis: a float for one distribution, an array for a stack.
     """
-    p = as_probabilities(p)
+    dist = _dist(p)
+    p = dist.p
     alpha = check_order(alpha)
     if math.isinf(alpha):
         return _result(-np.log(p.max(axis=-1)))
     if alpha == 1.0:
-        return _result(_shannon(p))
+        return _result(_shannon(p, dist._ln()))
     if alpha > 2.0:
         # factor out max p: sum p^alpha underflows once alpha ln(1/max p) > 708,
         # which below order 2 would take more than e^354 outcomes
         pmax = p.max(axis=-1)
         scaled = ((p / pmax[..., None]) ** alpha).sum(axis=-1)
         return _result((alpha * np.log(pmax) + np.log(scaled)) / (1.0 - alpha))
-    return _result(np.log1p(_power_excess(p, alpha)) / (1.0 - alpha))
+    return _result(np.log1p(_power_excess(p, alpha, dist._ln())) / (1.0 - alpha))
 
 
 def tsallis(p, alpha):
@@ -182,21 +198,21 @@ def tsallis(p, alpha):
 
     Reduces along the last axis like :func:`renyi`.
     """
-    p = as_probabilities(p)
+    dist = _dist(p)
     alpha = check_order(alpha, "finite")
     if alpha == 1.0:
-        return _result(_shannon(p))
-    return _result(_power_excess(p, alpha) / (1.0 - alpha))
+        return _result(_shannon(dist.p, dist._ln()))
+    return _result(_power_excess(dist.p, alpha, dist._ln()) / (1.0 - alpha))
 
 
 def alpha_log(x, alpha):
-    """Deformed logarithm ln_alpha(x) = (x^(1-alpha) - 1)/(1 - alpha) for x > 0.
+    """Deformed logarithm ln_alpha(x) = (x^(1-alpha) - 1)/(1 - alpha) for finite x > 0.
 
     Continuous in alpha at 1, where it equals ln x.  ``x`` may be an array.
     """
     x = np.asarray(x, dtype=float)
-    if not (x.size and x.min() > 0.0):
-        raise DomainError(f"alpha-logarithm needs x > 0, got {x}")
+    if not (x.size and x.min() > 0.0 and x.max() < math.inf):  # NaN fails here
+        raise DomainError(f"alpha-logarithm needs finite x > 0, got {x}")
     alpha = check_order(alpha, "finite")
     if alpha == 1.0:
         return _result(np.log(x))
@@ -232,11 +248,15 @@ def symmetrized(p, alpha, kind: str = "tsallis"):
 
     ``alpha`` in [1, inf) is the larger order of the pair and beta is
     :func:`conjugate_order`; ``kind`` selects "renyi" or "tsallis".
-    Reduces along the last axis.
+    Reduces along the last axis.  At alpha = 1, beta is 1 too, and the one
+    entropy is taken once.
     """
     alpha = check_order(alpha, "symmetrized")
     fn = _entropy_fn(kind)
-    return 0.5 * (fn(p, alpha) + fn(p, conjugate_order(alpha)))
+    p = _dist(p)
+    beta = conjugate_order(alpha)
+    h = fn(p, alpha)
+    return 0.5 * (h + (h if beta == alpha else fn(p, beta)))
 
 
 def _entropy_fn(kind: str):

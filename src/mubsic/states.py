@@ -206,7 +206,13 @@ class DensityMatrix:
 
 
 def purity(rho: DensityMatrix):
-    """tr(rho^2), in [1/d, 1]: a float, or an (N,) array for a stack."""
+    """tr(rho^2): a float, or an (N,) array for a stack.
+
+    It lies in [1/d, 1] for a true state.  A state :class:`DensityMatrix`
+    accepts may stray by :func:`state_slack` s: its purity can reach
+    1 + 2s(1 + s), which the bounds allow (``bounds._high``), and its trace,
+    off 1 by up to TRACE_ATOL, can put it a rounding below 1/d.
+    """
     m = rho.mat
     # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho, over the real and
     # imaginary parts as one real vector per state

@@ -44,7 +44,7 @@ from mubsic import (
     symmetrized,
     tsallis,
 )
-from mubsic import bounds, cli
+from mubsic import bounds, cli, entropy
 from mubsic.cli import _fixed_rotation, main
 from mubsic.measurements import orthonormal_basis, sic_povm
 
@@ -354,6 +354,54 @@ def test_purity_and_probabilities_run_once_per_group(monkeypatch, capsys, argv, 
     assert main(["verify", "--samples", "3", "--out", "", *argv]) == 0
     assert "failed=0" in capsys.readouterr().out
     assert calls == {"purity": groups, "probabilities": groups}
+
+
+@pytest.mark.parametrize(
+    "props, alphas, caps",
+    [
+        ("P1-mub-tsallis", "0.5,1,2", 2),
+        ("P2-mub-renyi", "2,3,inf", 2),  # orders 3 and inf read max p, not ln p
+        ("P4-mub-sym", "1,2,4", 0),  # its rhs, half of ln_alpha d, reads no cap
+        ("P3-mub-minent,LWBM-sum", "2", 2),  # one run: both labels read its one cap
+    ],
+)
+def test_a_sweep_takes_the_cap_and_ln_p_once_per_label(monkeypatch, capsys, props, alphas, caps):
+    # dims 5 and 7: the cap, with its purity check, and ln p of the label's
+    # probabilities are taken once per (dim, label), not once per order
+    calls = Counter()
+    for module, name in ((bounds, "_check_purity"), (entropy, "_log")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    argv = ["verify", "--dims", "5,7", "--props", props, "--alphas", alphas, "--samples", "3"]
+    assert main([*argv, "--out", ""]) == 0
+    assert "failed=0" in capsys.readouterr().out
+    logs = 0 if props.startswith("P3") else 2
+    assert calls == Counter({"_check_purity": caps, "_log": logs})
+
+
+def test_report_text_prints_a_shared_value_once(monkeypatch):
+    # P4 at dims 5, 7, orders 1, 2, 4, three samples: 18 rows, each with its lhs
+    # and margin; one purity column per dim and one rhs per (dim, order), since
+    # half of ln_alpha d is the same for every state; and the order of each cell
+    texts = []
+    monkeypatch.setattr(cli, "repr", lambda x: texts.append(x) or repr(x), raising=False)
+    fields = dict(dims=[5, 7], props=["P4-mub-sym"], alphas=[1, 2, 4], samples=3, seed=2)
+    config = cli.CampaignConfig(**fields)
+    reports, rows = cli.run_campaign(config)
+    assert len(rows) == 18 and len(texts) == 18 + 18 + 6 + 6 + 6
+    for report, row in zip(reports, rows, strict=True):
+        assert (row["lhs"], row["rhs"], row["margin"]) == (
+            repr(report.lhs), repr(report.rhs), repr(report.margin)
+        )
+    by_dim = {}
+    for row in rows:
+        by_dim.setdefault(row["dim"], set()).add((row["sample"], row["purity"]))
+    assert [len(pairs) for pairs in by_dim.values()] == [3, 3]
 
 
 # (label, order, its sweep, dims): the order sits first, in the middle or last of its sweep

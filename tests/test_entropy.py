@@ -24,6 +24,7 @@ from mubsic import (
     symmetrized,
     tsallis,
 )
+from mubsic import entropy
 from mubsic.entropy import _power_excess
 
 
@@ -223,6 +224,25 @@ class TestTsallis:
                 old = -(p**alpha * np.expm1((1.0 - alpha) * lp)).sum(axis=-1)
             assert _power_excess(p, alpha).tobytes() == old.tobytes(), alpha
 
+    def test_entropies_of_one_distribution_take_ln_p_once(self, monkeypatch):
+        # a ProbDist keeps ln p for every entropy of it; each value keeps its bits
+        rng = np.random.default_rng(8)
+        p = np.concatenate([rng.dirichlet(np.ones(6), size=5), np.eye(6)[:2]])
+        orders = (0.5, 1.0 - 1e-6, 1.0, 1.5, 2.0, 3.0, np.inf)
+        want = [renyi(p, a) for a in orders] + [tsallis(p, a) for a in orders[:-1]]
+        want += [symmetrized(p, a, kind) for a in (1.0, 2.0) for kind in ("renyi", "tsallis")]
+        calls = []
+        log = entropy._log
+        monkeypatch.setattr(entropy, "_log", lambda x: calls.append(x) or log(x))
+        dist = ProbDist(p)
+        got = [renyi(dist, a) for a in orders] + [tsallis(dist, a) for a in orders[:-1]]
+        got += [symmetrized(dist, a, kind) for a in (1.0, 2.0) for kind in ("renyi", "tsallis")]
+        assert len(calls) == 1 and calls[0] is dist.p
+        assert len(got) == len(want) and all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        # a slice of a stack is a distribution of its own, with its own ln p
+        renyi(dist[2:4], 2.0)
+        assert len(calls) == 2
+
 
 class TestAlphaLog:
     def test_rejects_nan(self):
@@ -230,6 +250,13 @@ class TestAlphaLog:
             alpha_log(np.nan, 2.0)
         with pytest.raises(DomainError):
             alpha_log(2.0, np.nan)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("x", [np.inf, [2.0, np.inf]])
+    def test_rejects_inf(self, x, alpha):
+        # below order 1 ln_alpha(inf) was inf, above it 1/(alpha - 1): neither is a value at an x
+        with pytest.raises(DomainError, match="finite"):
+            alpha_log(x, alpha)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.0])
     def test_log_of_one_is_zero(self, alpha):
@@ -316,6 +343,19 @@ class TestSymmetrized:
             for kind, fn in (("renyi", renyi), ("tsallis", tsallis)):
                 direct = 0.5 * (fn(p, 2.0) + fn(p, 2.0 / 3.0))
                 assert symmetrized(p, 2.0, kind) == pytest.approx(direct, abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
+    def test_order_one_takes_its_one_entropy_once(self, monkeypatch, kind):
+        # beta = alpha = 1: h + h has the bits of the two equal terms
+        p = np.array([0.1, 0.6, 0.3, 0.0])
+        h = (renyi if kind == "renyi" else tsallis)(p, 1.0)
+        calls = []
+        original = getattr(entropy, kind)
+        monkeypatch.setattr(entropy, kind, lambda *a: calls.append(a[1]) or original(*a))
+        assert symmetrized(p, 1.0, kind) == 0.5 * (h + h)
+        assert calls == [1.0]
+        symmetrized(p, 2.0, kind)
+        assert calls == [1.0, 2.0, 2.0 / 3.0]
 
     def test_conjugate_order(self):
         assert conjugate_order(1.0) == pytest.approx(1.0)
