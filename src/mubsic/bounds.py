@@ -411,16 +411,15 @@ class Proposition(NamedTuple):
 
 
 class Inputs(NamedTuple):
-    """What an evaluator reads of a state or a stack of states.
+    """What an evaluator reads of a state or a stack of states, built by :func:`inputs`.
 
-    ``p`` is the label's measurement's :class:`ProbDist` for a
-    :attr:`Proposition.statistical` label and None for the pair and
+    ``p`` is the label's measurement's :class:`ProbDist`, with the no-click
+    outcome of an efficiency (:func:`distort`), for a
+    :attr:`Proposition.statistical` label, and None for the pair and
     product labels, which read ``rho`` itself; ``purity`` is tr(rho^2).
     ``cap`` is :func:`_cap` of the MUB set or SIC at the purity for the
-    labels that read it (P1-P3, P5-P8, LWBM), taken and checked once for
-    all their orders, and None otherwise.  :func:`inputs` builds them for
-    one state or stack; a campaign builds them once for a run of cells on
-    one measurement and gives each cell its :meth:`part`.
+    labels that read it (P1-P3, P5-P8, LWBM) and None otherwise.  Every
+    order of a label reads the same inputs, so each is taken once.
     """
 
     rho: DensityMatrix
@@ -428,28 +427,20 @@ class Inputs(NamedTuple):
     purity: float | np.ndarray
     cap: float | np.ndarray | None
 
-    def part(self, rows: slice) -> Inputs:
-        """The inputs of the states ``rows`` of a stack."""
-        p = None if self.p is None else self.p[rows]
-        cap = None if self.cap is None else self.cap[rows]
-        return Inputs(self.rho[rows], p, self.purity[rows], cap)
 
+def inputs(which: str, meas, rho: DensityMatrix, eta=None) -> Inputs:
+    """The :class:`Inputs` of label ``which``: its outcome probabilities, the purity and the cap.
 
-def inputs(which, meas, rho: DensityMatrix) -> Inputs:
-    """The :class:`Inputs` of a labelled check: its outcome probabilities, the purity and the cap.
-
-    ``which`` is a label, or the labels of a campaign run, which share one
-    measurement; the cap is taken when one of them reads it.
+    ``eta`` is the label's validated efficiency (P1/P6), or None.
     """
-    labels = (which,) if isinstance(which, str) else which
-    if not PROPOSITIONS[labels[0]].statistical:
+    if not PROPOSITIONS[which].statistical:
         return Inputs(rho, None, purity(rho), None)
     p = probabilities(meas, rho)
     p2 = purity(rho)
     cap = None
-    if not _CAP_READERS.isdisjoint(labels):
+    if which in _CAP_READERS:
         cap = _cap(meas.dim, meas.shape[0] if meas.kind == "mubs" else None, p2)
-    return Inputs(rho, p, p2, cap)
+    return Inputs(rho, p if eta is None else distort(p, eta), p2, cap)
 
 
 def _average(values):
@@ -462,19 +453,17 @@ def _cap_chain(meas, x, a):
 
     A MUB set's entropies are averaged over its bases.  The order-free
     labels (kind None) read the min-entropy.  With an efficiency eta the
-    Tsallis entropy reads the no-click outcome too, against
-    h_alpha(eta) + eta^alpha f(C).
+    Tsallis entropy reads the no-click outcome too (``x.p``, :func:`inputs`),
+    against h_alpha(eta) + eta^alpha f(C).
     """
     mubs = meas.kind == "mubs"
     rhs = _lemma(a.kind, a.alpha, meas.dim, meas.shape[0] if mubs else None, x.cap)
-    p = x.p
     if a.eta is not None:
-        p = distort(p, a.eta)
         rhs = binary_tsallis(a.eta, a.alpha) + a.eta**a.alpha * rhs
     if a.kind == "tsallis":
-        lhs = tsallis(p, a.alpha)
+        lhs = tsallis(x.p, a.alpha)
     else:
-        lhs = renyi(p, np.inf if a.kind is None else a.alpha)
+        lhs = renyi(x.p, np.inf if a.kind is None else a.alpha)
     return (_average(lhs) if mubs else lhs), rhs
 
 
@@ -629,7 +618,7 @@ def check_bound(
     if len(kinds) != 1 + pair or not _MEASUREMENT_KINDS[prop.measurement].issuperset(kinds):
         got = ", ".join(kinds)
         raise DomainError(f"{which} expects a {prop.measurement} measurement, got {got}")
-    columns = evaluate(which, meas, inputs(which, meas, rho), args, tolerance)
+    columns = evaluate(which, meas, inputs(which, meas, rho, args.eta), args, tolerance)
     result = reports(which, columns, tolerance, prop.sense)
     return result if rho.mat.ndim == 3 else result[0]
 

@@ -10,13 +10,12 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 unsupported
 or out-of-domain input, 3 I/O failure.  Campaigns with identical
-configuration and seed produce bitwise-identical reports.  A campaign
-plans and validates every (dim, label) and its orders first, as runs of
-labels: consecutive labels that read only outcome statistics and purity on
-one measurement share a run, and every other label runs alone.  Each run is
-evaluated as one stack of states, one block of N per label from its stream
-(seed, di, pi, 0), and every order of the label is checked on that block,
-so an order's rows are the same whether it runs alone or in a sweep.
+configuration and seed produce bitwise-identical reports.  A campaign's
+plan is its list of (dim, label)s, each with its measurement and its
+validated orders, all built and checked before the first draw.  Each label
+is one stack of N states from its stream (seed, di, pi, 0), and every order
+of the label is checked on that stack, so an order's rows are the same
+whether it runs alone or in a sweep.
 """
 
 from __future__ import annotations
@@ -173,14 +172,13 @@ class _Label(NamedTuple):
     orders: list  # the bnd.CheckArguments of each order
 
 
-def _plan(config: CampaignConfig) -> list[list[_Label]]:
-    """The campaign's runs of labels, with every measurement built and every order checked.
+def _plan(config: CampaignConfig) -> list[_Label]:
+    """The campaign's (dim, label)s in order, with every measurement built and every order checked.
 
     Raises :class:`DomainError` when the campaign has no label.
     """
     fiducial = _fiducial_ket(config.fiducial_path)
-    runs = []
-    shared = None  # the measurement of an open run of statistical labels
+    plan = []
     for di, d in enumerate(config.dims):
         # a fiducial file serves the one dimension it was written for
         ket = fiducial if fiducial is not None and len(fiducial) == d else None
@@ -197,35 +195,28 @@ def _plan(config: CampaignConfig) -> list[list[_Label]]:
             # with no orders, an order-dependent label gets None, which check_arguments rejects
             alphas = (config.alphas or [None]) if entry.order else [None]
             orders = [bnd.check_arguments(prop, alpha=alpha, eta=eta) for alpha in alphas]
-            label = _Label(di, pi, d, prop, meas, outcomes, orders)
-            if entry.statistical and meas is shared:
-                runs[-1].append(label)
-            else:
-                runs.append([label])
-            shared = meas if entry.statistical else None
-    if not runs:
+            plan.append(_Label(di, pi, d, prop, meas, outcomes, orders))
+    if not plan:
         raise DomainError("campaign is empty: no (dim, proposition, order) cells to run")
-    return runs
+    return plan
 
 
-def _states(run: list[_Label], config: CampaignConfig):
-    """The stack of every sample of a run: one block of N states per label.
+def _states(label: _Label, config: CampaignConfig):
+    """The label's stack of N states, drawn from its stream (seed, di, pi, 0).
 
-    The stream (seed, di, pi, 0) of each label fills its (N, K) block of one
-    buffer with standard normals, and every order of the label reads the
-    block: row i holds all K numbers sample i needs, so a row depends only
-    on its (di, pi) and i.  Row layout: the Ginibre block (2, d, d) of the
-    state; for ENT-G, a second one for party B.  ENT-G labels run alone;
-    both parties are sampled as one stack of 2N states, A and B of sample i
-    at rows 2i and 2i + 1, in one :func:`random_mixed` call, and the N
-    products are validated as a second stack.
+    One (N, K) block of standard normals: row i holds all K numbers sample i
+    needs, so a row depends only on the label's (di, pi) and i.  Row layout:
+    the Ginibre block (2, d, d) of the state; for ENT-G, a second one for
+    party B.  ENT-G samples both parties as one stack of 2N states, A and B
+    of sample i at rows 2i and 2i + 1, in one :func:`random_mixed` call, and
+    validates the N products as a second stack.
     """
-    d, n = run[0].d, config.samples
-    product = bnd.PROPOSITIONS[run[0].prop].measurement == "product"
-    draws = np.empty((len(run) * n, 2 * d * d * (2 if product else 1)))
-    for k, label in enumerate(run):
-        stream(config.seed, label.di, label.pi, 0).standard_normal(out=draws[k * n : (k + 1) * n])
-    samples = np.arange(len(run) * n) % n  # each block's sample index
+    d, n = label.d, config.samples
+    product = bnd.PROPOSITIONS[label.prop].measurement == "product"
+    draws = stream(config.seed, label.di, label.pi, 0).standard_normal(
+        (n, 2 * d * d * (2 if product else 1))
+    )
+    samples = np.arange(n)
     ranks = 1 + samples % d
     if product:  # party B of sample i at rank 1 + (i // d) mod d
         ranks = np.stack([ranks, 1 + (samples // d) % d], axis=-1).ravel()
@@ -238,24 +229,19 @@ def _states(run: list[_Label], config: CampaignConfig):
 def _results(config: CampaignConfig):
     """Every (label, order) of the plan as (label, order, purity reprs, Columns), in plan order.
 
-    The whole plan is validated before the first draw.  Each run is one
-    stack: one sampling, validation, purity, cap and probability pass over
-    one block of N states per label (:func:`_states`), and one repr of each
-    purity.  Every order of a label reads its label's block and what is
-    taken of it once (the cap, and ln p on its probabilities), so an
-    order's results are bitwise those of it run alone, and the orders of a
-    sweep are checked on the same states.
+    The whole plan is validated before the first draw.  Each label is one
+    stack (:func:`_states`) with one sampling, validation, purity, cap and
+    probability pass, and one repr of each purity.  Every order of a label
+    reads that stack and what is taken of it once (the cap, the distorted
+    probabilities of an efficiency, and ln p), so an order's results are
+    bitwise those of it run alone, and the orders of a sweep are checked on
+    the same states.
     """
-    n = config.samples
-    for run in _plan(config):
-        x = bnd.inputs([label.prop for label in run], run[0].meas, _states(run, config))
+    for label in _plan(config):
+        x = bnd.inputs(label.prop, label.meas, _states(label, config), label.orders[0].eta)
         p2 = list(map(repr, x.purity.tolist()))
-        for k, label in enumerate(run):
-            rows = slice(k * n, (k + 1) * n)
-            part, texts = (x, p2) if len(run) == 1 else (x.part(rows), p2[rows])
-            for order in label.orders:
-                columns = bnd.evaluate(label.prop, label.meas, part, order, config.tolerance)
-                yield label, order, texts, columns
+        for order in label.orders:
+            yield label, order, p2, bnd.evaluate(label.prop, label.meas, x, order, config.tolerance)
 
 
 def _rows(label: _Label, order, purities: list, columns: bnd.Columns, config: CampaignConfig):

@@ -110,13 +110,6 @@ class ProbDist:
             self._lp = _log(self.p)
         return self._lp
 
-    def __getitem__(self, rows: slice) -> ProbDist:
-        """The non-empty sub-stack ``p[rows]`` of a stack, valid as part of a valid stack."""
-        part = self.p[rows] if isinstance(rows, slice) and self.p.ndim >= 2 else None
-        if part is None or not part.size:
-            raise DomainError(f"a probability stack takes a non-empty slice, got {rows!r}")
-        return self._unchecked(part)
-
     def __len__(self):
         """Number of outcomes."""
         return self.p.shape[-1]

@@ -189,16 +189,6 @@ class DensityMatrix:
         self.mat = mat
         self.dim = mat.shape[-1]
 
-    def __getitem__(self, rows: slice) -> DensityMatrix:
-        """The non-empty sub-stack ``mat[rows]`` of a stack, valid as part of a valid stack."""
-        part = self.mat[rows] if isinstance(rows, slice) and self.mat.ndim == 3 else None
-        if part is None or not part.size:
-            raise DomainError(f"a density-matrix stack takes a non-empty slice, got {rows!r}")
-        sub = object.__new__(type(self))
-        sub.mat = part
-        sub.dim = self.dim
-        return sub
-
     def __repr__(self):
         if self.mat.ndim == 3:
             return f"DensityMatrix(dim={self.dim}, states={self.mat.shape[0]})"

@@ -5,8 +5,8 @@ Its lhs must equal the public ``renyi``/``tsallis``/``symmetrized``/
 ``index_of_coincidence`` applied to each basis's ``probabilities`` of each
 state on its own, and the rhs of P1-P3 and P6-P8 must be the public bound
 function at the state's purity.  A campaign row must depend only on its
-(dim, label), order and sample index, whether the label runs alone, in a
-run of labels on one measurement, or at any place in an order sweep,
+(dim, label), order and sample index, whether the label runs alone, next
+to other labels on one measurement, or at any place in an order sweep,
 whose orders all read the label's one block of states.
 """
 
@@ -44,7 +44,7 @@ from mubsic import (
     symmetrized,
     tsallis,
 )
-from mubsic import bounds, cli, entropy
+from mubsic import bounds, cli, entropy, states
 from mubsic.cli import _fixed_rotation, main
 from mubsic.measurements import orthonormal_basis, sic_povm
 
@@ -224,20 +224,6 @@ class TestStacks:
             assert np.array_equal(stack.mat[i], single.mat)
             assert np.linalg.matrix_rank(single.mat, tol=1e-10) == ranks[i]
 
-    def test_slices_of_a_stack_are_its_rows(self):
-        # a fused campaign group hands each cell a slice of its stack and its statistics
-        stack = _stack(_singles(3, 11))
-        p = probabilities(mub_construct(3, 4), stack)
-        assert np.array_equal(stack[2:5].mat, stack.mat[2:5]) and stack[2:5].dim == 3
-        assert np.array_equal(p[2:5].p, p.p[2:5])
-        for bad in (stack, p):
-            for index in (slice(4, 4), 0, (slice(None), 0)):
-                with pytest.raises(DomainError, match="non-empty slice"):
-                    bad[index]
-        assert stack[0:1][0:1].mat.shape == (1, 3, 3)
-        with pytest.raises(DomainError, match="non-empty slice"):
-            random_mixed(3, 2, 1)[0:1]  # a single state is not a stack
-
     def test_single_state_gives_one_report_and_stack_a_list(self):
         sic = sic_from_fiducial(2)
         singles = _singles(2, 10)
@@ -291,9 +277,9 @@ def test_one_row_campaigns_are_a_prefix_at_dims_5_and_7(tmp_path, props, alphas,
 
 
 SIC_LABELS = "P5-sic-ic,P6-sic-tsallis,P7-sic-renyi,P8-sic-minent"
-# (label, its campaign alone, the campaign that fuses it into a group, orders);
-# the label's cell has the same stream key (di, pi, 0) in both campaigns.  A
-# leading P9 cell runs alone, so LWBM and P6 at pi = 1 are groups of one.
+# (label, its campaign alone, the campaign with its neighbours, orders); the
+# label's cell has the same stream key (di, pi, 0) in both campaigns, so a
+# leading P9 cell puts LWBM and P6 at pi = 1 alone.
 FUSED = [
     ("P1-mub-tsallis", "P1-mub-tsallis", "0.5", "P1-mub-tsallis", "0.5,1,2"),
     ("P3-mub-minent", "P3-mub-minent", "2", "P3-mub-minent,LWBM-sum", "2"),
@@ -315,33 +301,33 @@ def _fiducial_args(tmp_path, d):
 
 @pytest.mark.parametrize("eta", [None, "0.8"])
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
-@pytest.mark.parametrize("label, alone, alone_alphas, group, group_alphas", FUSED)
+@pytest.mark.parametrize("label, alone, alone_alphas, neighbours, neighbours_alphas", FUSED)
 def test_a_cell_gives_the_same_rows_alone_and_in_a_group(
-    tmp_path, label, alone, alone_alphas, group, group_alphas, d, eta
+    tmp_path, label, alone, alone_alphas, neighbours, neighbours_alphas, d, eta
 ):
     args = ["verify", "--dims", str(d), "--samples", "7", "--seed", "11"]
     args += _fiducial_args(tmp_path, d) + ([] if eta is None else ["--eta", eta])
     one, many = tmp_path / "one.csv", tmp_path / "many.csv"
     assert main(args + ["--props", alone, "--alphas", alone_alphas, "--out", str(one)]) == 0
-    assert main(args + ["--props", group, "--alphas", group_alphas, "--out", str(many)]) == 0
+    props = ["--props", neighbours, "--alphas", neighbours_alphas]
+    assert main(args + props + ["--out", str(many)]) == 0
     alone_cells = {key: lines for key, lines in _cells(one).items() if key[0] == label}
-    group_cells = _cells(many)
+    neighbours_cells = _cells(many)
     assert len(alone_cells) == 1
     for key, lines in alone_cells.items():
-        assert len(lines) == 7 and group_cells[key] == lines, key
+        assert len(lines) == 7 and neighbours_cells[key] == lines, key
 
 
 @pytest.mark.parametrize(
-    "argv, groups",
+    "argv, labels",
     [
         (["--dims", "5,7", "--props", "P1-mub-tsallis", "--alphas", "0.5,1,2"], 2),
-        (["--dims", "5,7", "--props", "P3-mub-minent,LWBM-sum"], 2),
-        (["--dims", "2,3", "--props", SIC_LABELS + ",APXA-max", "--alphas", "2"], 2),
-        # the SIC cell between them splits the MUB cells into two groups
+        (["--dims", "5,7", "--props", "P3-mub-minent,LWBM-sum"], 4),
+        (["--dims", "2,3", "--props", SIC_LABELS + ",APXA-max", "--alphas", "2"], 10),
         (["--dims", "2", "--props", "P2-mub-renyi,P5-sic-ic,LWBM-sum", "--alphas", "2,3"], 3),
     ],
 )
-def test_purity_and_probabilities_run_once_per_group(monkeypatch, capsys, argv, groups):
+def test_purity_and_probabilities_run_once_per_label(monkeypatch, capsys, argv, labels):
     calls = Counter()
     for module, name in ((bounds, "purity"), (cli, "purity"), (bounds, "probabilities")):
         original = getattr(module, name)
@@ -353,23 +339,28 @@ def test_purity_and_probabilities_run_once_per_group(monkeypatch, capsys, argv, 
         monkeypatch.setattr(module, name, counted)
     assert main(["verify", "--samples", "3", "--out", "", *argv]) == 0
     assert "failed=0" in capsys.readouterr().out
-    assert calls == {"purity": groups, "probabilities": groups}
+    assert calls == {"purity": labels, "probabilities": labels}
 
 
 @pytest.mark.parametrize(
-    "props, alphas, caps",
+    "props, alphas, eta, caps, logs",
     [
-        ("P1-mub-tsallis", "0.5,1,2", 2),
-        ("P2-mub-renyi", "2,3,inf", 2),  # orders 3 and inf read max p, not ln p
-        ("P4-mub-sym", "1,2,4", 0),  # its rhs, half of ln_alpha d, reads no cap
-        ("P3-mub-minent,LWBM-sum", "2", 2),  # one run: both labels read its one cap
+        ("P1-mub-tsallis", "0.5,1,2", None, 2, 2),
+        ("P2-mub-renyi", "2,3,inf", None, 2, 2),  # orders 3 and inf read max p, not ln p
+        ("P4-mub-sym", "1,2,4", None, 0, 2),  # its rhs, half of ln_alpha d, reads no cap
+        ("P3-mub-minent,LWBM-sum", "2", None, 4, 0),  # each label reads a cap of its own
+        # the distorted outcomes once per label; binary_tsallis takes ln eta per order
+        ("P1-mub-tsallis", "0.5,1,2", "0.8", 2, 8),
     ],
 )
-def test_a_sweep_takes_the_cap_and_ln_p_once_per_label(monkeypatch, capsys, props, alphas, caps):
-    # dims 5 and 7: the cap, with its purity check, and ln p of the label's
-    # probabilities are taken once per (dim, label), not once per order
+def test_a_sweep_takes_the_cap_and_ln_p_once_per_label(
+    monkeypatch, capsys, props, alphas, eta, caps, logs
+):
+    # dims 5 and 7: the cap, with its purity check, the distorted outcomes of
+    # an efficiency and ln p of the label's probabilities are taken once per
+    # (dim, label), not once per order
     calls = Counter()
-    for module, name in ((bounds, "_check_purity"), (entropy, "_log")):
+    for module, name in ((bounds, "_check_purity"), (entropy, "_log"), (bounds, "distort")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -378,10 +369,11 @@ def test_a_sweep_takes_the_cap_and_ln_p_once_per_label(monkeypatch, capsys, prop
 
         monkeypatch.setattr(module, name, counted)
     argv = ["verify", "--dims", "5,7", "--props", props, "--alphas", alphas, "--samples", "3"]
+    argv += [] if eta is None else ["--eta", eta]
     assert main([*argv, "--out", ""]) == 0
     assert "failed=0" in capsys.readouterr().out
-    logs = 0 if props.startswith("P3") else 2
-    assert calls == Counter({"_check_purity": caps, "_log": logs})
+    distorts = 0 if eta is None else 2
+    assert calls == Counter({"_check_purity": caps, "_log": logs, "distort": distorts})
 
 
 def test_report_text_prints_a_shared_value_once(monkeypatch):
@@ -432,7 +424,7 @@ def test_an_order_gives_the_same_rows_alone_and_in_a_sweep(tmp_path, label, orde
 
 
 def test_every_order_of_a_label_reads_the_same_states():
-    # P1 and P4 share a group on the MUB set; each P9 order runs alone
+    # each (dim, label) is a stack of its own, read by every order of the label
     labels = ["P1-mub-tsallis", "P4-mub-sym", "P9-mu-pair"]
     alphas = [1.0, 1.5, 2.0]
     config = cli.CampaignConfig(dims=[2, 3], props=labels, alphas=alphas, samples=9, seed=4)
@@ -451,12 +443,30 @@ def test_every_order_of_a_label_reads_the_same_states():
     assert len({tuple(column) for column in columns}) == 6
 
 
+def test_each_stack_holds_one_labels_states(monkeypatch, capsys):
+    # the reference labels at seven samples: one stack of 7 per (dim, label),
+    # and ENT-G's 14 party states with their 7 products; none holds two labels
+    sizes = []
+    for module in (cli, states):
+        original = module.DensityMatrix
+
+        def counted(mat, _original=original):
+            sizes.append(len(mat))
+            return _original(mat)
+
+        monkeypatch.setattr(module, "DensityMatrix", counted)
+    argv = ["verify", "--dims", "2,3", "--props", "all", "--alphas", "2", "--samples", "7"]
+    assert main([*argv, "--out", ""]) == 0
+    assert "checks=182 failed=0" in capsys.readouterr().out
+    assert Counter(sizes) == {7: 26, 14: 2}
+
+
 @pytest.mark.parametrize(
     "dims, props, alphas, calls",
     [
         ("5,7", "P1-mub-tsallis", "0.5,1,2", 2),
         ("5,7", "P1-mub-tsallis,P4-mub-sym", "1,2", 4),
-        # a pair label runs alone, with one block for all its orders
+        # a pair label, with one block for all its orders
         ("2,3", "P9-mu-pair", "1,1.5,3", 2),
     ],
 )

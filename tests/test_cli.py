@@ -554,7 +554,7 @@ class TestRepeatedCampaign:
     def test_ent_g_parties_sampled_as_one_stack(self, monkeypatch, d):
         n, seed = 2 * d + 1, 13
         config = cli.CampaignConfig(dims=[d], props=["ENT-G"], alphas=[], samples=n, seed=seed)
-        [run] = cli._plan(config)
+        [label] = cli._plan(config)
         validations = []
         for module in (cli, states):
             original = module.DensityMatrix
@@ -564,7 +564,7 @@ class TestRepeatedCampaign:
                 return _original(mat)
 
             monkeypatch.setattr(module, "DensityMatrix", counted)
-        rho = cli._states(run, config)
+        rho = cli._states(label, config)
         # one validation of the 2N party states and one of the N products
         assert validations == [(2 * n, d, d), (n, d * d, d * d)]
         monkeypatch.undo()

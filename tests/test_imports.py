@@ -4,12 +4,16 @@
 line carries ``# noqa: F401`` is kept on purpose (a seam for code outside
 the package) and is allowed.  Every private module-level name (one
 leading underscore, not a dunder) is referenced somewhere in the package
-outside its own definition.  ``import mubsic`` loads no ``numpy.random``:
-it is imported on the first draw.
+outside its own definition.  Every name ``mubsic`` exports is referenced
+in the package outside its own definition, or named in the benchmark, CI
+or README, unless :data:`UNUSED_EXPORTS` keeps it for a planned use.
+``import mubsic`` loads no ``numpy.random``: it is imported on the first
+draw.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +21,11 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mubsic"
+ROOT = PACKAGE.parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+# exported names that only tests call yet, each kept for a planned use (CHANGES.md)
+UNUSED_EXPORTS = {"simple_bounds", "maximally_entangled", "from_bloch", "sic_design_basis"}
 
 
 def _unused_imports(path):
@@ -88,6 +95,32 @@ def test_every_private_name_is_referenced():
     ]
     assert private
     assert unreferenced == []
+
+
+def test_every_exported_name_has_a_use():
+    exported = {
+        alias.asname or alias.name
+        for node in TREES["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    references = [
+        (statement, _referenced(statement))
+        for module, tree in TREES.items()
+        if module != "__init__.py"
+        for statement in tree.body
+    ]
+    texts = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    texts += [(ROOT / ".github/workflows/tier1.yml").read_text(), (ROOT / "README.md").read_text()]
+
+    def used(name):
+        if any(name in names and name not in _defined(s) for s, names in references):
+            return True
+        return any(re.search(rf"\b{name}\b", text) for text in texts)
+
+    assert exported > UNUSED_EXPORTS
+    assert sorted(name for name in exported - UNUSED_EXPORTS if not used(name)) == []
+    assert sorted(name for name in UNUSED_EXPORTS if used(name)) == []
 
 
 def test_import_leaves_numpy_random_unloaded():
