@@ -52,12 +52,13 @@ import numpy as np
 from . import entanglement
 from .entropy import (
     ProbDist,
+    _dist,
     _entropy_fn,
-    _first_outside,
     _max_prob,
+    _real,
     _result,
+    _within,
     alpha_log,
-    as_probabilities,
     binary_tsallis,
     check_efficiency,
     check_order,
@@ -105,13 +106,8 @@ _PASSES = {
 
 def check_tolerance(tolerance) -> float:
     """The package's one tolerance rule: the pass threshold as a float, finite and >= 0."""
-    try:
-        tolerance = float(tolerance)
-    except (TypeError, ValueError, OverflowError):  # non-numbers
-        pass
-    if not (isinstance(tolerance, float) and 0.0 <= tolerance < math.inf):  # NaN fails here
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    return tolerance
+    message = "tolerance must be finite and nonnegative, got {got}"
+    return _real(tolerance, lambda t: 0.0 <= t < math.inf, message)
 
 
 class Columns(NamedTuple):
@@ -170,15 +166,9 @@ def _check_purity(d: int, value):
     a SIC the relations are identities, and a clamp to 1 would show the
     state's excess purity as a margin.
     """
-    value = np.asarray(value, dtype=float)
-    if not value.size:
-        raise DomainError(f"empty purity array, shape {value.shape}")
     lo = 1.0 / d
-    hi = _high(d)
-    if not (value.min() >= lo - 1e-9 and value.max() <= hi):
-        worst = _first_outside(value, lo - 1e-9, hi)
-        raise DomainError(f"purity {worst!r} outside [{lo}, 1] for dimension {d}")
-    return np.maximum(value, lo)
+    message = "purity {got!r} outside [{}, 1] for dimension {}"
+    return np.maximum(_within(value, lo - 1e-9, _high(d), "purity", message, lo, d), lo)
 
 
 # Every state-dependent bound is a map of a cap C on an index of
@@ -269,7 +259,7 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
     raises :class:`PreconditionError`.
     """
     tolerance = check_tolerance(tolerance)
-    p = as_probabilities(p).ravel()
+    p = _dist(p).p.ravel()
     d = check_dimension(d)
     pmax = float(p.max())
     if pmax > 1.0 / d + 1e-12:

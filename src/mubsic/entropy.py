@@ -16,6 +16,7 @@ by :func:`check_order` against one named range of :data:`ORDER_RANGES`.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -37,24 +38,40 @@ ORDER_RANGES = {
 }
 
 
-def check_order(alpha, name: str = "positive") -> float:
-    """The package's one order rule: alpha as a float in the range ``ORDER_RANGES[name]``."""
+def _real(value, test, message: str, *fields) -> float:
+    """The one real-number rule: ``value`` as a float that passes ``test``; NaN fails every test.
+
+    Else raises ``DomainError(message.format(*fields, got=...))``, ``got`` being the float read,
+    or ``value`` itself when it is not a number.
+    """
     try:
-        alpha = float(alpha)
+        value = float(value)
     except (TypeError, ValueError, OverflowError):  # non-numbers
         pass
+    if not (isinstance(value, float) and test(value)):
+        raise DomainError(message.format(*fields, got=value))
+    return value
+
+
+def check_order(alpha, name: str = "positive") -> float:
+    """The package's one order rule: alpha as a float in the range ``ORDER_RANGES[name]``."""
     interval, test = ORDER_RANGES[name]
-    if not (isinstance(alpha, float) and test(alpha)):
-        raise DomainError(f"{name} order must lie in {interval}, got {alpha!r}")
-    return alpha
+    return _real(alpha, test, "{} order must lie in {}, got {got!r}", name, interval)
 
 
-def _first_outside(values: np.ndarray, lo: float, hi: float):
-    """The first entry outside [lo, hi], NaN included, of an array that has one, as a float.
+def _within(values, lo: float, hi: float, what: str, message: str, *fields) -> np.ndarray:
+    """The one array range rule: ``values`` as a non-empty float array with entries in [lo, hi].
 
-    Error messages name it, so that they show a plain float and not a numpy repr.
+    Else raises ``DomainError``: "empty <what> array, shape ...", or ``message.format(*fields,
+    got=...)`` at the first entry outside, NaN included, as a plain float, not a numpy repr.
     """
-    return float(values[~((values >= lo) & (values <= hi))][0])
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        raise DomainError(f"empty {what} array, shape {values.shape}")
+    if not (values.min() >= lo and values.max() <= hi):
+        worst = float(values[~((values >= lo) & (values <= hi))][0])
+        raise DomainError(message.format(*fields, got=worst))
+    return values
 
 
 def _result(x):
@@ -70,9 +87,9 @@ class ProbDist:
     negatives, NaN, and sums off 1 by more than 1e-12 + slack are rejected.
     ``slack`` is 0 for given probabilities and ``states.state_slack(d)`` for
     the outcomes of a d x d state (:func:`measurements.probabilities`).  This
-    is the one probability validator of the package: :func:`as_probabilities`
-    and every entropy go through it.  The entropies of one ProbDist share one
-    ln p, taken by the first that reads it, so the orders of a sweep take it once.
+    is the one probability validator of the package: every reader of
+    probabilities goes through it (:func:`_dist`).  The entropies of one ProbDist
+    share one ln p, taken by the first that reads it, so a sweep takes it once.
     """
 
     __slots__ = ("p", "_lp")
@@ -126,18 +143,13 @@ def _dist(p) -> ProbDist:
     return p if isinstance(p, ProbDist) else ProbDist(p)
 
 
-def as_probabilities(p) -> np.ndarray:
-    """Validate and return probability vectors (last axis) as a float array.
-
-    A :class:`ProbDist` is already validated and passes through; anything
-    else array-like is checked by constructing one.
-    """
-    return _dist(p).p
-
-
 def _log(p: np.ndarray) -> np.ndarray:
-    """ln p, with zeros read as 5e-324 (the least positive double) so their terms are 0."""
-    return np.log(np.maximum(p, 5e-324))
+    """ln p, clamped to [ln 5e-324, 0] (5e-324 is the least positive double).
+
+    A zero's terms, and those of an entry that rounded above 1 within the sum
+    tolerance, are 0 at every order, Shannon's included.
+    """
+    return np.minimum(np.log(np.maximum(p, 5e-324)), 0.0)
 
 
 def _shannon(p: np.ndarray, lp: np.ndarray):
@@ -149,15 +161,14 @@ def _power_excess(p: np.ndarray, alpha: float, lp=None):
     """sum (p^alpha - p) along the last axis for finite alpha != 1, without cancellation.
 
     Terms are p expm1((alpha - 1) ln p) above order 1 and -p^alpha expm1((1 - alpha) ln p)
-    below it.  ln p is clamped at 0, so the expm1 argument is never positive and no term
-    overflows: ln p <= 0 already for p in [0, 1], and an entry that rounded above 1 (within
-    the sum tolerance) contributes 0 instead of overflowing at large orders.  The factor
+    below it.  ln p is clamped at 0 (:func:`_log`), so the expm1 argument is never positive
+    and no term overflows: an entry that rounded above 1 contributes 0.  The factor
     alpha - 1 is clamped at 1e300, because (alpha - 1) ln p overflows above order 2.4e305
     (ln p >= -745).  |ln p| is 0 or at least 1.1e-16, so past the clamp the product is 0 or
     beyond 1e284 in size, and expm1 gives the same value as without the clamp.
     ``lp`` is ln p (:func:`_log`), taken here when not given.
     """
-    lp = np.minimum(_log(p) if lp is None else lp, 0.0)
+    lp = _log(p) if lp is None else lp
     if alpha > 1.0:
         return (p * np.expm1(min(alpha - 1.0, 1e300) * lp)).sum(axis=-1)
     return -(p**alpha * np.expm1((1.0 - alpha) * lp)).sum(axis=-1)
@@ -203,9 +214,9 @@ def alpha_log(x, alpha):
 
     Continuous in alpha at 1, where it equals ln x.  ``x`` may be an array.
     """
-    x = np.asarray(x, dtype=float)
-    if not (x.size and x.min() > 0.0 and x.max() < math.inf):  # NaN fails here
-        raise DomainError(f"alpha-logarithm needs finite x > 0, got {x}")
+    message = "alpha-logarithm needs finite x > 0, got {got!r}"
+    # for floats, [5e-324, max float] is finite x > 0
+    x = _within(x, 5e-324, sys.float_info.max, "alpha-logarithm argument", message)
     alpha = check_order(alpha, "finite")
     if alpha == 1.0:
         return _result(np.log(x))
@@ -214,13 +225,7 @@ def alpha_log(x, alpha):
 
 def check_efficiency(eta) -> float:
     """The package's one efficiency rule: eta as a float, which must lie in [0, 1]."""
-    try:
-        eta = float(eta)
-    except (TypeError, ValueError, OverflowError):  # non-numbers
-        pass
-    if not (isinstance(eta, float) and 0.0 <= eta <= 1.0):  # NaN fails here
-        raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    return eta
+    return _real(eta, lambda e: 0.0 <= e <= 1.0, "efficiency must lie in [0, 1], got {got}")
 
 
 def binary_tsallis(eta, alpha) -> float:
@@ -262,7 +267,7 @@ def _entropy_fn(kind: str):
 
 def index_of_coincidence(p):
     """Collision probability sum_j p_j^2, in (0, 1], along the last axis."""
-    p = as_probabilities(p)
+    p = _dist(p).p
     return _result((p * p).sum(axis=-1))
 
 
@@ -279,11 +284,7 @@ def max_prob_bound(n: int, b2):
 def _max_prob(n, b2, high):
     """:func:`max_prob_bound`, with sums of squares up to ``high`` feasible."""
     n = check_integer(n, "outcome count", 1)
-    b2 = np.asarray(b2, dtype=float)
-    if not b2.size:
-        raise DomainError(f"empty sum-of-squares array, shape {b2.shape}")
-    if not (b2.min() >= 1.0 / n - 1e-12 and b2.max() <= high):
-        worst = _first_outside(b2, 1.0 / n - 1e-12, high)
-        raise DomainError(f"sum of squares {worst!r} infeasible for n = {n}")
+    message = "sum of squares {got!r} infeasible for n = {}"
+    b2 = _within(b2, 1.0 / n - 1e-12, high, "sum-of-squares", message, n)
     radicand = np.maximum(n * b2 - 1.0, 0.0)
     return _result((1.0 + np.sqrt(n - 1.0) * np.sqrt(radicand)) / n)

@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .entropy import ProbDist, as_probabilities, check_efficiency
+from .entropy import ProbDist, _dist, check_efficiency
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -34,6 +34,7 @@ from .errors import (
 from .states import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
+    _complex_json,
     check_dimension,
     check_integer,
     positivity_failure,
@@ -309,7 +310,7 @@ def weyl_heisenberg_orbit(fiducial) -> np.ndarray:
     Ket a d + b has component k equal to omega^(b (k - a)) f[k - a], indices
     mod d.
     """
-    f = np.asarray(fiducial, dtype=complex).ravel()
+    f = _coerce(fiducial).ravel()
     if f.size == 0:
         raise DomainError(f"fiducial ket must be non-empty, got shape {np.shape(fiducial)}")
     d = f.size
@@ -383,7 +384,7 @@ def distort(p, eta: float) -> ProbDist:
     >= 0 and its sums are off 1 by eta times the input's.
     """
     eta = check_efficiency(eta)
-    p = as_probabilities(p)
+    p = _dist(p).p
     no_click = np.full(p.shape[:-1] + (1,), 1.0 - eta)
     out = np.concatenate([eta * p, no_click], axis=-1)
     out.setflags(write=False)
@@ -404,12 +405,7 @@ def load_fiducial(path) -> tuple[np.ndarray, float]:
     unit norm; the applied rescaling factor is returned alongside it.
     """
     with open(check_fiducial_path(path), "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-            d = check_dimension(obj["dim"])
-            vec = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed fiducial JSON: {exc}") from exc
+        d, vec = _complex_json(json.load, fh, "fiducial")
     vec = vec.ravel()
     if vec.size != d:
         raise DomainError(f"fiducial JSON dim {d} does not match {vec.size} components")

@@ -307,14 +307,23 @@ def to_json(rho: DensityMatrix) -> str:
     )
 
 
+def _complex_json(parse, source, what: str) -> tuple[int, np.ndarray]:
+    """(d, complex array) of the JSON {"dim", "re", "im"} that ``parse`` reads from ``source``.
+
+    A failure of the parse (a file's read included), "dim" or the arrays raises
+    ``DomainError("malformed <what> JSON: ...")``.
+    """
+    try:
+        obj = parse(source)
+        d = check_dimension(obj["dim"])
+        return d, np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed {what} JSON: {exc}") from exc
+
+
 def from_json(text: str) -> DensityMatrix:
     """Parse the JSON wire format produced by :func:`to_json`."""
-    try:
-        obj = json.loads(text)
-        d = check_dimension(obj["dim"])
-        mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed density-matrix JSON: {exc}") from exc
+    d, mat = _complex_json(json.loads, text, "density-matrix")
     if mat.shape != (d, d):
         raise DomainError(f"JSON dim field {d} does not match matrix shape {mat.shape}")
     return DensityMatrix(mat)

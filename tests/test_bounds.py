@@ -1128,8 +1128,8 @@ class TestAcceptedStatesAreRead:
     def test_edge_states_give_reports_for_every_statistical_label(self, d, seed):
         measurements = _campaign_measurements(d)
         bases = _bases(measurements["mubs"])
-        # P1-P3 and LWBM-sum on incomplete sets too; P4 needs two bases and is
-        # tight at a basis state, so it is read on the complete set only
+        # P1-P3 and LWBM-sum on incomplete sets too, and P4, which needs two bases
+        # and is tight at a basis state, on the two-basis one
         subsets = [mub_set(bases[:m]) for m in (1, 2)]
         basis = orthonormal_basis(np.eye(d))
         for trace_error in (0.0, 0.99e-12, -0.99e-12):
@@ -1138,10 +1138,10 @@ class TestAcceptedStatesAreRead:
                 if not entry.statistical:
                     continue
                 meas = measurements["mubs" if entry.measurement == "mubs" else "sic"]
-                incomplete = entry.measurement == "mubs" and entry.order != "symmetrized"
+                incomplete = subsets[1:] if entry.order == "symmetrized" else subsets
                 for alpha in STATISTICAL_ORDERS[entry.order]:
                     for eta in (None, 0.8) if entry.efficiency else (None,):
-                        for each in [meas, *subsets] if incomplete else [meas]:
+                        for each in [meas, *incomplete] if entry.measurement == "mubs" else [meas]:
                             report = check_bound(each, rho, label, alpha=alpha, eta=eta)
                             assert report.passed, (label, each.shape, alpha, eta, report)
             # a basis, and the same basis as a POVM, can give a clamped index above 1

@@ -204,10 +204,12 @@ class TestTsallis:
     @pytest.mark.parametrize("fn", [tsallis, symmetrized])
     def test_entry_rounded_above_one_contributes_zero(self, fn):
         # the sum is within tolerance of 1, so the distribution is valid; ln p > 0
-        # of the first entry used to overflow expm1 at large orders and give -inf
+        # of the first entry used to overflow expm1 at large orders and give -inf,
+        # and gave a Shannon term of -2.2e-16 at order 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fn([1.0000000000000002, 0.0], 1e20) == 0.0
+            for alpha in (1e20, 1.0):
+                assert fn([1.0000000000000002, 0.0], alpha) == 0.0, alpha
 
     def test_log_clamp_leaves_every_probability_in_the_unit_interval_bitwise(self):
         p = np.concatenate([
@@ -406,6 +408,15 @@ PLAIN_FLOAT_MESSAGES = {
     "max_prob_bound-empty": (
         lambda: max_prob_bound(3, []),
         "empty sum-of-squares array, shape (0,)",
+    ),
+    # alpha_log names its first bad argument; it used to print the whole array
+    "alpha_log-stack": (
+        lambda: alpha_log([[2.0, -3.0, np.nan]], 2.0),
+        "alpha-logarithm needs finite x > 0, got -3.0",
+    ),
+    "alpha_log-empty": (
+        lambda: alpha_log([], 2.0),
+        "empty alpha-logarithm argument array, shape (0,)",
     ),
 }
 

@@ -97,6 +97,8 @@ NON_FINITE = {
     "mub_set": lambda value: mub_set([np.eye(2), _with_entry(_HADAMARD, value)]),
     "povm": lambda value: povm(_with_entry(np.array([np.eye(2) / 2, np.eye(2) / 2]), value)),
     "sic_povm": lambda value: sic_povm(_with_entry(sic_from_fiducial(2).kets, value)),
+    # an exported builder that used to return NaN kets for a NaN fiducial
+    "weyl_heisenberg_orbit": lambda value: weyl_heisenberg_orbit([value, 1.0]),
 }
 
 
