@@ -376,6 +376,8 @@ class CheckArguments(NamedTuple):
 class Proposition(NamedTuple):
     """One labelled check: what it measures, which orders it takes, its two sides.
 
+    ``code`` is the label's fixed integer, never reused: a campaign draws the
+    label's states at dimension d from ``stream(seed, d, code)``.
     ``measurement`` names the kinds of :class:`Measurement` that
     :func:`check_bound` admits as ``meas`` (``_MEASUREMENT_KINDS``): "mubs",
     "sic", "any" (a basis, POVM or SIC; campaigns use the SIC), "pair" (a
@@ -388,6 +390,7 @@ class Proposition(NamedTuple):
     states of an :class:`Inputs`.
     """
 
+    code: int
     measurement: str
     sense: str
     order: str | None
@@ -507,19 +510,19 @@ def _ent_g(sic, x, a):
 
 
 PROPOSITIONS = {
-    "P1-mub-tsallis": Proposition("mubs", ">=", "tsallis", True, _cap_chain),
-    "P2-mub-renyi": Proposition("mubs", ">=", "renyi", False, _cap_chain),
-    "P3-mub-minent": Proposition("mubs", ">=", None, False, _cap_chain),
-    "P4-mub-sym": Proposition("mubs", ">=", "symmetrized", False, _p4),
-    "P5-sic-ic": Proposition("sic", "==", None, False, _p5),
-    "P6-sic-tsallis": Proposition("sic", ">=", "tsallis", True, _cap_chain),
-    "P7-sic-renyi": Proposition("sic", ">=", "renyi", False, _cap_chain),
-    "P8-sic-minent": Proposition("sic", ">=", None, False, _cap_chain),
-    "P9-mu-pair": Proposition("pair", ">=", "symmetrized", False, _p9),
-    "LWBM-sum": Proposition("mubs", "<=", None, False, _lwbm),
-    "APXA-max": Proposition("any", "<=", None, False, _apxa),
-    "APXB-riesz": Proposition("pair", "<=", None, False, _apxb),
-    "ENT-G": Proposition("product", "<=", None, False, _ent_g),
+    "P1-mub-tsallis": Proposition(1, "mubs", ">=", "tsallis", True, _cap_chain),
+    "P2-mub-renyi": Proposition(2, "mubs", ">=", "renyi", False, _cap_chain),
+    "P3-mub-minent": Proposition(3, "mubs", ">=", None, False, _cap_chain),
+    "P4-mub-sym": Proposition(4, "mubs", ">=", "symmetrized", False, _p4),
+    "P5-sic-ic": Proposition(5, "sic", "==", None, False, _p5),
+    "P6-sic-tsallis": Proposition(6, "sic", ">=", "tsallis", True, _cap_chain),
+    "P7-sic-renyi": Proposition(7, "sic", ">=", "renyi", False, _cap_chain),
+    "P8-sic-minent": Proposition(8, "sic", ">=", None, False, _cap_chain),
+    "P9-mu-pair": Proposition(9, "pair", ">=", "symmetrized", False, _p9),
+    "LWBM-sum": Proposition(10, "mubs", "<=", None, False, _lwbm),
+    "APXA-max": Proposition(11, "any", "<=", None, False, _apxa),
+    "APXB-riesz": Proposition(12, "pair", "<=", None, False, _apxb),
+    "ENT-G": Proposition(13, "product", "<=", None, False, _ent_g),
 }
 PROPOSITION_LABELS = tuple(PROPOSITIONS)
 # the labels whose evaluators read Inputs.cap

@@ -13,9 +13,12 @@ or out-of-domain input, 3 I/O failure.  Campaigns with identical
 configuration and seed produce bitwise-identical reports.  A campaign's
 plan is its list of (dim, label)s, each with its measurement and its
 validated orders, all built and checked before the first draw.  Each label
-is one stack of N states from its stream (seed, di, pi, 0), and every order
-of the label is checked on that stack, so an order's rows are the same
-whether it runs alone or in a sweep.
+at dimension d is one stack of N states from its stream (seed, d, code),
+``code`` being the label's fixed :attr:`~mubsic.bounds.Proposition.code`,
+and every order of the label is checked on that stack.  So a row is keyed
+by what it is: its rows are the same whatever else the campaign runs, and
+an order's rows the same alone or in a sweep.  A campaign that repeats a
+dimension or a label is rejected, so no two rows share a key.
 """
 
 from __future__ import annotations
@@ -115,6 +118,12 @@ class CampaignConfig:
         self.alphas = [check_order(a) for a in self.alphas]
         for p in self.props:
             bnd.check_label(p)
+        # rows are keyed by (dim, label), so a repeat would write its rows twice; dims are
+        # ints and labels strs, so one set holds both
+        keys = [*self.dims, *self.props]
+        if len(set(keys)) < len(keys):
+            first = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise DomainError(f"campaign repeats {first!r}: its rows would be written twice")
         if self.eta is not None:
             self.eta = check_efficiency(self.eta)
         if self.count is not None:  # the cap d + 1 is checked per dimension, on construction
@@ -163,8 +172,6 @@ def _fiducial_ket(path: str | None) -> tuple | None:
 class _Label(NamedTuple):
     """One (dim, label) of a campaign: its measurement, M column and validated orders."""
 
-    di: int  # its states come from stream (seed, di, pi, 0)
-    pi: int
     d: int
     prop: str
     meas: object
@@ -175,14 +182,16 @@ class _Label(NamedTuple):
 def _plan(config: CampaignConfig) -> list[_Label]:
     """The campaign's (dim, label)s in order, with every measurement built and every order checked.
 
-    Raises :class:`DomainError` when the campaign has no label.
+    A label's place in the plan orders its rows in the report and nothing
+    else: its states are keyed by its (d, code) (:func:`_states`).  Raises
+    :class:`DomainError` when the campaign has no label.
     """
     fiducial = _fiducial_ket(config.fiducial_path)
     plan = []
-    for di, d in enumerate(config.dims):
+    for d in config.dims:
         # a fiducial file serves the one dimension it was written for
         ket = fiducial if fiducial is not None and len(fiducial) == d else None
-        for pi, prop in enumerate(config.props):
+        for prop in config.props:
             entry = bnd.PROPOSITIONS[prop]
             eta = config.eta if entry.efficiency else None
             if entry.measurement == "mubs":
@@ -195,25 +204,26 @@ def _plan(config: CampaignConfig) -> list[_Label]:
             # with no orders, an order-dependent label gets None, which check_arguments rejects
             alphas = (config.alphas or [None]) if entry.order else [None]
             orders = [bnd.check_arguments(prop, alpha=alpha, eta=eta) for alpha in alphas]
-            plan.append(_Label(di, pi, d, prop, meas, outcomes, orders))
+            plan.append(_Label(d, prop, meas, outcomes, orders))
     if not plan:
         raise DomainError("campaign is empty: no (dim, proposition, order) cells to run")
     return plan
 
 
 def _states(label: _Label, config: CampaignConfig):
-    """The label's stack of N states, drawn from its stream (seed, di, pi, 0).
+    """The label's stack of N states, drawn from its stream (seed, d, code).
 
     One (N, K) block of standard normals: row i holds all K numbers sample i
-    needs, so a row depends only on the label's (di, pi) and i.  Row layout:
+    needs, so a row depends only on the label's (d, code) and i.  Row layout:
     the Ginibre block (2, d, d) of the state; for ENT-G, a second one for
     party B.  ENT-G samples both parties as one stack of 2N states, A and B
     of sample i at rows 2i and 2i + 1, in one :func:`random_mixed` call, and
     validates the N products as a second stack.
     """
     d, n = label.d, config.samples
-    product = bnd.PROPOSITIONS[label.prop].measurement == "product"
-    draws = stream(config.seed, label.di, label.pi, 0).standard_normal(
+    entry = bnd.PROPOSITIONS[label.prop]
+    product = entry.measurement == "product"
+    draws = stream(config.seed, d, entry.code).standard_normal(
         (n, 2 * d * d * (2 if product else 1))
     )
     samples = np.arange(n)

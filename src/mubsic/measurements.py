@@ -274,12 +274,10 @@ def mub_construct(d: int, count: int) -> Measurement:
     omega = np.exp(2j * np.pi / d)
     k = np.arange(d)
     bases = [np.eye(d, dtype=complex)]
-    for m in range(d):
+    for m in range(count - 1):
         phase = m * k[None, :] ** 2 + k[:, None] * k[None, :]  # rows j, columns k
         bases.append(omega ** np.mod(phase, d) / np.sqrt(d))
-        if len(bases) == count:
-            break
-    return mub_set(bases[:count])
+    return mub_set(bases)
 
 
 _TETRAHEDRON_BLOCH = np.array(
@@ -334,12 +332,11 @@ def sic_from_fiducial(d: int, fiducial=None) -> Measurement:
     d = check_dimension(d)
     if fiducial is None:
         if d == 2:
-            kets = np.array([_ket_from_bloch(s) for s in _TETRAHEDRON_BLOCH])
-            return sic_povm(kets)
+            return sic_povm(np.array([_ket_from_bloch(s) for s in _TETRAHEDRON_BLOCH]))
         if d in _BUILTIN_FIDUCIALS:
             return sic_povm(weyl_heisenberg_orbit(_BUILTIN_FIDUCIALS[d]))
         raise DomainError(f"no builtin fiducial for dimension {d}; provide one")
-    f = np.asarray(fiducial, dtype=complex).ravel()
+    f = _coerce(fiducial).ravel()
     if f.size != d:
         raise DimensionMismatchError(f"fiducial has dimension {f.size}, expected {d}")
     norm_dev = abs(np.linalg.norm(f) - 1.0)
@@ -406,11 +403,9 @@ def load_fiducial(path) -> tuple[np.ndarray, float]:
     """
     with open(check_fiducial_path(path), "r", encoding="utf-8") as fh:
         d, vec = _complex_json(json.load, fh, "fiducial")
-    vec = vec.ravel()
+    vec = _coerce(vec).ravel()
     if vec.size != d:
         raise DomainError(f"fiducial JSON dim {d} does not match {vec.size} components")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("fiducial vector has a non-finite component")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise DomainError("fiducial vector is zero")

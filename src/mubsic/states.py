@@ -316,7 +316,8 @@ def _complex_json(parse, source, what: str) -> tuple[int, np.ndarray]:
     try:
         obj = parse(source)
         d = check_dimension(obj["dim"])
-        return d, np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        with np.errstate(invalid="ignore"):  # 1j * inf: the caller's non-finite check names it
+            return d, np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed {what} JSON: {exc}") from exc
 

@@ -277,15 +277,14 @@ def test_one_row_campaigns_are_a_prefix_at_dims_5_and_7(tmp_path, props, alphas,
 
 
 SIC_LABELS = "P5-sic-ic,P6-sic-tsallis,P7-sic-renyi,P8-sic-minent"
-# (label, its campaign alone, the campaign with its neighbours, orders); the
-# label's cell has the same stream key (di, pi, 0) in both campaigns, so a
-# leading P9 cell puts LWBM and P6 at pi = 1 alone.
+# (label, its orders alone, the campaign with its neighbours, their orders); a
+# label's states come from its stream (seed, d, code) in both campaigns
 FUSED = [
-    ("P1-mub-tsallis", "P1-mub-tsallis", "0.5", "P1-mub-tsallis", "0.5,1,2"),
-    ("P3-mub-minent", "P3-mub-minent", "2", "P3-mub-minent,LWBM-sum", "2"),
-    ("LWBM-sum", "P9-mu-pair,LWBM-sum", "2", "P3-mub-minent,LWBM-sum", "2"),
-    ("P5-sic-ic", "P5-sic-ic", "2", SIC_LABELS, "2"),
-    ("P6-sic-tsallis", "P9-mu-pair,P6-sic-tsallis", "2", SIC_LABELS, "2"),
+    ("P1-mub-tsallis", "0.5", "P1-mub-tsallis", "0.5,1,2"),
+    ("P3-mub-minent", "2", "P3-mub-minent,LWBM-sum", "2"),
+    ("LWBM-sum", "2", "P3-mub-minent,LWBM-sum", "2"),
+    ("P5-sic-ic", "2", SIC_LABELS, "2"),
+    ("P6-sic-tsallis", "2", SIC_LABELS, "2"),
 ]
 
 
@@ -301,21 +300,54 @@ def _fiducial_args(tmp_path, d):
 
 @pytest.mark.parametrize("eta", [None, "0.8"])
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
-@pytest.mark.parametrize("label, alone, alone_alphas, neighbours, neighbours_alphas", FUSED)
+@pytest.mark.parametrize("label, alone_alphas, neighbours, neighbours_alphas", FUSED)
 def test_a_cell_gives_the_same_rows_alone_and_in_a_group(
-    tmp_path, label, alone, alone_alphas, neighbours, neighbours_alphas, d, eta
+    tmp_path, label, alone_alphas, neighbours, neighbours_alphas, d, eta
 ):
     args = ["verify", "--dims", str(d), "--samples", "7", "--seed", "11"]
     args += _fiducial_args(tmp_path, d) + ([] if eta is None else ["--eta", eta])
     one, many = tmp_path / "one.csv", tmp_path / "many.csv"
-    assert main(args + ["--props", alone, "--alphas", alone_alphas, "--out", str(one)]) == 0
+    assert main(args + ["--props", label, "--alphas", alone_alphas, "--out", str(one)]) == 0
     props = ["--props", neighbours, "--alphas", neighbours_alphas]
     assert main(args + props + ["--out", str(many)]) == 0
-    alone_cells = {key: lines for key, lines in _cells(one).items() if key[0] == label}
-    neighbours_cells = _cells(many)
-    assert len(alone_cells) == 1
-    for key, lines in alone_cells.items():
-        assert len(lines) == 7 and neighbours_cells[key] == lines, key
+    (key, lines), = _cells(one).items()
+    assert len(lines) == 7 and _cells(many)[key] == lines, key
+
+
+def test_a_row_is_its_own_key(tmp_path):
+    # LWBM-sum at d = 3 alone, as the second label at the second dim, and in
+    # the reference campaign: the same 200 rows, byte for byte
+    args = ["verify", "--alphas", "2", "--samples", "200", "--seed", "7"]
+    campaigns = [
+        ["--dims", "3", "--props", "LWBM-sum"],
+        ["--dims", "2,3", "--props", "P3-mub-minent,LWBM-sum"],
+        ["--dims", "2,3", "--props", "all"],
+    ]
+    cells = []
+    for i, campaign in enumerate(campaigns):
+        path = tmp_path / f"{i}.csv"
+        assert main(args + campaign + ["--out", str(path)]) == 0
+        cells.append(_cells(path)[("LWBM-sum", "3", "")])
+    assert len(cells[0]) == 200 and cells[1] == cells[0] and cells[2] == cells[0]
+
+
+def test_every_label_keeps_its_rows_whatever_else_runs(tmp_path):
+    # the reference labels at seven samples: the same cells in reverse order of
+    # dims and labels, and each (dim, label) alone
+    args = ["verify", "--alphas", "2", "--samples", "7", "--seed", "3"]
+    labels = list(bounds.PROPOSITION_LABELS)
+    forward, backward = tmp_path / "forward.csv", tmp_path / "backward.csv"
+    assert main(args + ["--dims", "2,3", "--props", "all", "--out", str(forward)]) == 0
+    reverse = ["--dims", "3,2", "--props", ",".join(labels[::-1])]
+    assert main(args + reverse + ["--out", str(backward)]) == 0
+    cells = _cells(forward)
+    assert len(cells) == 26 and _cells(backward) == cells
+    alone = tmp_path / "alone.csv"
+    for d in (2, 3):
+        for label in labels:
+            assert main(args + ["--dims", str(d), "--props", label, "--out", str(alone)]) == 0
+            (key, lines), = _cells(alone).items()
+            assert lines == cells[key], key
 
 
 @pytest.mark.parametrize(
@@ -413,7 +445,7 @@ SWEEP_CASES = [
 
 @pytest.mark.parametrize("label, order, sweep, d, eta", SWEEP_CASES)
 def test_an_order_gives_the_same_rows_alone_and_in_a_sweep(tmp_path, label, order, sweep, d, eta):
-    # every order of a label reads the label's one block, drawn from stream (seed, di, pi, 0)
+    # every order of a label reads the label's one block, drawn from stream (seed, d, code)
     args = ["verify", "--dims", str(d), "--props", label, "--samples", "7", "--seed", "11"]
     args += [] if eta is None else ["--eta", eta]
     one, many = tmp_path / "one.csv", tmp_path / "many.csv"
@@ -462,29 +494,31 @@ def test_each_stack_holds_one_labels_states(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "dims, props, alphas, calls",
+    "dims, props, alphas, keys",
     [
-        ("5,7", "P1-mub-tsallis", "0.5,1,2", 2),
-        ("5,7", "P1-mub-tsallis,P4-mub-sym", "1,2", 4),
+        ("5,7", "P1-mub-tsallis", "0.5,1,2", [(5, 1), (7, 1)]),
+        ("5,7", "P1-mub-tsallis,P4-mub-sym", "1,2", [(5, 1), (5, 4), (7, 1), (7, 4)]),
+        ("7,5", "P4-mub-sym,P1-mub-tsallis", "1,2", [(7, 4), (7, 1), (5, 4), (5, 1)]),
         # a pair label, with one block for all its orders
-        ("2,3", "P9-mu-pair", "1,1.5,3", 2),
+        ("2,3", "P9-mu-pair", "1,1.5,3", [(2, 9), (3, 9)]),
     ],
 )
-def test_one_stream_per_dim_and_label(monkeypatch, capsys, dims, props, alphas, calls):
+def test_one_stream_per_dim_and_label(monkeypatch, capsys, dims, props, alphas, keys):
     for d in (2, 3):  # the pairs' fixed rotations are drawn once per process, before counting
         cli.measurement("pair", d, None, None)
-    keys = []
+    drawn = []
     original = cli.stream
 
     def counted(seed, *ids):
-        keys.append(ids)
+        drawn.append(ids)
         return original(seed, *ids)
 
     monkeypatch.setattr(cli, "stream", counted)
     argv = ["verify", "--dims", dims, "--props", props, "--alphas", alphas, "--samples", "3"]
     assert main(argv + ["--out", ""]) == 0
     assert "failed=0" in capsys.readouterr().out
-    assert len(keys) == calls and all(ids[2] == 0 for ids in keys)
+    # each (dim, label) is keyed (d, code), in plan order
+    assert drawn == keys
 
 
 @pytest.mark.parametrize(

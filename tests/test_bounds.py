@@ -685,6 +685,30 @@ def test_every_label_is_pinned():
     assert ADMITTED_KINDS.keys() == PROPOSITIONS.keys()
 
 
+# each label's stream code, in registry order; a code is never reused, since
+# a campaign draws the label's states at dimension d from stream(seed, d, code)
+LABEL_CODES = [
+    ("P1-mub-tsallis", 1),
+    ("P2-mub-renyi", 2),
+    ("P3-mub-minent", 3),
+    ("P4-mub-sym", 4),
+    ("P5-sic-ic", 5),
+    ("P6-sic-tsallis", 6),
+    ("P7-sic-renyi", 7),
+    ("P8-sic-minent", 8),
+    ("P9-mu-pair", 9),
+    ("LWBM-sum", 10),
+    ("APXA-max", 11),
+    ("APXB-riesz", 12),
+    ("ENT-G", 13),
+]
+
+
+def test_every_label_keeps_its_code():
+    assert len({code for _, code in LABEL_CODES}) == len(LABEL_CODES)
+    assert [(label, prop.code) for label, prop in PROPOSITIONS.items()] == LABEL_CODES
+
+
 @pytest.mark.parametrize("label, given, got", _rejected_cases(), ids=repr)
 def test_each_label_rejects_the_other_kinds(label, given, got):
     made = _one_of_each_kind()

@@ -383,6 +383,25 @@ class TestVerifyCommand:
             cli.CampaignConfig(dims=[2, 1], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0)
 
     @pytest.mark.parametrize(
+        "dims, props, repeat",
+        [
+            ([2, 2], ["P5-sic-ic"], "2"),
+            ([2, 3, 5, 3, 2], ["P5-sic-ic"], "3"),
+            ([2], ["P1-mub-tsallis", "P5-sic-ic", "P1-mub-tsallis"], "'P1-mub-tsallis'"),
+            # an integral float is the dimension it names
+            ([3.0, 3], ["P5-sic-ic"], "3"),
+            # the first repeat is named, the dims read before the labels
+            ([2, 2], ["P5-sic-ic", "P5-sic-ic"], "2"),
+        ],
+        ids=["dims", "first-dim", "props", "float-dim", "both"],
+    )
+    def test_config_rejects_a_repeated_dim_or_label(self, dims, props, repeat):
+        # a (dim, label)'s rows are keyed by what they are, so a repeat would write them twice
+        message = f"campaign repeats {repeat}: its rows would be written twice"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cli.CampaignConfig(dims=dims, props=props, alphas=[2.0], samples=1, seed=0)
+
+    @pytest.mark.parametrize(
         "seed, message",
         [(2.5, r"^seed must be an integer, got 2\.5$"), (-1, r"^seed must be >= 0, got -1$")],
     )
@@ -568,8 +587,10 @@ class TestRepeatedCampaign:
         # one validation of the 2N party states and one of the N products
         assert validations == [(2 * n, d, d), (n, d * d, d * d)]
         monkeypatch.undo()
-        # the product of two separate samplers on the same normals, bit for bit
-        draws = states.stream(seed, 0, 0, 0).standard_normal((n, 4 * d * d))
+        # the product of two separate samplers on the same normals, bit for bit, drawn
+        # from the stream (seed, d, code) of ENT-G at d
+        code = cli.bnd.PROPOSITIONS["ENT-G"].code
+        draws = states.stream(seed, d, code).standard_normal((n, 4 * d * d))
         i = np.arange(n)
         a = random_mixed(d, 1 + i % d, normals=draws[:, : 2 * d * d].reshape(n, 2, d, d))
         b = random_mixed(d, 1 + (i // d) % d, normals=draws[:, 2 * d * d :].reshape(n, 2, d, d))
@@ -686,6 +707,13 @@ EXIT_CONTRACT = [
         ["coincidence", "--dim", "2", "--random-rank", "1", "--seed", "-1"],
         2,
         "error: seed must be >= 0, got -1\n",
+    ),
+    # a repeated dim or label would write its rows twice
+    (["verify", "--dims", "2,2"], 2, "error: campaign repeats 2: its rows would be written twice\n"),
+    (
+        ["verify", "--props", "P1-mub-tsallis,P1-mub-tsallis"],
+        2,
+        "error: campaign repeats 'P1-mub-tsallis': its rows would be written twice\n",
     ),
 ]
 

@@ -99,6 +99,8 @@ NON_FINITE = {
     "sic_povm": lambda value: sic_povm(_with_entry(sic_from_fiducial(2).kets, value)),
     # an exported builder that used to return NaN kets for a NaN fiducial
     "weyl_heisenberg_orbit": lambda value: weyl_heisenberg_orbit([value, 1.0]),
+    # its norm check used to run first: "fiducial is not unit norm (deviation nan)"
+    "sic_from_fiducial": lambda value: sic_from_fiducial(2, [value, 1.0]),
 }
 
 
@@ -573,9 +575,18 @@ class TestFiducialLoader:
         assert load_fiducial(path)[0].shape == (2,)
 
     def test_rejects_nan_component(self, tmp_path):
+        # one non-finite rule for every fiducial: the builders' _coerce and its text
         path = tmp_path / "fid.json"
         path.write_text('{"dim": 3, "re": [0.0, 1.0, NaN], "im": [0.0, 0.0, 0.0]}')
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^measurement input has a non-finite entry$"):
+            load_fiducial(path)
+
+    @pytest.mark.parametrize("re, im", [("1e400", "0.0"), ("0.0", "-Infinity")])
+    def test_rejects_an_infinite_component(self, tmp_path, re, im):
+        # 1j * inf in the imaginary part used to warn "invalid value encountered" first
+        path = tmp_path / "fid.json"
+        path.write_text(f'{{"dim": 3, "re": [0.0, 1.0, {re}], "im": [0.0, 0.0, {im}]}}')
+        with pytest.raises(DomainError, match="^measurement input has a non-finite entry$"):
             load_fiducial(path)
 
     def test_rejects_a_file_that_is_not_json(self, tmp_path):

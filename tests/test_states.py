@@ -473,6 +473,13 @@ class TestJson:
             with pytest.raises(DomainError, match="^density matrix has a non-finite entry$"):
                 from_json(text)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e400"])
+    def test_rejects_a_non_finite_imaginary_part(self, value):
+        # 1j * inf used to warn "invalid value encountered in multiply" first
+        text = f'{{"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, {value}], [0, 0]]}}'
+        with pytest.raises(DomainError, match="^density matrix has a non-finite entry$"):
+            from_json(text)
+
     def test_round_trip(self):
         rho = random_mixed(3, 2, 5)
         again = from_json(to_json(rho))
