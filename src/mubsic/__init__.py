@@ -57,7 +57,6 @@ from .measurements import (
     orthonormal_basis,
     povm,
     probabilities,
-    sic_design_basis,
     sic_from_fiducial,
     sic_povm,
     weyl_heisenberg_orbit,

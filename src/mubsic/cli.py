@@ -18,7 +18,7 @@ at dimension d is one stack of N states from its stream (seed, d, code),
 and every order of the label is checked on that stack.  So a row is keyed
 by what it is: its rows are the same whatever else the campaign runs, and
 an order's rows the same alone or in a sweep.  A campaign that repeats a
-dimension or a label is rejected, so no two rows share a key.
+dimension, a label or an order is rejected, so no two rows share a key.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ class CampaignConfig:
         self.alphas = [check_order(a) for a in self.alphas]
         for p in self.props:
             bnd.check_label(p)
-        # rows are keyed by (dim, label), so a repeat would write its rows twice; dims are
-        # ints and labels strs, so one set holds both
-        keys = [*self.dims, *self.props]
-        if len(set(keys)) < len(keys):
-            first = next(k for i, k in enumerate(keys) if k in keys[:i])
-            raise DomainError(f"campaign repeats {first!r}: its rows would be written twice")
+        # rows are keyed by (dim, label, order), so a repeat would write its rows twice;
+        # each list is compared as validated, so 2 and 2.0 are one order
+        for keys in (self.dims, self.props, self.alphas):
+            if len(set(keys)) < len(keys):
+                first = next(k for i, k in enumerate(keys) if k in keys[:i])
+                raise DomainError(f"campaign repeats {first!r}: its rows would be written twice")
         if self.eta is not None:
             self.eta = check_efficiency(self.eta)
         if self.count is not None:  # the cap d + 1 is checked per dimension, on construction

@@ -131,9 +131,6 @@ class ProbDist:
         """Number of outcomes."""
         return self.p.shape[-1]
 
-    def __iter__(self):
-        return iter(self.p)
-
     def __repr__(self):
         return f"ProbDist({np.array2string(self.p, precision=6)})"
 

@@ -323,8 +323,9 @@ def sic_from_fiducial(d: int, fiducial=None) -> Measurement:
     With ``fiducial=None`` the builtin is used: for d = 2 the four
     Bloch-tetrahedron kets with Bloch vectors (+-1, +-1, +-1)/sqrt(3)
     having an even number of minus signs, for d = 3 the orbit of
-    (0, 1, -1)/sqrt(2).  Other dimensions need an explicit fiducial
-    (e.g. loaded with :func:`load_fiducial`).
+    (0, 1, -1)/sqrt(2).  A builtin fiducial meets the checks a given one
+    does.  Other dimensions need an explicit fiducial (e.g. loaded with
+    :func:`load_fiducial`).
 
     Raises :class:`~mubsic.errors.NotASicError` with the worst pairwise
     deviation if the orbit fails the SIC conditions.
@@ -333,9 +334,9 @@ def sic_from_fiducial(d: int, fiducial=None) -> Measurement:
     if fiducial is None:
         if d == 2:
             return sic_povm(np.array([_ket_from_bloch(s) for s in _TETRAHEDRON_BLOCH]))
-        if d in _BUILTIN_FIDUCIALS:
-            return sic_povm(weyl_heisenberg_orbit(_BUILTIN_FIDUCIALS[d]))
-        raise DomainError(f"no builtin fiducial for dimension {d}; provide one")
+        if d not in _BUILTIN_FIDUCIALS:
+            raise DomainError(f"no builtin fiducial for dimension {d}; provide one")
+        fiducial = _BUILTIN_FIDUCIALS[d]
     f = _coerce(fiducial).ravel()
     if f.size != d:
         raise DimensionMismatchError(f"fiducial has dimension {f.size}, expected {d}")
@@ -343,34 +344,6 @@ def sic_from_fiducial(d: int, fiducial=None) -> Measurement:
     if not norm_dev <= 1e-10:
         raise DomainError(f"fiducial is not unit norm (deviation {norm_dev:.3e})")
     return sic_povm(weyl_heisenberg_orbit(f))
-
-
-def sic_design_basis(sic: Measurement) -> np.ndarray:
-    """Orthonormal basis of H (x) H built from a SIC ket family.
-
-    Returns the d^2 vectors
-
-        v_0     = d^(-3/2) sum_j phi_j (x) phi_j*
-        v_k     = sqrt(d+1) d^(-3/2) sum_j omega^(k(j-1)) phi_j (x) phi_j*
-
-    for k = 1..d^2-1, with omega = exp(2 pi i / d^2) and j-1 running over
-    the stored ket order.  The Gram matrix is re-verified; deviations
-    beyond 1e-8 raise :class:`~mubsic.errors.ConstructionError` (the
-    input did not satisfy the SIC conditions tightly enough).
-    """
-    d = sic.dim
-    n = d * d
-    pairs = (sic.kets[:, :, None] * sic.kets.conj()[:, None, :]).reshape(n, n)
-    omega = np.exp(2j * np.pi / n)
-    phases = omega ** (np.arange(n)[:, None] * np.arange(n)[None, :])  # [k, j]
-    vectors = phases @ pairs / d**1.5
-    vectors[1:] *= np.sqrt(d + 1.0)
-    dev = _identity_deviation(vectors.conj() @ vectors.T)
-    if not dev <= 1e-8:
-        raise ConstructionError(
-            f"design-basis Gram deviation {dev:.3e}; input kets are not a SIC"
-        )
-    return vectors
 
 
 def distort(p, eta: float) -> ProbDist:

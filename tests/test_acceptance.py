@@ -27,7 +27,6 @@ from mubsic import (
     purity,
     random_mixed,
     random_pure,
-    sic_design_basis,
     sic_from_fiducial,
     simple_bounds,
     stream,
@@ -101,16 +100,19 @@ def test_criterion_02_qubit_special_values():
     )
 
 
-def test_criterion_03_design_basis_gram():
-    worst = 0.0
+def test_criterion_03_design_gram():
+    # every SIC probability is x @ D; D^T D holds tr(E_j E_k) = (d delta_jk + 1)/(d^2 (d+1))
+    worst, ranks = 0.0, []
     for d in (2, 3):
-        vectors = sic_design_basis(sic_from_fiducial(d))
-        gram = vectors.conj() @ vectors.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(d * d)))))
+        design = sic_from_fiducial(d).design
+        n = d * d
+        want = (d * np.eye(n) + np.ones((n, n))) / (d * d * (d + 1))
+        worst = max(worst, float(np.max(np.abs(design.T @ design - want))))
+        ranks.append(int(np.linalg.matrix_rank(design)))
     _announce(
-        "03 design-basis",
-        worst <= 1e-10,
-        f"worst entrywise Gram deviation = {worst:.3e} for d in {{2, 3}}",
+        "03 design-gram",
+        worst <= 1e-12 and ranks == [4, 9],
+        f"worst |D^T D - (d I + J)/(d^2 (d+1))| = {worst:.3e}, ranks {ranks} for d = 2, 3",
     )
 
 

@@ -383,23 +383,30 @@ class TestVerifyCommand:
             cli.CampaignConfig(dims=[2, 1], props=["P5-sic-ic"], alphas=[2.0], samples=1, seed=0)
 
     @pytest.mark.parametrize(
-        "dims, props, repeat",
+        "dims, props, alphas, repeat",
         [
-            ([2, 2], ["P5-sic-ic"], "2"),
-            ([2, 3, 5, 3, 2], ["P5-sic-ic"], "3"),
-            ([2], ["P1-mub-tsallis", "P5-sic-ic", "P1-mub-tsallis"], "'P1-mub-tsallis'"),
+            ([2, 2], ["P5-sic-ic"], [2.0], "2"),
+            ([2, 3, 5, 3, 2], ["P5-sic-ic"], [2.0], "3"),
+            ([2], ["P1-mub-tsallis", "P5-sic-ic", "P1-mub-tsallis"], [2.0], "'P1-mub-tsallis'"),
             # an integral float is the dimension it names
-            ([3.0, 3], ["P5-sic-ic"], "3"),
+            ([3.0, 3], ["P5-sic-ic"], [2.0], "3"),
             # the first repeat is named, the dims read before the labels
-            ([2, 2], ["P5-sic-ic", "P5-sic-ic"], "2"),
+            ([2, 2], ["P5-sic-ic", "P5-sic-ic"], [2.0], "2"),
+            # orders are compared as validated: 2 and 2.0 are one order, "inf" and inf too
+            ([2], ["P1-mub-tsallis"], [2, 2.0], "2.0"),
+            ([2], ["P2-mub-renyi"], [2, "inf", np.inf], "inf"),
+            # the dims read before the orders
+            ([3, 3], ["P1-mub-tsallis"], [2, 2.0], "3"),
         ],
-        ids=["dims", "first-dim", "props", "float-dim", "both"],
+        ids=[
+            "dims", "first-dim", "props", "float-dim", "both", "order", "inf-order", "dim-and-order"
+        ],
     )
-    def test_config_rejects_a_repeated_dim_or_label(self, dims, props, repeat):
-        # a (dim, label)'s rows are keyed by what they are, so a repeat would write them twice
+    def test_config_rejects_a_repeated_dim_or_label(self, dims, props, alphas, repeat):
+        # a row is keyed by its (dim, label, order), so a repeat would write its rows twice
         message = f"campaign repeats {repeat}: its rows would be written twice"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            cli.CampaignConfig(dims=dims, props=props, alphas=[2.0], samples=1, seed=0)
+            cli.CampaignConfig(dims=dims, props=props, alphas=alphas, samples=1, seed=0)
 
     @pytest.mark.parametrize(
         "seed, message",
@@ -708,12 +715,17 @@ EXIT_CONTRACT = [
         2,
         "error: seed must be >= 0, got -1\n",
     ),
-    # a repeated dim or label would write its rows twice
+    # a repeated dim, label or order would write its rows twice
     (["verify", "--dims", "2,2"], 2, "error: campaign repeats 2: its rows would be written twice\n"),
     (
         ["verify", "--props", "P1-mub-tsallis,P1-mub-tsallis"],
         2,
         "error: campaign repeats 'P1-mub-tsallis': its rows would be written twice\n",
+    ),
+    (
+        ["verify", "--dims", "2", "--props", "P1-mub-tsallis", "--alphas", "2,2.0", "--samples", "2"],
+        2,
+        "error: campaign repeats 2.0: its rows would be written twice\n",
     ),
 ]
 

@@ -25,7 +25,7 @@ ROOT = PACKAGE.parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
 # exported names that only tests call yet, each kept for a planned use (CHANGES.md)
-UNUSED_EXPORTS = {"simple_bounds", "maximally_entangled", "from_bloch", "sic_design_basis"}
+UNUSED_EXPORTS = {"simple_bounds", "maximally_entangled", "from_bloch"}
 
 
 def _unused_imports(path):

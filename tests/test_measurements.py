@@ -9,7 +9,6 @@ from mubsic import (
     DensityMatrix,
     DimensionMismatchError,
     DomainError,
-    Measurement,
     NotASicError,
     PreconditionError,
     ProbDist,
@@ -24,7 +23,6 @@ from mubsic import (
     probabilities,
     random_mixed,
     random_pure,
-    sic_design_basis,
     sic_from_fiducial,
     sic_povm,
     weyl_heisenberg_orbit,
@@ -258,6 +256,15 @@ class TestSicConstruct:
         with pytest.raises(DomainError, match="unit norm"):
             sic_from_fiducial(2, np.array([1.0, 1.0]))
 
+    def test_builtin_fiducial_meets_the_checks_of_a_given_one(self, monkeypatch):
+        not_unit = np.array([0.0, 1.0, -1.0], dtype=complex)
+        message = f"^{re.escape('fiducial is not unit norm (deviation 4.142e-01)')}$"
+        with pytest.raises(DomainError, match=message):
+            sic_from_fiducial(3, not_unit)
+        monkeypatch.setitem(measurements._BUILTIN_FIDUCIALS, 3, not_unit)
+        with pytest.raises(DomainError, match=message):
+            sic_from_fiducial(3)
+
     def test_wrong_length_fiducial_rejected(self):
         with pytest.raises(DimensionMismatchError):
             sic_from_fiducial(3, np.array([1.0, 0.0]))
@@ -414,36 +421,6 @@ class TestProbabilityKernel:
                 meas.design[0, 0] = 1.0
 
 
-class TestDesignBasis:
-    def test_qubit_gram(self):
-        vectors = sic_design_basis(sic_from_fiducial(2))
-        gram = vectors.conj() @ vectors.T
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-    def test_first_vector_normalized(self):
-        vectors = sic_design_basis(sic_from_fiducial(3))
-        assert np.linalg.norm(vectors[0]) == pytest.approx(1.0, abs=1e-13)
-
-    def test_qutrit_gram(self):
-        vectors = sic_design_basis(sic_from_fiducial(3))
-        gram = vectors.conj() @ vectors.T
-        assert np.max(np.abs(gram - np.eye(9))) < 1e-11
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_span_is_full_space(self, d):
-        vectors = sic_design_basis(sic_from_fiducial(d))
-        projector = vectors.T @ vectors.conj()
-        assert np.max(np.abs(projector - np.eye(d * d))) < 1e-10
-
-    def test_rejects_non_sic_input(self):
-        rng = np.random.default_rng(0)
-        kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        kets /= np.linalg.norm(kets, axis=1)[:, None]
-        fake = Measurement("sic", _projectors(kets) / 2, kets, 2, 0.0)  # no SIC check, on purpose
-        with pytest.raises(ConstructionError):
-            sic_design_basis(fake)
-
-
 class TestDistort:
     def test_full_efficiency_appends_zero(self):
         p = distort([0.25, 0.75], 1.0)
@@ -484,6 +461,12 @@ class TestProbDist:
         assert len(ProbDist([[0.5, 0.5], [1.0, 0.0]])) == 2
         with pytest.raises(DomainError):
             ProbDist([[0.5, 0.5], [0.5, 0.4]])
+
+
+def test_reprs_name_the_dimension_and_the_purity_or_the_stack_size():
+    assert repr(ProbDist([0.5, 0.5])) == "ProbDist([0.5 0.5])"
+    assert repr(maximally_mixed(2)) == "DensityMatrix(dim=2, purity=0.500000)"
+    assert repr(DensityMatrix(np.stack([np.eye(3) / 3] * 4))) == "DensityMatrix(dim=3, states=4)"
 
 
 class TestStructuralInvariants:
