@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import entanglement
+from . import entanglement, states
 from .entropy import (
     ProbDist,
     _dist,
@@ -287,41 +287,32 @@ def _kind(meas) -> str:
     return meas.kind if isinstance(meas, Measurement) else type(meas).__name__
 
 
-def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
-    """Hermitian square root of each state, eigenvalues clipped at zero.
+def _factor(rho: DensityMatrix) -> np.ndarray:
+    """A factor F of each state, rho = F F^dag: eigenvectors times root eigenvalues clipped at 0.
 
     Only the pair labels (P9, APXB) need it, so the state is decomposed here.
     """
     eigs, vecs = np.linalg.eigh(rho.mat)
-    scaled = vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., None, :]
-    return scaled @ vecs.conj().swapaxes(-1, -2)
+    return vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., None, :]
 
 
 def _overlap_transform(kets_m, kets_n, rho: DensityMatrix):
     """The matrix t_ij = <m_i|n_j><n_j|rho|m_i> / sqrt(<m_i|rho|m_i><n_j|rho|n_j>).
 
-    Evaluated through the factorization rho = R R with R = rho^(1/2):
-    <n|rho|m> = (R n)^dag (R m) and the probabilities are squared norms
-    of R-images, so the Cauchy-Schwarz structure survives rounding even
-    for probabilities many orders below one.  Rows and columns whose
-    probability is at most ``ZERO_PROB_THRESHOLD`` are zeroed, matching
-    the exclusion of unobservable outcomes.  A stack of states gives a stack
-    of matrices.
+    With rho = F F^dag (:func:`_factor`) and each ket k's image F^dag k of
+    squared norm q_k = <k|rho|k>, t_ij = <m_i|n_j> <u_nj|u_mi> for the unit
+    images u_k = F^dag k / sqrt(q_k), so the Cauchy-Schwarz structure
+    survives rounding even for probabilities many orders below one.  A ket
+    whose probability is at most ``ZERO_PROB_THRESHOLD`` has u_k = 0, so its
+    row or column is zero, matching the exclusion of unobservable outcomes.
+    A stack of states gives a stack of matrices.
     """
-    root_t = _sqrt_factor(rho).swapaxes(-1, -2)
-    zm = np.matmul(kets_m, root_t)  # row i is R m_i
-    zn = np.matmul(kets_n, root_t)
-    qm = (zm.real * zm.real + zm.imag * zm.imag).sum(axis=-1)
-    qn = (zn.real * zn.real + zn.imag * zn.imag).sum(axis=-1)
-    overlap = kets_m.conj() @ kets_n.T  # [i, j] = <m_i|n_j>
-    cross = np.matmul(zm, zn.conj().swapaxes(-1, -2))  # [i, j] = <n_j|rho|m_i>
-    keep_m = qm > ZERO_PROB_THRESHOLD
-    keep_n = qn > ZERO_PROB_THRESHOLD
-    qm_safe = np.where(keep_m, qm, 1.0)
-    qn_safe = np.where(keep_n, qn, 1.0)
-    denom = np.sqrt(qm_safe[..., :, None] * qn_safe[..., None, :])
-    keep = keep_m[..., :, None] & keep_n[..., None, :]
-    return np.where(keep, overlap * cross / denom, 0.0)
+    images = np.matmul(np.concatenate((kets_m, kets_n)), _factor(rho).conj())  # row k: (F^dag k)^T
+    q = (images.real * images.real + images.imag * images.imag).sum(axis=-1)
+    scale = np.divide(1.0, np.sqrt(q), out=np.zeros_like(q), where=q > ZERO_PROB_THRESHOLD)
+    units = images * scale[..., None]
+    um, un = units[..., : len(kets_m), :], units[..., len(kets_m) :, :]
+    return (kets_m.conj() @ kets_n.T) * np.matmul(um, un.conj().swapaxes(-1, -2))
 
 
 def _pair_kets(meas_m, meas_n, dim=None):
@@ -355,6 +346,7 @@ def mu_g_factor(meas_m, meas_n, rho: DensityMatrix):
     SIC-POVMs the subnormalized kets carry the 1/d prefactor
     automatically.  An array for a stack of states.
     """
+    states._check_state(rho)
     t = _overlap_transform(*_pair_kets(meas_m, meas_n, rho.dim), rho)
     return _result(np.abs(t).max(axis=(-2, -1)))
 

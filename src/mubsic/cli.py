@@ -9,10 +9,11 @@ Subcommands:
   index-of-coincidence identity for one state.
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 unsupported
-or out-of-domain input, 3 I/O failure.  Campaigns with identical
-configuration and seed produce bitwise-identical reports.  A campaign's
-plan is its list of (dim, label)s, each with its measurement and its
-validated orders, all built and checked before the first draw.  Each label
+or out-of-domain input or an allocation failure, 3 I/O failure.
+Campaigns with identical configuration and seed produce bitwise-identical
+reports.  A campaign's plan is its list of (dim, label)s, each with its
+measurement and its validated orders, all built and checked before the
+first draw.  Each label
 at dimension d is one stack of N states from its stream (seed, d, code),
 ``code`` being the label's fixed :attr:`~mubsic.bounds.Proposition.code`,
 and every order of the label is checked on that stack.  So a row is keyed
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except ValueError as exc:  # DomainError and every other rejected input
+    except (ValueError, MemoryError) as exc:  # every rejected input; a stack too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except OSError as exc:

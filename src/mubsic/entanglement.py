@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .measurements import Measurement, apply_design, design_matrix
-from .states import DensityMatrix, check_dimension
+from .states import DensityMatrix, _check_state, check_dimension
 
 
 @functools.lru_cache
@@ -49,6 +49,7 @@ def correlation_G(sic: Measurement, rho: DensityMatrix):
     ``rho`` is a state on H (x) H.  A float, or an (N,) array for a stack
     of N states.
     """
+    _check_state(rho)
     d = sic.dim
     if rho.dim != d * d:
         raise DimensionMismatchError(f"state dim {rho.dim} is not {d * d}")

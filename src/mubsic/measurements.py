@@ -34,6 +34,7 @@ from .errors import (
 from .states import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
+    _check_state,
     _complex_json,
     check_dimension,
     check_integer,
@@ -237,6 +238,7 @@ def probabilities(meas, rho: DensityMatrix) -> ProbDist:
     ``shape``, (M, d) for a MUB set; a stack of N states puts N in front.
     It is validated with the state's slack, :func:`states.state_slack`.
     """
+    _check_state(rho)
     if not isinstance(meas, Measurement):
         raise DomainError(f"unsupported measurement type {type(meas).__name__}")
     if meas.dim != rho.dim:

@@ -195,6 +195,16 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, purity={purity(self):.6f})"
 
 
+def _check_state(rho, state_type=DensityMatrix) -> None:
+    """:class:`DomainError` unless ``rho`` is a :class:`DensityMatrix`.
+
+    The class is bound here when the module loads, so a wrapper that a
+    tracer or a test puts in place of ``states.DensityMatrix`` is not read.
+    """
+    if not isinstance(rho, state_type):
+        raise DomainError(f"expected a DensityMatrix, got {type(rho).__name__}")
+
+
 def purity(rho: DensityMatrix):
     """tr(rho^2): a float, or an (N,) array for a stack.
 
@@ -203,6 +213,7 @@ def purity(rho: DensityMatrix):
     1 + 2s(1 + s), which the bounds allow (``bounds._high``), and its trace,
     off 1 by up to TRACE_ATOL, can put it a rounding below 1/d.
     """
+    _check_state(rho)
     m = rho.mat
     # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho, over the real and
     # imaginary parts as one real vector per state
@@ -298,6 +309,7 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
 
 def to_json(rho: DensityMatrix) -> str:
     """Serialize to the JSON wire format {"dim", "re", "im"}."""
+    _check_state(rho)
     return json.dumps(
         {
             "dim": rho.dim,

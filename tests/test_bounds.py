@@ -490,6 +490,25 @@ class TestGFactor:
         direct = np.max(np.abs(sic_a.kets.conj() @ sic_b.kets.T)) / 2.0
         assert fbar == pytest.approx(direct, abs=1e-13)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_transform_excludes_unobservable_outcomes(self, d):
+        # at a basis state b_0 of B_0 the other kets of B_0 have probability 0: their
+        # rows are exactly zero, and row 0 is |<b_0|n_j>| = 1/sqrt(d) against unbiased B_1
+        b = _bases(mub_construct(d, d + 1))
+        rho = DensityMatrix(np.outer(b[0].kets[0], b[0].kets[0].conj()))
+        t = bounds._overlap_transform(b[0].kets, b[1].kets, rho)
+        assert not t[1:].any()
+        np.testing.assert_allclose(np.abs(t[0]), 1.0 / np.sqrt(d), rtol=0, atol=1e-15)
+
+    def test_transform_never_exceeds_the_overlaps(self):
+        # |t_ij| = |<m_i|n_j>| |<u_n|u_m>| for unit images u, on the campaign's SIC pair
+        pair = cli.measurement("pair", 3, None, None)
+        kets_m, kets_n = bounds._pair_kets(*pair)
+        overlap = np.abs(kets_m.conj() @ kets_n.T)
+        for seed in range(300):
+            t = bounds._overlap_transform(kets_m, kets_n, random_mixed(3, 1 + seed % 3, seed))
+            assert (np.abs(t) <= overlap + 1e-15).all(), seed
+
 
 def _p9_report(pair, rho, alpha, kind):
     return check_bound(pair, rho, "P9-mu-pair", alpha=alpha, kind=kind)

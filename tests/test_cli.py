@@ -688,6 +688,8 @@ EXIT_CONTRACT = [
     (["coincidence", "--dim", "2", "--tolerance", "-1"], 2, "error:"),
     (["coincidence", "--dim", "5"], 2, "error:"),
     (_P5 + ["--samples", "10", "--seed", "1", "--tolerance", "1e-18"], 1, "prop,dim,M,"),
+    # a stack above the 128 TiB user address space: numpy refuses it before touching memory
+    (_P5 + ["--samples", "10000000000000"], 2, "error: Unable to allocate"),
     # an empty --out writes to stdout for every writer
     (["mub", "--dim", "2", "--count", "3", "--out", ""], 0, '{\n  "dim": 2,'),
     (_P5 + ["--out", ""], 0, "prop,dim,M,"),

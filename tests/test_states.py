@@ -24,6 +24,11 @@ from mubsic import (
     mub_construct,
     sic_from_fiducial,
     to_json,
+    check_bound,
+    correlation_G,
+    detect_entanglement,
+    mu_g_factor,
+    probabilities,
 )
 from mubsic.states import EIGENVALUE_FLOOR, _ginibre, check_dimension
 
@@ -165,6 +170,25 @@ class TestValidation:
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 7.0
+
+
+# every public function that reads a state, each given a bare array in its place
+_SIC2 = sic_from_fiducial(2)
+NOT_A_STATE = {
+    "purity": purity,
+    "to_json": to_json,
+    "probabilities": lambda x: probabilities(_SIC2, x),
+    "correlation_G": lambda x: correlation_G(_SIC2, x),
+    "mu_g_factor": lambda x: mu_g_factor(_SIC2, _SIC2, x),
+    "check_bound": lambda x: check_bound(_SIC2, x, "P5-sic-ic"),
+    "detect_entanglement": lambda x: detect_entanglement(_SIC2, x),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_STATE.values(), ids=NOT_A_STATE)
+def test_a_bare_array_is_not_a_state(call):
+    with pytest.raises(DomainError, match="^expected a DensityMatrix, got ndarray$"):
+        call(np.eye(2) / 2)
 
 
 # smallest eigenvalues on both sides of the Cholesky shift (-5e-11) and of the floor (-1e-10)
