@@ -70,7 +70,7 @@ from .entropy import (
     tsallis,
 )
 from .errors import ConstructionError, DimensionMismatchError, DomainError, PreconditionError
-from .measurements import POVM_ATOL, Measurement, distort, probabilities
+from .measurements import POVM_ATOL, Measurement, _kind, distort, probabilities
 from .states import DensityMatrix, check_dimension, check_integer, purity, state_slack
 
 DEFAULT_TOLERANCE = 1e-10
@@ -280,11 +280,6 @@ def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANC
             f"intermediate bound {rhs!r} fell below its floor {floor!r}"
         )
     return reports(f"simple-{kind}", _columns(lhs, rhs, tolerance, ">="), tolerance, ">=")[0]
-
-
-def _kind(meas) -> str:
-    """The kind of a :class:`Measurement`, else the name of the type of what was given."""
-    return meas.kind if isinstance(meas, Measurement) else type(meas).__name__
 
 
 def _factor(rho: DensityMatrix) -> np.ndarray:

@@ -17,8 +17,8 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .measurements import Measurement, apply_design, design_matrix
+from .errors import DimensionMismatchError, DomainError
+from .measurements import Measurement, _kind, apply_design, design_matrix
 from .states import DensityMatrix, _check_state, check_dimension
 
 
@@ -46,9 +46,11 @@ def maximally_entangled(d: int) -> DensityMatrix:
 def correlation_G(sic: Measurement, rho: DensityMatrix):
     """G = tr(W rho), the sum of the product SIC-POVM's d^2 diagonal probabilities P(j, j).
 
-    ``rho`` is a state on H (x) H.  A float, or an (N,) array for a stack
-    of N states.
+    ``sic`` must be a "sic" :class:`Measurement` and ``rho`` a state on
+    H (x) H.  A float, or an (N,) array for a stack of N states.
     """
+    if _kind(sic) != "sic":
+        raise DomainError(f"correlation_G takes a sic measurement, got {_kind(sic)}")
     _check_state(rho)
     d = sic.dim
     if rho.dim != d * d:

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError
-from .states import check_integer
+from .states import _read_array, check_integer
 
 PROB_CLAMP = 1e-14
 PROB_SUM_ATOL = 1e-12
@@ -62,12 +62,11 @@ def check_order(alpha, name: str = "positive") -> float:
 def _within(values, lo: float, hi: float, what: str, message: str, *fields) -> np.ndarray:
     """The one array range rule: ``values`` as a non-empty float array with entries in [lo, hi].
 
-    Else raises ``DomainError``: "empty <what> array, shape ...", or ``message.format(*fields,
-    got=...)`` at the first entry outside, NaN included, as a plain float, not a numpy repr.
+    Else raises ``DomainError``: the reader's (:func:`states._read_array`) for an unreadable or
+    empty array, or ``message.format(*fields, got=...)`` at the first entry outside, NaN
+    included, as a plain float, not a numpy repr.
     """
-    values = np.asarray(values, dtype=float)
-    if not values.size:
-        raise DomainError(f"empty {what} array, shape {values.shape}")
+    values = _read_array(values, what)
     if not (values.min() >= lo and values.max() <= hi):
         worst = float(values[~((values >= lo) & (values <= hi))][0])
         raise DomainError(message.format(*fields, got=worst))
@@ -95,9 +94,7 @@ class ProbDist:
     __slots__ = ("p", "_lp")
 
     def __init__(self, p, slack: float = 0.0):
-        p = np.array(p, dtype=float, ndmin=1)
-        if not p.size:
-            raise DomainError(f"empty probability vector or stack, shape {p.shape}")
+        p = _read_array(p, "probability", ndmin=1)
         worst = p.min()
         if not worst >= -PROB_CLAMP - slack:
             raise DomainError(f"negative or undefined probability {worst:.3e}")
@@ -209,7 +206,8 @@ def tsallis(p, alpha):
 def alpha_log(x, alpha):
     """Deformed logarithm ln_alpha(x) = (x^(1-alpha) - 1)/(1 - alpha) for finite x > 0.
 
-    Continuous in alpha at 1, where it equals ln x.  ``x`` may be an array.
+    Continuous in alpha at 1, where it equals ln x.  ``x`` may be an array.  A
+    value beyond the float range, such as ln_2(5e-324), raises :class:`DomainError`.
     """
     message = "alpha-logarithm needs finite x > 0, got {got!r}"
     # for floats, [5e-324, max float] is finite x > 0
@@ -217,7 +215,12 @@ def alpha_log(x, alpha):
     alpha = check_order(alpha, "finite")
     if alpha == 1.0:
         return _result(np.log(x))
-    return _result(np.expm1((1.0 - alpha) * np.log(x)) / (1.0 - alpha))
+    with np.errstate(over="ignore"):  # a value beyond the float range is named below
+        value = np.expm1((1.0 - alpha) * np.log(x)) / (1.0 - alpha)
+    if not np.isfinite(value).all():
+        worst = float(x[~np.isfinite(value)][0])
+        raise DomainError(f"ln_{alpha!r}({worst!r}) is beyond the float range")
+    return _result(value)
 
 
 def check_efficiency(eta) -> float:

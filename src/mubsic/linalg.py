@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .states import _read_array
 
 
 def kron(a, b) -> np.ndarray:
@@ -17,10 +18,12 @@ def kron(a, b) -> np.ndarray:
     Two matrices give their product and two stacks of matrices (N, ra, ca)
     and (N, rb, cb) the stack of the N products, (N, ra rb, ca cb), both as
     one broadcast multiply: the same products as ``np.kron``, without its
-    per-call overhead.  Vectors go to ``np.kron``.
+    per-call overhead.  Vectors go to ``np.kron``.  Each operand goes through
+    the one reader, ``states._read_array``: an unreadable or empty one raises
+    :class:`~mubsic.errors.DomainError`.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = _read_array(a, "kron operand", complex)
+    b = _read_array(b, "kron operand", complex)
     if a.ndim < 2 or b.ndim < 2:
         return np.kron(a, b)
     if a.ndim != b.ndim or a.ndim > 3 or a.shape[:-2] != b.shape[:-2]:

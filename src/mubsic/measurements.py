@@ -36,6 +36,7 @@ from .states import (
     DensityMatrix,
     _check_state,
     _complex_json,
+    _read_array,
     check_dimension,
     check_integer,
     positivity_failure,
@@ -66,7 +67,7 @@ def design_matrix(elements) -> np.ndarray:
     Re sum_ab A_ab (E_j^T)_ab = Re tr(E_j A), with no Hermiticity assumed
     of E_j or A; for a projector E_j = |k_j><k_j| it is <k_j|A|k_j>.
     """
-    elements = np.asarray(elements, dtype=complex)
+    elements = _read_array(elements, "measurement input", complex)
     columns = elements.conj().swapaxes(-1, -2).reshape(elements.shape[0], -1)
     design = columns.view(np.float64).T
     design.setflags(write=False)
@@ -112,18 +113,15 @@ class Measurement:
         raise AttributeError(f"a Measurement is read-only: cannot set {name!r}")
 
 
-def _coerce(values) -> np.ndarray:
-    """A builder's input as a new complex array; :class:`DomainError` for a non-finite entry."""
-    values = np.array(values, dtype=complex)
-    if not np.isfinite(values).all():
-        raise DomainError("measurement input has a non-finite entry")
-    return values
+def _kind(meas) -> str:
+    """The kind of a :class:`Measurement`, else the name of the type of what was given."""
+    return meas.kind if isinstance(meas, Measurement) else type(meas).__name__
 
 
 def _basis_vectors(vectors) -> tuple[np.ndarray, float]:
     """d orthonormal vectors of dimension d as a new array, with their Gram deviation."""
-    vectors = _coerce(vectors)
-    if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
+    vectors = _read_array(vectors, "measurement input", complex, finite=True)
+    if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
         raise DomainError(f"expected d vectors of dimension d, got shape {vectors.shape}")
     check_dimension(vectors.shape[0])
     dev = _identity_deviation(vectors.conj() @ vectors.T)
@@ -178,8 +176,8 @@ def povm(elements) -> Measurement:
     Its ``kets`` are the subnormalized m_j with element_j = |m_j><m_j|, by
     ``eigh``, when every element has rank one within ``POVM_ATOL``.
     """
-    elements = _coerce(elements)
-    if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.size == 0:
+    elements = _read_array(elements, "measurement input", complex, finite=True)
+    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
         raise DomainError(f"expected N square matrices, got shape {elements.shape}")
     check_dimension(elements.shape[1])
     dev = _identity_deviation(elements.sum(axis=0))
@@ -204,9 +202,9 @@ def povm(elements) -> Measurement:
 
 def sic_povm(kets) -> Measurement:
     """The "sic" of d^2 unit kets whose weighted projectors (1/d)|phi_j><phi_j| form a POVM."""
-    kets = _coerce(kets)
-    d = kets.shape[1] if kets.ndim == 2 else 0
-    if d == 0 or kets.shape[0] != d * d:
+    kets = _read_array(kets, "measurement input", complex, finite=True)
+    d = kets.shape[-1]
+    if kets.ndim != 2 or kets.shape[0] != d * d:
         raise DomainError(f"expected d^2 kets of dimension d, got shape {kets.shape}")
     check_dimension(d)
     overlap2 = np.abs(kets.conj() @ kets.T) ** 2
@@ -310,9 +308,7 @@ def weyl_heisenberg_orbit(fiducial) -> np.ndarray:
     Ket a d + b has component k equal to omega^(b (k - a)) f[k - a], indices
     mod d.
     """
-    f = _coerce(fiducial).ravel()
-    if f.size == 0:
-        raise DomainError(f"fiducial ket must be non-empty, got shape {np.shape(fiducial)}")
+    f = _read_array(fiducial, "measurement input", complex, finite=True).ravel()
     d = f.size
     omega = np.exp(2j * np.pi / d)
     a, b, k = np.ix_(*(np.arange(d),) * 3)
@@ -339,7 +335,7 @@ def sic_from_fiducial(d: int, fiducial=None) -> Measurement:
         if d not in _BUILTIN_FIDUCIALS:
             raise DomainError(f"no builtin fiducial for dimension {d}; provide one")
         fiducial = _BUILTIN_FIDUCIALS[d]
-    f = _coerce(fiducial).ravel()
+    f = _read_array(fiducial, "measurement input", complex, finite=True).ravel()
     if f.size != d:
         raise DimensionMismatchError(f"fiducial has dimension {f.size}, expected {d}")
     norm_dev = abs(np.linalg.norm(f) - 1.0)
@@ -378,7 +374,7 @@ def load_fiducial(path) -> tuple[np.ndarray, float]:
     """
     with open(check_fiducial_path(path), "r", encoding="utf-8") as fh:
         d, vec = _complex_json(json.load, fh, "fiducial")
-    vec = _coerce(vec).ravel()
+    vec = _read_array(vec, "measurement input", complex, finite=True).ravel()
     if vec.size != d:
         raise DomainError(f"fiducial JSON dim {d} does not match {vec.size} components")
     norm = float(np.linalg.norm(vec))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 
 import numpy as np
 
@@ -64,6 +65,25 @@ def check_integer(value, what: str, least: int) -> int:
 def check_dimension(d) -> int:
     """The package's one dimension rule: d as an int, which must be an integer >= 2."""
     return check_integer(d, "dimension", 2)
+
+
+def _read_array(values, what: str, dtype=float, *, finite=False, ndmin=0) -> np.ndarray:
+    """The one reader of a caller's array: ``values`` as a new row-major array of ``dtype``.
+
+    Raises :class:`DomainError` when numpy cannot read it ("<what> is not a
+    numeric array: ..."; ragged lists, text and dicts), when it is empty
+    ("empty <what> array, shape ...") and, with ``finite``, when an entry is
+    NaN or infinite ("<what> has a non-finite entry").  ``ndmin`` is numpy's.
+    """
+    try:
+        array = np.array(values, dtype=dtype, order="C", ndmin=ndmin)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} is not a numeric array: {exc}") from None
+    if not array.size:
+        raise DomainError(f"empty {what} array, shape {array.shape}")
+    if finite and not np.isfinite(array).all():
+        raise DomainError(f"{what} has a non-finite entry")
+    return array
 
 
 @functools.cache
@@ -171,11 +191,9 @@ class DensityMatrix:
     __slots__ = ("mat", "dim")
 
     def __init__(self, mat):
-        mat = np.array(mat, dtype=complex, order="C")
-        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
+        mat = _read_array(mat, "density matrix", complex, finite=True)
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
             raise DomainError(f"density matrix must be square and non-empty, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise DomainError("density matrix has a non-finite entry")
         herm_dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()
         if not herm_dev <= HERMITICITY_ATOL:
             raise DomainError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -230,7 +248,7 @@ def maximally_mixed(d: int) -> DensityMatrix:
 
 def from_bloch(s) -> DensityMatrix:
     """Qubit state (I + s . sigma)/2 for a Bloch vector with |s| <= 1."""
-    s = np.asarray(s, dtype=float)
+    s = _read_array(s, "Bloch vector")
     if s.shape != (3,):
         raise DomainError(f"Bloch vector must have 3 real components, got shape {s.shape}")
     norm = float(np.linalg.norm(s))
@@ -279,13 +297,21 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     :class:`DomainError`.  An array of N ranks needs ``normals`` of shape
     (N, 2, d, d), drawn by the caller; the result is the stack of N states,
     state i built from normals[i] alone.  Rank 1 is the Haar pure state.
+    Normals with a non-finite entry, or a block whose kept columns are too
+    small or too large to square (their squared norm is zero, subnormal or
+    infinite), raise :class:`DomainError`.
     """
     d = check_dimension(d)
-    rank = np.asarray(rank)
-    kind = rank.dtype.kind
-    integral = kind in "biu" or (kind == "f" and (rank % 1 == 0).all())
+    try:
+        rank = np.asarray(rank)
+        kind = rank.dtype.kind
+        # floor, not % 1, which warns at inf
+        integral = kind in "biu" or (kind == "f" and (rank == np.floor(rank)).all())
+    except ValueError:  # a ragged list
+        integral = False
     if not (integral and rank.size and rank.min() >= 1 and rank.max() <= d):
-        got = repr(rank.item()) if rank.ndim == 0 else rank  # numpy abbreviates a long stack
+        # numpy abbreviates a long stack; a ragged list stays a list
+        got = repr(rank.item()) if getattr(rank, "ndim", 1) == 0 else rank
         raise DomainError(
             f"rank must be an integer in [1, {d}] or a non-empty array of them, got {got}"
         )
@@ -295,15 +321,22 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
                 f"a stack of ranks needs caller-drawn normals of shape {rank.shape + (2, d, d)}"
             )
         normals = stream(seed).standard_normal((2, d, d))
-    normals = np.asarray(normals, dtype=float)
+    normals = _read_array(normals, "normals", finite=True)
     if normals.shape[-3:] != (2, d, d) or normals.shape[:-3] != rank.shape:
         raise DomainError(f"need normals of shape {rank.shape + (2, d, d)}, got {normals.shape}")
     g = _ginibre(normals, rank)
-    m = g @ g.conj().swapaxes(-1, -2)
-    # exactly Hermitian; the factor 1/2 of the mean with the adjoint
-    # cancels in the trace normalization
-    m += m.conj().swapaxes(-1, -2)
-    m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a block beyond floats is named below
+        m = g @ g.conj().swapaxes(-1, -2)
+        # exactly Hermitian; the factor 1/2 of the mean with the adjoint
+        # cancels in the trace normalization
+        m += m.conj().swapaxes(-1, -2)
+    # a trace that is a normal float bounds every entry, so the division is safe
+    trace = m.trace(axis1=-2, axis2=-1).real
+    normal = (trace >= sys.float_info.min) & (trace <= sys.float_info.max)
+    if not normal.all():
+        bad = np.flatnonzero(~normal)[0]
+        raise DomainError(f"normals block {bad}: kept columns too small or too large to square")
+    m /= trace[..., None, None]
     return DensityMatrix(m)
 
 

@@ -10,6 +10,8 @@ from mubsic import (
     kron,
     maximally_entangled,
     maximally_mixed,
+    mub_construct,
+    povm,
     random_mixed,
     separable_bound,
     sic_from_fiducial,
@@ -123,6 +125,18 @@ class TestMaximallyEntangled:
 
 
 class TestCorrelationMeasure:
+    def test_takes_only_a_sic(self):
+        # None raised AttributeError, a MUB set numpy's reshape ValueError, and the
+        # d = 2 SIC's elements as a povm gave G = 0.0625 for I/4 instead of 0.25
+        sic = sic_from_fiducial(2)
+        rho = maximally_mixed(4)
+        assert correlation_G(sic, rho) == pytest.approx(0.25, abs=1e-15)
+        elements = povm(np.einsum("ji,jk->jik", sic.kets, sic.kets.conj()) / 2)
+        for meas, kind in ((None, "NoneType"), (mub_construct(2, 3), "mubs"), (elements, "povm")):
+            message = f"^correlation_G takes a sic measurement, got {kind}$"
+            with pytest.raises(DomainError, match=message):
+                correlation_G(meas, rho)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_value_on_maximally_entangled(self, d):
         sic = sic_from_fiducial(d)

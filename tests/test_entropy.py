@@ -257,6 +257,18 @@ class TestAlphaLog:
         with pytest.raises(DomainError, match="finite"):
             alpha_log(x, alpha)
 
+    def test_a_value_beyond_the_float_range_raises(self):
+        # ln_2(5e-324) = 1 - 2e323 used to warn "overflow encountered in expm1" and give -inf
+        message = r"^ln_2\.0\(5e-324\) is beyond the float range$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                alpha_log(5e-324, 2)
+            with pytest.raises(DomainError, match=message):
+                alpha_log([1.0, 5e-324], 2)
+            # an order whose product with ln x overflows still has a value, 1 / (alpha - 1)
+            assert alpha_log(1e300, 1e308) == pytest.approx(1e-308, rel=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.0])
     def test_log_of_one_is_zero(self, alpha):
         assert alpha_log(1.0, alpha) == 0.0

@@ -1,6 +1,7 @@
 import json
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -145,9 +146,9 @@ class TestValidation:
                 DensityMatrix(np.array([[0.5, value], [value, 0.5]]))
 
     def test_rejects_empty(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^empty density matrix array, shape \(0, 0\)$"):
             DensityMatrix(np.zeros((0, 0)))
-        with pytest.raises(DomainError, match=r"got shape \(0, 2, 2\)$"):
+        with pytest.raises(DomainError, match=r"^empty density matrix array, shape \(0, 2, 2\)$"):
             DensityMatrix(np.zeros((0, 2, 2)))
 
     def test_rejects_non_hermitian(self):
@@ -388,6 +389,32 @@ class TestRandomStates:
         got = _ginibre(normals, ranks)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e200])
+    def test_normals_beyond_the_float_range_name_their_block(self, scale):
+        # these used to warn "invalid value encountered in divide" (0, 1e-200) or
+        # "overflow encountered in matmul" (1e200) before any check
+        normals = stream(5, 3).standard_normal((3, 2, 3, 3))
+        normals[1, :, :, :2] = scale  # block 1 keeps its first two columns only
+        message = r"^normals block 1: kept columns too small or too large to square$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                random_mixed(3, [3, 2, 3], normals=normals)
+            with pytest.raises(DomainError, match=r"^normals block 0: "):
+                random_mixed(3, 2, normals=normals[1])
+        # the dropped third column may hold anything finite
+        normals[1, :, :, :2] = 1.0
+        normals[1, :, :, 2] = 1e200
+        assert random_mixed(3, [3, 2, 3], normals=normals).mat.shape == (3, 3, 3)
+
+    @pytest.mark.parametrize("rank", [[[1, 2], [1]], np.inf, [1.0, np.inf]])
+    def test_a_ragged_or_infinite_rank_gets_the_rank_rule(self, rank):
+        # a ragged list raised numpy's ValueError, and inf warned in its remainder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^rank must be an integer in \[1, 3\]"):
+                random_mixed(3, rank, normals=np.ones((2, 2, 3, 3)))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
