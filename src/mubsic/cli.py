@@ -48,6 +48,7 @@ from .measurements import (
 from .measurements import sic_povm as SicPovm  # bench/tracer.py times the calls of cli.SicPovm
 from .states import (
     DensityMatrix,
+    _ginibre_states,
     check_dimension,
     check_integer,
     from_json,
@@ -218,8 +219,10 @@ def _states(label: _Label, config: CampaignConfig):
     needs, so a row depends only on the label's (d, code) and i.  Row layout:
     the Ginibre block (2, d, d) of the state; for ENT-G, a second one for
     party B.  ENT-G samples both parties as one stack of 2N states, A and B
-    of sample i at rows 2i and 2i + 1, in one :func:`random_mixed` call, and
-    validates the N products as a second stack.
+    of sample i at rows 2i and 2i + 1, in one call, and validates the N
+    products as a second stack.  The block and ranks are the package's own,
+    so they go to the kernel of :func:`random_mixed` without its reader: the
+    same bits as ``random_mixed(d, ranks, normals=block)``.
     """
     d, n = label.d, config.samples
     entry = bnd.PROPOSITIONS[label.prop]
@@ -231,7 +234,7 @@ def _states(label: _Label, config: CampaignConfig):
     ranks = 1 + samples % d
     if product:  # party B of sample i at rank 1 + (i // d) mod d
         ranks = np.stack([ranks, 1 + (samples // d) % d], axis=-1).ravel()
-    rho = random_mixed(d, ranks, normals=draws.reshape(-1, 2, d, d))
+    rho = _ginibre_states(draws.reshape(-1, 2, d, d), ranks)
     if product:
         rho = DensityMatrix(kron(rho.mat[0::2], rho.mat[1::2]))
     return rho

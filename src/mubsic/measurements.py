@@ -143,6 +143,8 @@ def mub_set(bases) -> Measurement:
     takes.  ``deviation`` is the largest | |<a_i|b_j>|^2 - 1/d | over all
     pairs of distinct bases.
     """
+    if not np.iterable(bases):
+        raise DomainError(f"a MUB set takes a sequence of bases, got {type(bases).__name__}")
     # a raw basis is checked as orthonormal_basis checks it, without building its record
     bases = [b if isinstance(b, Measurement) else _basis_vectors(b)[0] for b in bases]
     if len(bases) < 1:

@@ -6,7 +6,8 @@ its key and returns a fresh counter-based Philox generator whose key is
 the seed and whose counter holds the stream ids (Salmon et al., SC'11),
 so Monte-Carlo campaigns stay bitwise reproducible in any execution
 order.  :func:`random_mixed` is the one sampler (Ginibre-induced
-states); :func:`random_pure` is its rank-1 case.
+states): a reader of the caller's input in front of one kernel, which the
+campaign calls on its own draws.  :func:`random_pure` is its rank-1 case.
 """
 
 from __future__ import annotations
@@ -286,6 +287,29 @@ def _ginibre(normals: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return g
 
 
+def _ginibre_states(normals: np.ndarray, rank: np.ndarray) -> DensityMatrix:
+    """The states of finite (..., 2, d, d) ``normals`` and an integer array ``rank`` in [1, d].
+
+    The kernel of :func:`random_mixed`, which reads a caller's input before
+    it; the campaign passes its own draws here.  A block whose kept columns
+    are too small or too large to square raises :class:`DomainError`, and the
+    result is validated as a :class:`DensityMatrix`.
+    """
+    g = _ginibre(normals, rank)
+    m = g @ g.conj().swapaxes(-1, -2)
+    # exactly Hermitian; the factor 1/2 of the mean with the adjoint
+    # cancels in the trace normalization
+    m += m.conj().swapaxes(-1, -2)
+    # a trace that is a normal float bounds every entry, so the division is safe
+    trace = m.trace(axis1=-2, axis2=-1).real
+    if not (trace.min() >= sys.float_info.min and trace.max() <= sys.float_info.max):
+        normal = (trace >= sys.float_info.min) & (trace <= sys.float_info.max)
+        bad = np.flatnonzero(~normal)[0]
+        raise DomainError(f"normals block {bad}: kept columns too small or too large to square")
+    m /= trace[..., None, None]
+    return DensityMatrix(m)
+
+
 def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (d, rank).
 
@@ -324,20 +348,8 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
     normals = _read_array(normals, "normals", finite=True)
     if normals.shape[-3:] != (2, d, d) or normals.shape[:-3] != rank.shape:
         raise DomainError(f"need normals of shape {rank.shape + (2, d, d)}, got {normals.shape}")
-    g = _ginibre(normals, rank)
-    with np.errstate(over="ignore", invalid="ignore"):  # a block beyond floats is named below
-        m = g @ g.conj().swapaxes(-1, -2)
-        # exactly Hermitian; the factor 1/2 of the mean with the adjoint
-        # cancels in the trace normalization
-        m += m.conj().swapaxes(-1, -2)
-    # a trace that is a normal float bounds every entry, so the division is safe
-    trace = m.trace(axis1=-2, axis2=-1).real
-    normal = (trace >= sys.float_info.min) & (trace <= sys.float_info.max)
-    if not normal.all():
-        bad = np.flatnonzero(~normal)[0]
-        raise DomainError(f"normals block {bad}: kept columns too small or too large to square")
-    m /= trace[..., None, None]
-    return DensityMatrix(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # a block beyond floats is named there
+        return _ginibre_states(normals, rank)
 
 
 def to_json(rho: DensityMatrix) -> str:

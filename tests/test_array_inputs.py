@@ -133,6 +133,8 @@ def test_the_reader_names_what_it_read(bad, message):
             lambda: random_mixed(2, 1, normals=np.full((2, 2, 2), np.nan)),
             "^normals has a non-finite entry$",
         ),
+        (lambda: mub_set(5), "^a MUB set takes a sequence of bases, got int$"),
+        (lambda: mub_set(None), "^a MUB set takes a sequence of bases, got NoneType$"),
     ],
 )
 def test_changed_messages(call, message):

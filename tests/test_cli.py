@@ -603,6 +603,43 @@ class TestRepeatedCampaign:
         b = random_mixed(d, 1 + (i // d) % d, normals=draws[:, 2 * d * d :].reshape(n, 2, d, d))
         assert rho.mat.tobytes() == kron(a.mat, b.mat).tobytes()
 
+    @pytest.mark.parametrize(
+        "d, prop",
+        [
+            (2, "P1-mub-tsallis"),
+            (3, "P6-sic-tsallis"),
+            (5, "P2-mub-renyi"),
+            (7, "LWBM-sum"),
+            (2, "ENT-G"),
+            (3, "ENT-G"),
+        ],
+    )
+    def test_each_stack_is_random_mixed_of_its_block(self, monkeypatch, d, prop):
+        # the campaign hands its own block and ranks to random_mixed's kernel,
+        # past the reader: the stack is random_mixed's on that block, bit for bit
+        n, seed = 2 * d + 1, 11
+        config = cli.CampaignConfig(dims=[d], props=[prop], alphas=[2.0], samples=n, seed=seed)
+        [label] = cli._plan(config)
+        stacks = []
+
+        def kernel(normals, rank, _original=cli._ginibre_states):
+            stacks.append(_original(normals, rank))
+            return stacks[-1]
+
+        monkeypatch.setattr(cli, "_ginibre_states", kernel)
+        rho = cli._states(label, config)
+        i = np.arange(n)
+        ranks = 1 + i % d
+        parties = 2 if prop == "ENT-G" else 1
+        if parties == 2:  # party A of sample i at row 2i, party B at row 2i + 1
+            ranks = np.stack([ranks, 1 + (i // d) % d], axis=-1).ravel()
+        code = cli.bnd.PROPOSITIONS[prop].code
+        block = states.stream(seed, d, code).standard_normal((n, parties * 2 * d * d))
+        want = random_mixed(d, ranks, normals=block.reshape(-1, 2, d, d))
+        assert len(stacks) == 1 and stacks[0].mat.tobytes() == want.mat.tobytes()
+        if parties == 1:
+            assert rho is stacks[0]
+
 
 class TestCoincidenceCommand:
     def test_maximally_mixed_default(self, capsys):

@@ -558,7 +558,7 @@ class TestFiducialLoader:
         assert load_fiducial(path)[0].shape == (2,)
 
     def test_rejects_nan_component(self, tmp_path):
-        # one non-finite rule for every fiducial: the builders' _coerce and its text
+        # one non-finite rule for every fiducial: states._read_array and its text
         path = tmp_path / "fid.json"
         path.write_text('{"dim": 3, "re": [0.0, 1.0, NaN], "im": [0.0, 0.0, 0.0]}')
         with pytest.raises(DomainError, match="^measurement input has a non-finite entry$"):

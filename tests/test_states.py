@@ -31,7 +31,7 @@ from mubsic import (
     mu_g_factor,
     probabilities,
 )
-from mubsic.states import EIGENVALUE_FLOOR, _ginibre, check_dimension
+from mubsic.states import EIGENVALUE_FLOOR, _ginibre, _ginibre_states, check_dimension
 
 
 # every call takes a dimension or a count that is not an integer
@@ -389,6 +389,15 @@ class TestRandomStates:
         got = _ginibre(normals, ranks)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, ranks", [((2, 3, 3), 2), ((2, 2, 3, 3), [1, 2])])
+    def test_the_kernel_names_a_zero_block(self, shape, ranks):
+        # the campaign's path past the reader keeps the check on the result
+        message = r"^normals block 0: kept columns too small or too large to square$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                _ginibre_states(np.zeros(shape), np.array(ranks))
 
     @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e200])
     def test_normals_beyond_the_float_range_name_their_block(self, scale):
