@@ -287,6 +287,11 @@ def _ginibre(normals: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return g
 
 
+def _normal(x):
+    """Where ``x`` is a positive normal float: not 0, subnormal, infinite or NaN."""
+    return (x >= sys.float_info.min) & (x <= sys.float_info.max)
+
+
 def _ginibre_states(normals: np.ndarray, rank: np.ndarray) -> DensityMatrix:
     """The states of finite (..., 2, d, d) ``normals`` and an integer array ``rank`` in [1, d].
 
@@ -300,11 +305,11 @@ def _ginibre_states(normals: np.ndarray, rank: np.ndarray) -> DensityMatrix:
     # exactly Hermitian; the factor 1/2 of the mean with the adjoint
     # cancels in the trace normalization
     m += m.conj().swapaxes(-1, -2)
-    # a trace that is a normal float bounds every entry, so the division is safe
+    # a trace that is a normal float bounds every entry, so the division is
+    # safe; the stack's extremes decide, and the scan only names the block
     trace = m.trace(axis1=-2, axis2=-1).real
-    if not (trace.min() >= sys.float_info.min and trace.max() <= sys.float_info.max):
-        normal = (trace >= sys.float_info.min) & (trace <= sys.float_info.max)
-        bad = np.flatnonzero(~normal)[0]
+    if not (_normal(trace.min()) and _normal(trace.max())):
+        bad = np.flatnonzero(~_normal(trace))[0]
         raise DomainError(f"normals block {bad}: kept columns too small or too large to square")
     m /= trace[..., None, None]
     return DensityMatrix(m)

@@ -142,7 +142,7 @@ class TestVerifyCommand:
         def no_sampling(*args, **kwargs):
             raise AssertionError("a state was sampled before the plan was validated")
 
-        monkeypatch.setattr(cli, "random_mixed", no_sampling)
+        monkeypatch.setattr(cli, "_ginibre_states", no_sampling)
         out = tmp_path / "report.csv"
         args = ["verify", "--dims", "7,5", "--props", "all", "--samples", "2"]
         assert main(args + ["--out", str(out)]) == 2
@@ -581,7 +581,7 @@ class TestRepeatedCampaign:
         n, seed = 2 * d + 1, 13
         config = cli.CampaignConfig(dims=[d], props=["ENT-G"], alphas=[], samples=n, seed=seed)
         [label] = cli._plan(config)
-        validations = []
+        validations, kernel_calls = [], []
         for module in (cli, states):
             original = module.DensityMatrix
 
@@ -590,8 +590,16 @@ class TestRepeatedCampaign:
                 return _original(mat)
 
             monkeypatch.setattr(module, "DensityMatrix", counted)
+
+        def kernel(normals, rank, _original=cli._ginibre_states):
+            kernel_calls.append(np.shape(normals))
+            return _original(normals, rank)
+
+        monkeypatch.setattr(cli, "_ginibre_states", kernel)
         rho = cli._states(label, config)
-        # one validation of the 2N party states and one of the N products
+        # one kernel call on the 2N party blocks, one validation of the 2N
+        # party states and one of the N products
+        assert kernel_calls == [(2 * n, 2, d, d)]
         assert validations == [(2 * n, d, d), (n, d * d, d * d)]
         monkeypatch.undo()
         # the product of two separate samplers on the same normals, bit for bit, drawn
@@ -610,13 +618,12 @@ class TestRepeatedCampaign:
             (3, "P6-sic-tsallis"),
             (5, "P2-mub-renyi"),
             (7, "LWBM-sum"),
-            (2, "ENT-G"),
-            (3, "ENT-G"),
         ],
     )
     def test_each_stack_is_random_mixed_of_its_block(self, monkeypatch, d, prop):
         # the campaign hands its own block and ranks to random_mixed's kernel,
-        # past the reader: the stack is random_mixed's on that block, bit for bit
+        # past the reader: the stack is random_mixed's on that block, bit for
+        # bit (ENT-G's 2N-row stack: test_ent_g_parties_sampled_as_one_stack)
         n, seed = 2 * d + 1, 11
         config = cli.CampaignConfig(dims=[d], props=[prop], alphas=[2.0], samples=n, seed=seed)
         [label] = cli._plan(config)
@@ -628,17 +635,11 @@ class TestRepeatedCampaign:
 
         monkeypatch.setattr(cli, "_ginibre_states", kernel)
         rho = cli._states(label, config)
-        i = np.arange(n)
-        ranks = 1 + i % d
-        parties = 2 if prop == "ENT-G" else 1
-        if parties == 2:  # party A of sample i at row 2i, party B at row 2i + 1
-            ranks = np.stack([ranks, 1 + (i // d) % d], axis=-1).ravel()
         code = cli.bnd.PROPOSITIONS[prop].code
-        block = states.stream(seed, d, code).standard_normal((n, parties * 2 * d * d))
-        want = random_mixed(d, ranks, normals=block.reshape(-1, 2, d, d))
-        assert len(stacks) == 1 and stacks[0].mat.tobytes() == want.mat.tobytes()
-        if parties == 1:
-            assert rho is stacks[0]
+        block = states.stream(seed, d, code).standard_normal((n, 2 * d * d))
+        want = random_mixed(d, 1 + np.arange(n) % d, normals=block.reshape(n, 2, d, d))
+        assert len(stacks) == 1 and rho is stacks[0]
+        assert rho.mat.tobytes() == want.mat.tobytes()
 
 
 class TestCoincidenceCommand:
