@@ -199,7 +199,8 @@ def _lemma(kind, alpha, d, m, cap):
     if kind == "tsallis":
         return alpha_log(1.0 / cap, alpha)
     if kind == "renyi":
-        factor = 0.5 if math.isinf(alpha) else alpha / (2.0 * (alpha - 1.0))
+        # alpha/(2(alpha - 1)) in a form whose denominator cannot overflow
+        factor = 0.5 if math.isinf(alpha) else (0.5 * alpha) / (alpha - 1.0)
         return _result(-factor * np.log(cap))
     return _result(-np.log(_max_prob(d * d if m is None else d, cap, _high(d))))
 

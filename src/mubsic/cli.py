@@ -20,6 +20,12 @@ and every order of the label is checked on that stack.  So a row is keyed
 by what it is: its rows are the same whatever else the campaign runs, and
 an order's rows the same alone or in a sweep.  A campaign that repeats a
 dimension, a label or an order is rejected, so no two rows share a key.
+One loop, :func:`_results`, yields each (label, order) as a :class:`Cell`:
+its label, its validated order, its purities as reprs and its
+:class:`~mubsic.bounds.Columns`.  Every consumer reads cells: each cell
+gives its report rows (:func:`_rows`), :func:`run_campaign` adds one
+:class:`~mubsic.bounds.BoundReport` per state, and ``verify``'s summary is
+one fold over the cells (:func:`_summary`).
 """
 
 from __future__ import annotations
@@ -240,8 +246,17 @@ def _states(label: _Label, config: CampaignConfig):
     return rho
 
 
+class Cell(NamedTuple):
+    """One (label, order) of a campaign, as :func:`_results` yields it to every consumer."""
+
+    label: _Label
+    order: bnd.CheckArguments
+    purities: list  # the repr of each state's purity, shared by the label's orders
+    columns: bnd.Columns
+
+
 def _results(config: CampaignConfig):
-    """Every (label, order) of the plan as (label, order, purity reprs, Columns), in plan order.
+    """Every (label, order) of the plan as a :class:`Cell`, in plan order.
 
     The whole plan is validated before the first draw.  Each label is one
     stack (:func:`_states`) with one sampling, validation, purity, cap and
@@ -255,15 +270,16 @@ def _results(config: CampaignConfig):
         x = bnd.inputs(label.prop, label.meas, _states(label, config), label.orders[0].eta)
         p2 = list(map(repr, x.purity.tolist()))
         for order in label.orders:
-            yield label, order, p2, bnd.evaluate(label.prop, label.meas, x, order, config.tolerance)
+            columns = bnd.evaluate(label.prop, label.meas, x, order, config.tolerance)
+            yield Cell(label, order, p2, columns)
 
 
-def _rows(label: _Label, order, purities: list, columns: bnd.Columns, config: CampaignConfig):
-    """A label's order as report rows, dicts keyed by CSV_COLUMNS, from purity reprs and Columns."""
-    prop, d, m, seed = label.prop, label.d, label.outcomes, config.seed
+def _rows(cell: Cell, seed: int):
+    """A cell as report rows, dicts keyed by CSV_COLUMNS."""
+    label, order, purities, (lhs, rhs, margin, saturated, _) = cell
+    prop, d, m = label.prop, label.d, label.outcomes
     alpha = "" if order.alpha is None else repr(order.alpha)
     eta = "" if order.eta is None else repr(order.eta)
-    lhs, rhs, margin, saturated, _ = columns
     # a state-independent rhs is one float object repeated (bnd.Columns): print it once
     rhs = [repr(rhs[0])] * len(rhs) if rhs[0] is rhs[-1] else map(repr, rhs)
     return [
@@ -281,15 +297,24 @@ def _rows(label: _Label, order, purities: list, columns: bnd.Columns, config: Ca
             "margin": diff,
             "saturated": "true" if sat else "false",
         }
-        for sample, p2, left, right, diff, sat in zip(
-            range(config.samples),
-            purities,
-            map(repr, lhs),
-            rhs,
-            map(repr, margin),
-            saturated,
+        for sample, (p2, left, right, diff, sat) in enumerate(
+            zip(purities, map(repr, lhs), rhs, map(repr, margin), saturated)
         )
     ]
+
+
+def _summary(cells: list) -> dict:
+    """The campaign's summary, one fold over its cells in report order.
+
+    ``min_margin`` is Python's min over the margins in that order: the
+    first minimum, so a zero keeps its sign.
+    """
+    return {
+        "checks": sum(len(cell.columns.margin) for cell in cells),
+        "failed": sum(cell.columns.passed.count(False) for cell in cells),
+        "min_margin": min(min(cell.columns.margin) for cell in cells),
+        "saturated": sum(cell.columns.saturated.count(True) for cell in cells),
+    }
 
 
 def run_campaign(config: CampaignConfig):
@@ -300,10 +325,10 @@ def run_campaign(config: CampaignConfig):
     """
     reports = []
     rows = []
-    for label, order, p2, columns in _results(config):
-        sense = bnd.PROPOSITIONS[label.prop].sense
-        reports += bnd.reports(label.prop, columns, config.tolerance, sense)
-        rows += _rows(label, order, p2, columns, config)
+    for cell in _results(config):
+        prop = cell.label.prop
+        reports += bnd.reports(prop, cell.columns, config.tolerance, bnd.PROPOSITIONS[prop].sense)
+        rows += _rows(cell, config.seed)
     return reports, rows
 
 
@@ -343,29 +368,13 @@ def cmd_verify(args) -> int:
         count=args.count,
         fiducial_path=args.fiducial,
     )
-    rows = []
-    checks = n_failed = n_saturated = 0
-    min_margin = None
-    for label, order, p2, columns in _results(config):
-        rows += _rows(label, order, p2, columns, config)
-        margin = columns.margin
-        checks += len(margin)
-        n_failed += columns.passed.count(False)
-        n_saturated += columns.saturated.count(True)
-        # Python's min, continued over the cells: the first minimum, so a zero keeps its sign
-        min_margin = min(margin) if min_margin is None else min(min_margin, *margin)
-    summary = {
-        "checks": checks,
-        "failed": n_failed,
-        "min_margin": min_margin,
-        "saturated": n_saturated,
-    }
+    cells = list(_results(config))
+    summary = _summary(cells)
+    rows = [row for cell in cells for row in _rows(cell, config.seed)]
     _write_report(rows, summary, args.out, args.format)
-    print(
-        f"checks={checks} failed={n_failed} "
-        f"min_margin={min_margin!r} saturated={n_saturated}/{checks}"
-    )
-    return EXIT_VIOLATION if n_failed else EXIT_OK
+    fmt = "checks={checks} failed={failed} min_margin={min_margin!r} saturated={saturated}/{checks}"
+    print(fmt.format(**summary))
+    return EXIT_VIOLATION if summary["failed"] else EXIT_OK
 
 
 def cmd_mub(args) -> int:

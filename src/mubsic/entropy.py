@@ -187,7 +187,13 @@ def renyi(p, alpha):
         # which below order 2 would take more than e^354 outcomes
         pmax = p.max(axis=-1)
         scaled = ((p / pmax[..., None]) ** alpha).sum(axis=-1)
-        return _result((alpha * np.log(pmax) + np.log(scaled)) / (1.0 - alpha))
+        lnmax = np.log(pmax)
+        with np.errstate(over="ignore"):
+            head = alpha * lnmax
+        # where alpha ln max p leaves the floats, the entropy is -ln max p, the
+        # order-inf value, to the last bit
+        h = (head + np.log(scaled)) / (1.0 - alpha)
+        return _result(np.where(np.isinf(head), -lnmax, h))
     return _result(np.log1p(_power_excess(p, alpha, dist._ln())) / (1.0 - alpha))
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -266,6 +267,25 @@ class TestMubRenyiBound:
             rho = DensityMatrix(np.outer(ket, ket.conj()))
             avg = np.mean([renyi(probabilities(b, rho), 2.0) for b in _bases(mubs)])
             assert avg == pytest.approx(bound, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e308, sys.float_info.max])
+def test_renyi_bounds_at_the_top_of_the_float_range_are_the_order_inf_bounds(alpha):
+    # alpha/(2(alpha - 1)) overflowed its denominator above 9e307, which gave a bound of 0
+    for p2 in (0.5, 0.75, 1.0):
+        assert mub_renyi_bound(2, 3, alpha, p2) == mub_renyi_bound(2, 3, np.inf, p2)
+        assert sic_renyi_bound(2, alpha, p2) == sic_renyi_bound(2, np.inf, p2)
+    assert mub_renyi_bound(2, 3, alpha, 1.0) == pytest.approx(0.5 * np.log(1.5), rel=1e-15)
+
+
+def test_renyi_factor_bitwise_unchanged_where_its_old_form_is_finite():
+    orders = [*np.geomspace(2.0, 8.9e307, 2000), np.nextafter(2.0, 3.0), 8.98e307]
+    for d, m in ((2, 3), (3, 4), (5, 2)):
+        p2 = np.array([1.0 / d, 0.6, 1.0])
+        cap = (d * p2 + m - 1.0) / (m * d)
+        for alpha in orders:
+            old = -(alpha / (2.0 * (alpha - 1.0))) * np.log(cap)
+            assert mub_renyi_bound(d, m, alpha, p2).tobytes() == old.tobytes(), (d, m, alpha)
 
 
 class TestMubMinentropyBound:

@@ -199,10 +199,11 @@ class TestVerifyCommand:
         with pytest.raises(DomainError, match=f"^{field} must be a list or tuple, got "):
             cli.CampaignConfig(**fields)
 
-    def test_tiny_tolerance_flags_violation(self, tmp_path):
+    def test_tiny_tolerance_flags_violation(self, tmp_path, capsys):
         # the exact identity holds to ~1e-16; an absurd 1e-18 tolerance
-        # must trip the violation exit path
-        out = tmp_path / "tight.csv"
+        # must trip the violation exit path, and the summary is still the
+        # reduction of the rows
+        out = tmp_path / "tight.json"
         code = main(
             [
                 "verify",
@@ -216,11 +217,26 @@ class TestVerifyCommand:
                 "1",
                 "--tolerance",
                 "1e-18",
+                "--format",
+                "json",
                 "--out",
                 str(out),
             ]
         )
         assert code == 1
+        report = json.loads(out.read_text())
+        rows, summary = report["rows"], report["summary"]
+        margins = [float(r["margin"]) for r in rows]
+        reduced = {
+            "checks": len(rows),
+            "failed": sum(not abs(m) <= 1e-18 for m in margins),  # P5's "==" pass rule
+            "min_margin": min(margins),
+            "saturated": sum(r["saturated"] == "true" for r in rows),
+        }
+        assert summary == reduced and repr(summary["min_margin"]) == repr(min(margins))
+        assert summary["checks"] == 10 and summary["failed"] > 0
+        line = "checks={checks} failed={failed} min_margin={min_margin!r} saturated={saturated}/{checks}"
+        assert capsys.readouterr().out == line.format(**summary) + "\n"
 
     def test_unwritable_output_exits_3(self):
         code = main(

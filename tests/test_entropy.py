@@ -1,5 +1,6 @@
 import decimal
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -104,6 +105,39 @@ class TestRenyi:
             assert renyi(p, alpha) == pytest.approx(want, abs=1e-13)
         stack = renyi(np.stack([dists[0], dists[0][::-1]]), alpha)
         assert np.all(np.isfinite(stack))
+
+    def test_bitwise_unchanged_where_alpha_ln_max_p_is_finite(self):
+        # above order 2, alpha ln max p leaves the floats only at the top of the
+        # float range; there the entropy is -ln max p, the order-inf value, and
+        # no overflow warning is raised
+        rng = np.random.default_rng(8)
+        edge = [
+            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [5e-324, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [1e-300, 1e-20, 0.25, 0.75, 0.0, 0.0],
+            [0.5, 0.5 - 1e-16, 1e-16, 0.0, 0.0, 0.0],
+            [1.0 - 2.0**-53, 2.0**-53, 0.0, 0.0, 0.0, 0.0],
+            [1.0 / 6.0] * 6,
+        ]
+        p = np.vstack([edge, [_random_dist(rng, 6) for _ in range(8)]])
+        top = sys.float_info.max
+        orders = [*np.geomspace(2.0 + 1e-6, 1e308, 400), 1.7e308, np.nextafter(top, 0.0), top]
+        pmax = p.max(axis=-1)
+        overflowed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in orders:
+                with np.errstate(over="ignore"):
+                    head = alpha * np.log(pmax)
+                finite = np.isfinite(head)
+                scaled = ((p / pmax[:, None]) ** alpha).sum(axis=-1)
+                unguarded = (head + np.log(scaled)) / (1.0 - alpha)
+                got = renyi(p, alpha)
+                assert got[finite].tobytes() == unguarded[finite].tobytes(), alpha
+                assert got[~finite].tobytes() == renyi(p, np.inf)[~finite].tobytes(), alpha
+                overflowed += int((~finite).sum())
+        assert overflowed > 0
+        assert renyi([0.25] * 4, 1.7e308) == renyi([0.25] * 4, np.inf)
 
 
 def _decimal_entropies(p, alpha):
