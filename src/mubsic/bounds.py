@@ -69,7 +69,7 @@ from .entropy import (
     symmetrized,
     tsallis,
 )
-from .errors import ConstructionError, DimensionMismatchError, DomainError, PreconditionError
+from .errors import DimensionMismatchError, DomainError, PreconditionError
 from .measurements import POVM_ATOL, Measurement, _kind, distort, probabilities
 from .states import DensityMatrix, check_dimension, check_integer, purity, state_slack
 
@@ -256,30 +256,24 @@ def separable_bound(d, purity_a, purity_b):
 def simple_bounds(p, d, alpha, kind: str = "tsallis", tolerance=DEFAULT_TOLERANCE) -> BoundReport:
     """Max-probability bounds for SIC statistics: entropy >= ln_a(1/max p) >= ln_a(d).
 
-    Requires max p <= 1/d (every SIC probability obeys it); violation
-    raises :class:`PreconditionError`.
+    ``p`` is one distribution, shape (n,); a stack raises :class:`DomainError`.
+    The report checks the first inequality, whose rhs is ln_a(1/max p)
+    (-ln max p for "renyi").  The second rests on the SIC fact max p <= 1/d,
+    the one precondition: a max p above 1/d + 1e-12 raises
+    :class:`PreconditionError`.
     """
     tolerance = check_tolerance(tolerance)
-    p = _dist(p).p.ravel()
+    dist = _dist(p)
+    if dist.p.ndim != 1:
+        raise DomainError(f"simple_bounds takes one distribution, got shape {dist.p.shape}")
     d = check_dimension(d)
-    pmax = float(p.max())
+    pmax = float(dist.p.max())
     if pmax > 1.0 / d + 1e-12:
         raise PreconditionError(
             f"max probability {pmax!r} exceeds 1/d = {1.0 / d!r}; not SIC statistics"
         )
-    lhs = _entropy_fn(kind)(p, alpha)
-    if kind == "tsallis":
-        rhs = alpha_log(1.0 / pmax, alpha)
-        floor = alpha_log(d, alpha)
-    else:
-        rhs = -math.log(pmax)
-        floor = math.log(d)
-    # max p <= 1/d implies rhs >= floor; the 1e-9 slack mirrors the
-    # precondition slack scaled by d
-    if rhs < floor - 1e-9:
-        raise ConstructionError(
-            f"intermediate bound {rhs!r} fell below its floor {floor!r}"
-        )
+    lhs = _entropy_fn(kind)(dist, alpha)
+    rhs = alpha_log(1.0 / pmax, alpha) if kind == "tsallis" else -math.log(pmax)
     return reports(f"simple-{kind}", _columns(lhs, rhs, tolerance, ">="), tolerance, ">=")[0]
 
 
@@ -398,9 +392,10 @@ class Inputs(NamedTuple):
     outcome of an efficiency (:func:`distort`), for a
     :attr:`Proposition.statistical` label, and None for the pair and
     product labels, which read ``rho`` itself; ``purity`` is tr(rho^2).
-    ``cap`` is :func:`_cap` of the MUB set or SIC at the purity for the
-    labels that read it (P1-P3, P5-P8, LWBM) and None otherwise.  Every
-    order of a label reads the same inputs, so each is taken once.
+    ``cap`` is :func:`_cap` at the purity whenever the measurement is a MUB
+    set or a SIC, the two measurements with a cap, and None otherwise; P4
+    and APXA take it without reading it.  Every order of a label reads the
+    same inputs, so each is taken once.
     """
 
     rho: DensityMatrix
@@ -410,7 +405,7 @@ class Inputs(NamedTuple):
 
 
 def inputs(which: str, meas, rho: DensityMatrix, eta=None) -> Inputs:
-    """The :class:`Inputs` of label ``which``: its outcome probabilities, the purity and the cap.
+    """The :class:`Inputs` of label ``which``: its outcome probabilities, the purity and any cap.
 
     ``eta`` is the label's validated efficiency (P1/P6), or None.
     """
@@ -419,7 +414,7 @@ def inputs(which: str, meas, rho: DensityMatrix, eta=None) -> Inputs:
     p = probabilities(meas, rho)
     p2 = purity(rho)
     cap = None
-    if which in _CAP_READERS:
+    if meas.kind in ("mubs", "sic"):
         cap = _cap(meas.dim, meas.shape[0] if meas.kind == "mubs" else None, p2)
     return Inputs(rho, p if eta is None else distort(p, eta), p2, cap)
 
@@ -513,10 +508,6 @@ PROPOSITIONS = {
     "ENT-G": Proposition(13, "product", "<=", None, False, _ent_g),
 }
 PROPOSITION_LABELS = tuple(PROPOSITIONS)
-# the labels whose evaluators read Inputs.cap
-_CAP_READERS = frozenset(
-    w for w, prop in PROPOSITIONS.items() if prop.evaluate in (_cap_chain, _p5, _lwbm)
-)
 
 # Proposition.measurement -> the kinds of Measurement it admits; each of a pair's two
 _MEASUREMENT_KINDS = {

@@ -19,7 +19,6 @@ published numerical data are themselves inexact.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
@@ -255,6 +254,29 @@ _PAULI_EIGENBASES = (
 )
 
 
+# Miller-Rabin at the first 13 primes tells every n below 3.3e24 prime or
+# composite exactly (Sorenson and Webster, Math. Comp. 86 (2017) 985)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _odd_prime(d: int) -> bool:
+    """Whether d >= 2 is an odd prime, by Miller-Rabin at :data:`_PRIME_BASES`, in bounded time.
+
+    Exact below 3.3e24.  Above it a composite could pass, but no array of
+    such a d can be allocated, and :func:`mub_set` re-verifies unbiasedness.
+    """
+    if d % 2 == 0 or any(d % b == 0 for b in _PRIME_BASES):
+        return d in _PRIME_BASES[1:]
+    odd, twos = d - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _PRIME_BASES:  # a prime d has base^odd = 1, or -1 after k < twos squarings
+        x = pow(base, odd, d)
+        if x != 1 and all(pow(x, 2**k, d) != d - 1 for k in range(twos)):
+            return False
+    return True
+
+
 def mub_construct(d: int, count: int) -> Measurement:
     """Build ``count`` mutually unbiased bases in prime dimension d.
 
@@ -266,8 +288,7 @@ def mub_construct(d: int, count: int) -> Measurement:
     """
     d = check_dimension(d)
     count = check_integer(count, "basis count", 2)
-    odd_prime = d % 2 == 1 and all(d % f for f in range(3, math.isqrt(d) + 1, 2))
-    if d != 2 and not odd_prime:
+    if d != 2 and not _odd_prime(d):
         raise DomainError(f"unsupported dimension {d}: construction needs d = 2 or an odd prime")
     if count > d + 1:
         raise DomainError(f"basis count must lie in [2, {d + 1}], got {count}")

@@ -358,8 +358,14 @@ def random_mixed(d: int, rank, seed=None, *, normals=None) -> DensityMatrix:
 
 
 def to_json(rho: DensityMatrix) -> str:
-    """Serialize to the JSON wire format {"dim", "re", "im"}."""
+    """Serialize one state to the JSON wire format {"dim", "re", "im"}.
+
+    The format holds one (d, d) matrix, the one :func:`from_json` reads, so
+    a stack raises :class:`DomainError`.
+    """
     _check_state(rho)
+    if rho.mat.ndim != 2:
+        raise DomainError(f"the JSON wire format holds one state, got shape {rho.mat.shape}")
     return json.dumps(
         {
             "dim": rho.dim,

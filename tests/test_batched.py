@@ -379,7 +379,8 @@ def test_purity_and_probabilities_run_once_per_label(monkeypatch, capsys, argv, 
     [
         ("P1-mub-tsallis", "0.5,1,2", None, 2, 2),
         ("P2-mub-renyi", "2,3,inf", None, 2, 2),  # orders 3 and inf read max p, not ln p
-        ("P4-mub-sym", "1,2,4", None, 0, 2),  # its rhs, half of ln_alpha d, reads no cap
+        # a MUB set gives its cap to every label on it, P4 too, whose rhs never reads it
+        ("P4-mub-sym", "1,2,4", None, 2, 2),
         ("P3-mub-minent,LWBM-sum", "2", None, 4, 0),  # each label reads a cap of its own
         # the distorted outcomes once per label; binary_tsallis takes ln eta per order
         ("P1-mub-tsallis", "0.5,1,2", "0.8", 2, 8),

@@ -460,6 +460,27 @@ class TestSimpleBounds:
         with pytest.raises(PreconditionError):
             simple_bounds([0.9, 0.1, 0.0, 0.0], 2, 1.0)
 
+    @pytest.mark.parametrize("alpha", (0.1, 0.5))
+    def test_every_input_the_precondition_accepts_gets_a_report(self, alpha):
+        # max p at 1/d + 1e-12, the precondition's edge: ln_a(1/max p) sits
+        # below ln_a d by about 1e-12 d^(2 - a), yet the entropy is above it
+        d = 100
+        p = np.full(d, (1.0 - (0.01 + 1e-12)) / (d - 1))
+        p[0] = 0.01 + 1e-12
+        report = simple_bounds(p, d, alpha)
+        assert report.rhs < alpha_log(d, alpha) and report.passed
+        p[0] += 1e-11
+        p[1:] = (1.0 - p[0]) / (d - 1)
+        with pytest.raises(PreconditionError, match="^max probability .* exceeds 1/d"):
+            simple_bounds(p, d, alpha)
+
+    @pytest.mark.parametrize("shape", ((3, 4), (1, 4)))
+    def test_a_stack_is_not_one_distribution(self, shape):
+        # every row is a distribution, but the function reports on one
+        message = rf"^simple_bounds takes one distribution, got shape {re.escape(str(shape))}$"
+        with pytest.raises(DomainError, match=message):
+            simple_bounds(np.full(shape, 0.25), 2, 2.0)
+
     def test_monte_carlo(self):
         for d in (2, 3):
             sic = sic_from_fiducial(d)

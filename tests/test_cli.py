@@ -866,7 +866,7 @@ def test_identity_rows_of_the_reference_campaign_stay_at_rounding():
     assert max(abs(float(r["margin"])) for r in rows) <= 1e-13
 
 
-def _console(args, cwd):
+def _console(args, cwd, timeout=300):
     """The ``mubsic`` console entry run in a fresh interpreter, with its real stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -875,8 +875,22 @@ def _console(args, cwd):
         capture_output=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
-        timeout=300,
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mub", "--dim", str(2**89 - 1), "--count", "2"],
+        ["verify", "--dims", str(2**61 - 1), "--props", "P1-mub-tsallis", "--samples", "1"],
+    ],
+    ids=["mub-2^89-1", "verify-2^61-1"],
+)
+def test_a_prime_dimension_too_large_to_allocate_exits_2(args, tmp_path):
+    # the prime test takes bounded time, so numpy's refusal to allocate ends the command
+    done = _console(args, tmp_path, timeout=60)
+    assert done.returncode == 2 and done.stderr.startswith(b"error: "), done.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,10 +214,39 @@ class TestMubConstruct:
         )
         assert mubs.deviation == worst
 
-    @pytest.mark.parametrize("d", [4, 6, 9, 12])
+    # 561 is a Carmichael number, the next the least strong pseudoprime to the
+    # 12 prime bases 2..37 (the 13th base, 41, tells it), and the last (2^31 - 1)(2^61 - 1)
+    @pytest.mark.parametrize(
+        "d", [4, 6, 9, 12, 561, 318665857834031151167461, 4951760154835678088235319297]
+    )
     def test_rejects_unsupported_dimensions(self, d):
-        with pytest.raises(DomainError, match="unsupported dimension"):
+        with pytest.raises(DomainError, match=f"^unsupported dimension {d}: "):
             mub_construct(d, 2)
+
+    def test_the_prime_test_agrees_with_a_sieve_below_1e5(self):
+        n = 10**5
+        prime = np.ones(n, dtype=bool)
+        prime[:2] = False
+        for f in range(2, int(n**0.5) + 1):
+            prime[f * f :: f] = False
+        prime[2] = False  # the test is for odd primes
+        got = [measurements._odd_prime(d) for d in range(2, n)]
+        assert got == prime[2:].tolist()
+
+    def test_a_large_prime_is_told_in_bounded_time(self):
+        # 2^89 - 1 is prime: the test passes it at once, and numpy refuses the arrays
+        code = (
+            "from mubsic import mub_construct\n"
+            "try:\n    mub_construct(2**89 - 1, 2)\n"
+            "except ValueError as exc:\n    print(type(exc).__name__, exc)"
+        )
+        src = str(Path(measurements.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout.startswith("ValueError "), done.stderr
 
     def test_rejects_count_out_of_range(self):
         with pytest.raises(DomainError):

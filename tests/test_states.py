@@ -545,6 +545,12 @@ class TestJson:
         again = from_json(to_json(rho))
         assert np.array_equal(rho.mat, again.mat)
 
+    def test_a_stack_is_not_one_state(self):
+        # from_json reads one (d, d) matrix, so to_json writes no stack
+        stack = DensityMatrix(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]))
+        with pytest.raises(DomainError, match=r"^the JSON wire format .* shape \(2, 2, 2\)$"):
+            to_json(stack)
+
     def test_wire_format_fields(self):
         obj = json.loads(to_json(maximally_mixed(2)))
         assert obj["dim"] == 2
